@@ -3,7 +3,7 @@ coefficients of the characteristic-polynomial analogue of Hardy's
 Z-function, Bessel-determinant series, restricted-permutation counts, and
 certified zero-gap lower bounds."""
 
-from .arith import FactoredConstant, Rational, evaluate_factored, factorial, multinomial
+from .arith import FactoredConstant, Rational, factorial, multinomial
 from .bounds import (
     BoundCertificate,
     CheckResult,
@@ -18,7 +18,6 @@ from .bounds import (
     solve_x,
 )
 from .lis import (
-    LisTable,
     Partition,
     count_by_enumeration,
     count_by_series,

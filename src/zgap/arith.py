@@ -19,6 +19,12 @@ from fractions import Fraction
 Rational = Fraction
 
 
+def rational_str(q: Rational) -> str:
+    """The "numerator/denominator" form, in lowest terms, used for every
+    exact value this package serializes."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 def factorial(n: int) -> int:
     """Exact n! for n >= 0."""
     if n < 0:
@@ -76,8 +82,3 @@ class FactoredConstant:
         for base, exp in self.factors:
             out *= Fraction(base) ** exp
         return out
-
-
-def evaluate_factored(constant: FactoredConstant) -> Rational:
-    """Exact Rational value of a FactoredConstant."""
-    return constant.value()

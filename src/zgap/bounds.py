@@ -40,13 +40,16 @@ detect a corrupted coefficient table; the certificate therefore also
 cross-checks the table against the independently computed partition sums
 (`data_integrity` check).
 
-Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s); panels
-are integrated by an embedded Gauss-Legendre 7/15 pair, bisecting any panel
-whose pair disagreement exceeds 1e-12 in absolute value; the whole run is
-repeated with the initial uniform panel count doubled until two successive
-estimates differ by less than the requested tolerance.  The log integrand
-uses the limit log(1 + c*u**2)/u**2 -> c near u = 0.  Everything is
-deterministic: repeated runs at fixed tolerances produce bit-identical
+Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s).  Each
+panel is integrated by the Gauss-Kronrod 7/15 rule (QUADPACK qk15): the
+15-point Kronrod value is the estimate, and its distance from the 7-point
+Gauss value, which reuses 7 of the same 15 integrand evaluations, is the
+error estimate.  A panel whose error estimate exceeds 1e-12 in absolute
+value, and 1e-15 relative to the integral of |f| over it, is bisected.  The
+whole run is repeated with the initial uniform panel count doubled until two
+successive estimates differ by less than the requested tolerance.  The log
+integrand uses the limit log(1 + c*u**2)/u**2 -> c near u = 0.  Everything
+is deterministic: repeated runs at fixed tolerances produce bit-identical
 certificates.
 """
 
@@ -57,9 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import numpy.polynomial.legendre as _legendre
-
-from .arith import Rational, binomial
+from .arith import Rational, binomial, rational_str
 from . import moments
 
 DEFAULT_QUAD_TOL = 1e-8
@@ -83,30 +84,39 @@ class QuadratureError(Exception):
         self.achieved_error = achieved_error
 
 
-def _gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = _legendre.leggauss(order)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
-
-
-_NODES_LO, _WEIGHTS_LO = _gauss_rule(7)
-_NODES_HI, _WEIGHTS_HI = _gauss_rule(15)
+# The Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), one row per
+# nonnegative node: (node x, Kronrod weight, Gauss weight).  Nodes +-x carry
+# the same weights.  The Gauss weight is 0 at the eight nodes that only the
+# Kronrod extension adds.
+_GAUSS_KRONROD_15 = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+)
 
 
 def _panel_estimates(
     f: Callable[[float], float], a: float, b: float
 ) -> tuple[float, float, float]:
+    """(Kronrod estimate, |Kronrod - Gauss|, integral of |f|) over (a, b)
+    from 15 evaluations of f."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    hi = 0.0
-    magnitude = 0.0
-    for x, w in zip(_NODES_HI, _WEIGHTS_HI):
-        value = f(mid + half * x)
-        hi += w * value
-        magnitude += w * abs(value)
-    hi *= half
-    magnitude *= half
-    lo = half * sum(w * f(mid + half * x) for x, w in zip(_NODES_LO, _WEIGHTS_LO))
-    return hi, abs(hi - lo), magnitude
+    kronrod = gauss = magnitude = 0.0
+    for x, wk, wg in _GAUSS_KRONROD_15:
+        for value in (f(mid - half * x), f(mid + half * x)) if x else (f(mid),):
+            kronrod += wk * value
+            gauss += wg * value
+            magnitude += wk * abs(value)
+    return half * kronrod, half * abs(kronrod - gauss), half * magnitude
 
 
 def _adaptive_panel(
@@ -129,8 +139,8 @@ def _adaptive_panel(
 
 def integrate_unit_interval(f: Callable[[float], float], tol: float = DEFAULT_QUAD_TOL) -> float:
     """Adaptive composite integration of f over (0, 1) per the module
-    quadrature contract.  Endpoints are never evaluated (Gauss nodes are
-    interior)."""
+    quadrature contract.  Endpoints are never evaluated (Gauss-Kronrod
+    nodes are interior)."""
     previous = None
     achieved = math.inf
     panels = 4
@@ -154,8 +164,9 @@ def integrate_half_line(f: Callable[[float], float], tol: float = DEFAULT_QUAD_T
     """Integral of f over (0, inf) via the map u = s/(1-s)."""
 
     def mapped(s: float) -> float:
-        # Gauss nodes are interior; s can still round onto an endpoint for
-        # extremely deep panels, so clamp back into the open interval.
+        # Gauss-Kronrod nodes are interior; s can still round onto an
+        # endpoint for extremely deep panels, so clamp back into the open
+        # interval.
         if s >= 1.0:
             s = _ALMOST_ONE
         w = 1.0 - s
@@ -483,21 +494,20 @@ class BoundCertificate:
         return all(check.passed for check in self.checks)
 
     def to_json_dict(self) -> dict:
-        def frac(q: Rational) -> str:
-            return f"{q.numerator}/{q.denominator}"
-
         return {
             "derivative_order": self.n,
-            "inputs": {k: frac(v) for k, v in zip("abcd", (self.a, self.b, self.c, self.d))},
-            "x_exact": frac(self.x_exact),
+            "inputs": {
+                k: rational_str(v) for k, v in zip("abcd", (self.a, self.b, self.c, self.d))
+            },
+            "x_exact": rational_str(self.x_exact),
             "x_value": repr(self.x_value),
             "v": [repr(t) for t in self.params.v],
-            "v_exact": [frac(t) for t in self.v_exact],
+            "v_exact": [rational_str(t) for t in self.v_exact],
             "lambda": repr(self.params.lam),
-            "lambda_exact": frac(self.lam_exact),
+            "lambda_exact": rational_str(self.lam_exact),
             "checks": [check.to_json_dict() for check in self.checks],
             "bound": repr(self.bound),
-            "threshold": frac(self.threshold),
+            "threshold": rational_str(self.threshold),
             "quad_tol": repr(self.quad_tol),
             "valid": self.valid,
             "notes": list(self.notes),
@@ -548,6 +558,8 @@ def certify_bound(
     """
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
+    if not (math.isfinite(quad_tol) and quad_tol > 0.0):
+        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol!r}")
     if coefficients is None:
         coefficients = moments.coefficient_column(n)
     integrity, notes = _integrity_checks(n, coefficients)

@@ -13,7 +13,9 @@ arithfactor truncated Euler-product estimate with error bound
 Defaults: terms=12, tol=1e-8, cutoff=1e5.  The default tolerance can be
 overridden with the ZGAP_TOL environment variable (a --tol flag wins).
 Identical configurations produce byte-identical outputs; the exit status is
-0 iff every check in the emitted report passed.  Rationals serialize as
+0 iff every check in the emitted report passed, and 2, with a one-line
+"zgap: ..." message on stderr, for invalid input, an unwritable --output
+path or a quadrature that does not converge.  Rationals serialize as
 "numerator/denominator" strings in lowest terms, reals as shortest
 round-trip decimals.  The --corrupt flag of `moments` and `bounds` is a
 test hook that perturbs one embedded reference constant to demonstrate
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, lis, moments, series
+from .arith import rational_str
 
-DEFAULT_TERMS = 12
 DEFAULT_TOL = 1e-8
 DEFAULT_CUTOFF = 100_000
 
@@ -47,21 +49,17 @@ class RunConfig:
     l: int = 4
     pair: tuple[int, int] = (2, 1)
     max_n: int = 9
-    terms: int = DEFAULT_TERMS
+    terms: int = series.DEFAULT_TERMS
     tol: float = DEFAULT_TOL
     cutoff: int = DEFAULT_CUTOFF
     corrupt: bool = False
 
 
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _corrupted_column(n: int) -> dict[int, Fraction]:
-    column = moments.coefficient_column(n)
+def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The --corrupt test hook: `column` with the numerator of its h = 2
+    entry raised by one."""
     bad = column[2]
-    column[2] = Fraction(bad.numerator + 1, bad.denominator)
-    return column
+    return {**column, 2: Fraction(bad.numerator + 1, bad.denominator)}
 
 
 def _emit(payload: dict, rows: tuple[list[str], list[list]], config: RunConfig) -> None:
@@ -88,7 +86,7 @@ def _emit(payload: dict, rows: tuple[list[str], list[list]], config: RunConfig) 
 
 
 def _run_bounds(config: RunConfig) -> int:
-    coefficients = _corrupted_column(config.n) if config.corrupt else None
+    coefficients = _corrupted(moments.coefficient_column(config.n)) if config.corrupt else None
     certificate = bounds.certify_bound(config.n, quad_tol=config.tol, coefficients=coefficients)
     payload = certificate.to_json_dict()
     header = ["check", "passed", "residual"]
@@ -103,17 +101,16 @@ def _run_moments(config: RunConfig) -> int:
     computed = {r.h: r.value for r in records if r.source == moments.SOURCE_PARTITION_SUM}
     reference = {r.h: r.value for r in records if r.source == moments.SOURCE_REFERENCE_TABLE}
     if config.corrupt and reference:
-        bad = reference[2]
-        reference[2] = Fraction(bad.numerator + 1, bad.denominator)
+        reference = _corrupted(reference)
 
     entries = []
     ok = True
     for h in sorted({r.h for r in records}):
         entry: dict = {"h": h, "l": config.l, "n1": config.pair[0], "n2": config.pair[1]}
         if h in computed:
-            entry["partition_sum"] = _frac(computed[h])
+            entry["partition_sum"] = rational_str(computed[h])
         if h in reference:
-            entry["reference"] = _frac(reference[h])
+            entry["reference"] = rational_str(reference[h])
         if h in computed and h in reference:
             entry["match"] = computed[h] == reference[h]
             ok = ok and entry["match"]
@@ -158,7 +155,7 @@ def _run_hankel(config: RunConfig) -> int:
     payload = {"l": config.l, "terms": config.terms, **det.to_json_dict()}
     header = ["exponent", "coefficient"]
     body = [
-        [_frac(det.offset + k), _frac(c)]
+        [rational_str(det.offset + k), rational_str(c)]
         for k, c in enumerate(det.coeffs)
     ]
     _emit(payload, (header, body), config)
@@ -233,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hankel", help="Hankel determinant series")
     p.add_argument("--l", type=int, default=4)
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
+    p.add_argument("--terms", type=int, default=series.DEFAULT_TERMS)
     common(p)
 
     p = sub.add_parser("identity", help="unitary-average identity check")
@@ -276,7 +273,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(parse_config(argv))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, bounds.QuadratureError, OSError) as exc:
         print(f"zgap: {exc}", file=sys.stderr)
         return 2
 

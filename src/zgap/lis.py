@@ -46,20 +46,9 @@ class Partition:
         return sum(self.parts)
 
 
-@dataclass(frozen=True)
-class LisTable:
-    """Computed values T(n) = #{permutations of 1..n with LIS length <= l}."""
-
-    l: int
-    values: tuple[tuple[int, int], ...]  # (n, count) pairs
-
-
-def lis_length(perm: Sequence[int]) -> int:
-    """Length of the longest strictly increasing subsequence of a
-    permutation of 1..n (patience sorting: number of piles)."""
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
+def _patience_piles(perm: Sequence[int]) -> int:
+    """Number of piles patience sorting deals `perm` into, which is the
+    length of its longest strictly increasing subsequence."""
     piles: list[int] = []
     for x in perm:
         i = bisect_left(piles, x)
@@ -70,6 +59,15 @@ def lis_length(perm: Sequence[int]) -> int:
     return len(piles)
 
 
+def lis_length(perm: Sequence[int]) -> int:
+    """Length of the longest strictly increasing subsequence of a
+    permutation of 1..n (patience sorting: number of piles)."""
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
+    return _patience_piles(perm)
+
+
 @lru_cache(maxsize=None)
 def _lis_length_counts(n: int) -> tuple[int, ...]:
     """counts[k] = number of permutations of 1..n with LIS length exactly k
@@ -77,14 +75,7 @@ def _lis_length_counts(n: int) -> tuple[int, ...]:
     from one pass over the n! permutations."""
     counts = [0] * (n + 1)
     for perm in permutations(range(1, n + 1)):
-        piles: list[int] = []
-        for x in perm:
-            i = bisect_left(piles, x)
-            if i == len(piles):
-                piles.append(x)
-            else:
-                piles[i] = x
-        counts[len(piles)] += 1
+        counts[_patience_piles(perm)] += 1
     return tuple(counts)
 
 
@@ -173,10 +164,3 @@ def count_by_series(l: int, n: int) -> int:
             f"series count for l={l}, n={n} is non-integral: {value}"
         )
     return value.numerator
-
-
-def count_table(l: int, max_n: int) -> LisTable:
-    """LisTable of count_by_tableaux values for n = 0..max_n."""
-    return LisTable(
-        l=l, values=tuple((n, count_by_tableaux(l, n)) for n in range(max_n + 1))
-    )

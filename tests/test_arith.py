@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from zgap.arith import (
     FactoredConstant,
     binomial,
-    evaluate_factored,
     factorial,
     multinomial,
 )
@@ -75,12 +74,12 @@ def test_multinomial_is_product_of_binomials():
 
 
 def test_evaluate_factored_examples():
-    assert evaluate_factored(FactoredConstant(1, ((2, 2),))) == 4
-    assert evaluate_factored(FactoredConstant(-1, ((2, -2), (3, -1)))) == Fraction(-1, 12)
+    assert FactoredConstant(1, ((2, 2),)).value() == 4
+    assert FactoredConstant(-1, ((2, -2), (3, -1))).value() == Fraction(-1, 12)
     constant = FactoredConstant(
         1, ((31, 1), (2, -20), (3, -10), (5, -4), (7, -2), (11, -1), (13, -1))
     )
-    assert evaluate_factored(constant) == tabulated_coefficient(0, 1)
+    assert constant.value() == tabulated_coefficient(0, 1)
 
 
 def test_factored_constant_validation():

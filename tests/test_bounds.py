@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
+from zgap import moments
 from zgap.bounds import (
     QuadratureError,
     WirtingerParams,
@@ -18,10 +20,12 @@ from zgap.bounds import (
     g_eval,
     g_is_increasing,
     integrate_half_line,
+    integrate_unit_interval,
     lambda_equation_residual,
     rational_form_deviation,
     solve_lambda,
     solve_x,
+    _GAUSS_KRONROD_15,
     _log_residual_from_coeffs,
 )
 from zgap.moments import coefficient_column, hall_ratio, ratio_set_from_values
@@ -44,6 +48,46 @@ def derived_params_for(n):
 
 
 # ---------------------------------------------------------------- quadrature
+
+
+def gauss_kronrod_rule():
+    """(node, Kronrod weight, Gauss weight) for all 15 nodes on [-1, 1]."""
+    return [
+        (sign * x, wk, wg)
+        for x, wk, wg in _GAUSS_KRONROD_15
+        for sign in ((-1.0, 1.0) if x else (1.0,))
+    ]
+
+
+def test_kronrod_rule_integrates_polynomials_exactly():
+    rule = gauss_kronrod_rule()
+    assert len(rule) == 15
+    for k in range(24):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(sum(wk * x**k for x, wk, _ in rule) - exact) < 1e-14
+
+
+def test_gauss_subset_is_the_seven_point_legendre_rule():
+    gauss = sorted((x, wg) for x, _, wg in gauss_kronrod_rule() if wg)
+    nodes, weights = roots_legendre(7)
+    assert len(gauss) == 7
+    for (x, wg), node, weight in zip(gauss, nodes, weights):
+        assert abs(x - node) < 1e-15
+        assert abs(wg - weight) < 1e-15
+
+
+def test_quadrature_spends_fifteen_evaluations_per_panel():
+    # both rules integrate a degree-13 polynomial exactly, so no panel is
+    # bisected and doubling stops after the 4- and 8-panel rounds
+    evaluations = 0
+
+    def f(s):
+        nonlocal evaluations
+        evaluations += 1
+        return 1.0 + s**13
+
+    assert abs(integrate_unit_interval(f) - 15.0 / 14.0) < 1e-14
+    assert evaluations == 15 * (4 + 8)
 
 
 def test_integrate_half_line_arctangent():
@@ -342,6 +386,16 @@ def test_certificate_checks_meet_stated_tolerances():
 def test_certificate_rejects_unknown_order():
     with pytest.raises(ValueError):
         certify_bound(3)
+
+
+@pytest.mark.parametrize("quad_tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_certificate_rejects_bad_tolerance_before_any_work(quad_tol, monkeypatch):
+    def refuse(h, l):
+        raise AssertionError("partition sum computed for a rejected tolerance")
+
+    monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
+    with pytest.raises(ValueError, match="quad_tol"):
+        certify_bound(1, quad_tol=quad_tol)
 
 
 def test_certificate_detects_corrupted_coefficient():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from zgap import bounds, moments
 from zgap.cli import RunConfig, main, parse_config, run
 
 
@@ -106,6 +107,53 @@ def test_invalid_usage_exits_nonzero(capsys):
         main(["unknown-command"])
     status, _ = run_cli(["moments", "--pair", "4,3"], capsys)
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
+     ["--output", "{missing}/x.json"]],
+)
+def test_bad_bounds_input_is_a_one_line_error(args, tmp_path):
+    args = [a.format(missing=tmp_path / "missing") for a in args]
+    result = subprocess.run(
+        [sys.executable, "-m", "zgap.cli", "bounds", "--n", "1", *args],
+        capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("zgap: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):
+    def refuse(h, l):
+        raise AssertionError("partition sum computed for a rejected tolerance")
+
+    monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
+    assert main(["bounds", "--tol", "0"]) == 2
+    assert capsys.readouterr().err.startswith("zgap: ")
+
+
+def test_quadrature_failure_is_a_one_line_error(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise bounds.QuadratureError("panel doubling did not converge", 1e-3)
+
+    monkeypatch.setattr(bounds, "certify_bound", diverge)
+    assert main(["bounds", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("zgap: panel doubling did not converge")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_import_loads_no_numpy():
+    probe = (
+        "import zgap.cli, sys; "
+        "assert not any(m.split('.')[0] == 'numpy' for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
 
 
 def test_parse_config_defaults_and_env(monkeypatch):

@@ -10,7 +10,6 @@ from zgap.lis import (
     count_by_enumeration,
     count_by_series,
     count_by_tableaux,
-    count_table,
     lis_length,
     partitions_max_length,
     partitions_max_part,
@@ -170,9 +169,3 @@ def test_monotonicity_in_l():
                 assert smaller == larger == factorial(n)
             else:
                 assert smaller < larger
-
-
-def test_count_table():
-    table = count_table(2, 5)
-    assert table.l == 2
-    assert [t for _, t in table.values] == [1, 1, 2, 5, 14, 42]

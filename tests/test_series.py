@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from scipy.integrate import quad
@@ -137,6 +138,87 @@ def test_determinant_row_scaling_multilinearity():
             scaled = scalar * matrix.determinant()
             assert direct.offset == scaled.offset
             assert direct.coeffs == scaled.coeffs
+
+
+def permutation_determinant(matrix):
+    """Reference determinant: the signed sum over all l! permutations."""
+    l = matrix.dimension
+    total = None
+    for perm in permutations(range(l)):
+        product = matrix.entries[0][perm[0]]
+        for row in range(1, l):
+            product = product * matrix.entries[row][perm[row]]
+        inversions = sum(perm[i] > perm[j] for i in range(l) for j in range(i + 1, l))
+        term = -product if inversions % 2 else product
+        total = term if total is None else total + term
+    return total
+
+
+def bessel_matrix(l, terms, order):
+    return SeriesMatrix(
+        tuple(tuple(bessel_i_sqrt(order(j, k), terms) for k in range(l)) for j in range(l))
+    )
+
+
+@pytest.mark.parametrize("terms", [1, 3, 12])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_determinant_matches_permutation_expansion(l, terms):
+    hankel = bessel_matrix(l, terms, lambda j, k: j + k + 1)
+    toeplitz = bessel_matrix(l, terms, lambda j, k: abs(j - k))
+    for matrix in (hankel, toeplitz):
+        assert matrix.determinant() == permutation_determinant(matrix)
+
+
+def test_determinant_matches_permutation_expansion_when_minors_cancel():
+    # leading coefficients u_j * w_k form a rank-one matrix, so every minor
+    # of size >= 2 cancels at its leading coefficient
+    rng = random.Random(20261017)
+    u, w = (1, 2, -3, 5), (2, -1, 4, 3)
+    matrix = SeriesMatrix(
+        tuple(
+            tuple(
+                HalfPowerSeries(
+                    HALF,
+                    (Fraction(u[j] * w[k]),)
+                    + tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)),
+                )
+                for k in range(4)
+            )
+            for j in range(4)
+        )
+    )
+    corner = SeriesMatrix(tuple(row[:2] for row in matrix.entries[2:])).determinant()
+    assert corner.offset == 2  # the x**1 coefficient of this 2x2 minor cancelled
+    det = matrix.determinant()
+    assert det.offset == 5  # x**2..x**4 each need two leading rows, so cancel
+    assert not det.is_zero()
+    assert det == permutation_determinant(matrix)
+
+
+def test_determinant_product_count(monkeypatch):
+    products = 0
+    multiply = HalfPowerSeries.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(HalfPowerSeries, "__mul__", counting)
+    counts = []
+    for l in range(1, 7):
+        matrix = bessel_matrix(l, 4, lambda j, k: j + k + 1)
+        products = 0
+        matrix.determinant()
+        counts.append(products)
+    assert counts == [l * 2 ** (l - 1) - l for l in range(1, 7)]
+    assert counts[-1] == 186
+
+
+def test_hankel_l8_is_in_reach():
+    det = hankel_determinant(8, 12)
+    assert det.offset == 32
+    assert len(det.coeffs) == 12
 
 
 def test_toeplitz_l1_is_zeroth_order_bessel():
