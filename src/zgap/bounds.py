@@ -267,14 +267,22 @@ def lambda_equation_residual(
     return _log_residual_from_coeffs(coeffs, params.lam, l, quad_tol)
 
 
+def _check_tolerance(name: str, tol: float) -> None:
+    """Reject a tolerance that would end a bisection or a quadrature before
+    it starts: nan compares false with everything, and inf or a value <= 0
+    is no tolerance at all."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+
+
 def solve_lambda(
     v: Sequence[float], l: int, tol: float = 1e-6, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> float:
     """The unique root of the lambda equation for the weight polynomial with
     parameters v (length l-1, v_l = 1 implicit), by bracket expansion and
     bisection on the monotone residual."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tolerance("tol", tol)
+    _check_tolerance("quad_tol", quad_tol)
     coeffs = [
         binomial(l, h) * float(vh)
         for h, vh in enumerate(tuple(v) + (1.0,), start=1)
@@ -429,6 +437,7 @@ def solve_x(
 
     by bisection; the left side is strictly increasing from 0 when all
     v_h >= 0 and all B(h) > 0."""
+    _check_tolerance("tol", tol)
     v_full = tuple(float(t) for t in v) + (1.0,)
     if any(t < 0.0 for t in v_full):
         raise ValueError("solve_x requires all v_h >= 0")
@@ -549,17 +558,17 @@ def certify_bound(
     """Run the full pipeline for derivative order n in {1, 2} and return the
     certificate.
 
-    Check thresholds derive from quad_tol: the lambda solver must agree
-    within 1e4*quad_tol, the rational-form integral must sit within
-    1e2*quad_tol of pi, and the bisection root must agree with the closed
-    form within 10*quad_tol.  `coefficients` overrides the reference table
-    (used by corruption tests); overrides are still held to the integrity
-    cross-check.
+    The numeric re-verification runs at quad_tol, but its check thresholds
+    derive from t = min(quad_tol, DEFAULT_QUAD_TOL), so a loose quad_tol
+    cannot loosen them: the lambda solver must agree within 1e4*t, the
+    rational-form integral must sit within 1e2*t of pi, and the bisection
+    root must agree with the closed form within 10*t.  `coefficients`
+    overrides the reference table (used by corruption tests); overrides are
+    still held to the integrity cross-check.
     """
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
-    if not (math.isfinite(quad_tol) and quad_tol > 0.0):
-        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol!r}")
+    _check_tolerance("quad_tol", quad_tol)
     if coefficients is None:
         coefficients = moments.coefficient_column(n)
     integrity, notes = _integrity_checks(n, coefficients)
@@ -581,9 +590,10 @@ def certify_bound(
         CheckResult("g_increasing", g_is_increasing(params), 0.0)
     )
 
-    lam_tol = 1e4 * quad_tol
-    pi_tol = 1e2 * quad_tol
-    x_tol = 10 * quad_tol
+    check_tol = min(quad_tol, DEFAULT_QUAD_TOL)
+    lam_tol = 1e4 * check_tol
+    pi_tol = 1e2 * check_tol
+    x_tol = 10 * check_tol
 
     if v_positive:
         lam_solved = solve_lambda(params.v, params.l, tol=quad_tol, quad_tol=quad_tol)

@@ -15,11 +15,11 @@ overridden with the ZGAP_TOL environment variable (a --tol flag wins).
 Identical configurations produce byte-identical outputs; the exit status is
 0 iff every check in the emitted report passed, and 2, with a one-line
 "zgap: ..." message on stderr, for invalid input, an unwritable --output
-path or a quadrature that does not converge.  Rationals serialize as
-"numerator/denominator" strings in lowest terms, reals as shortest
-round-trip decimals.  The --corrupt flag of `moments` and `bounds` is a
-test hook that perturbs one embedded reference constant to demonstrate
-failure detection.
+path (checked before any work) or a quadrature that does not converge.
+Rationals serialize as "numerator/denominator" strings in lowest terms,
+reals as shortest round-trip decimals.  The --corrupt flag of `moments`
+and `bounds` is a test hook that perturbs one embedded reference constant
+to demonstrate failure detection.
 """
 
 from __future__ import annotations
@@ -190,9 +190,32 @@ _RUNNERS = {
 }
 
 
+def _check_output(path: str) -> None:
+    """Fail before any work, and without touching `path`, when the report
+    could not be written there.  An existing file must be writable; for a
+    new one, a scratch file is created in its directory, which tests
+    writability where permission bits alone do not (as for root on a
+    read-only mount)."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise ValueError(f"cannot write {path}: permission denied")
+        return
+    import tempfile  # only runs with --output; keeps `import zgap.cli` lean
+
+    try:
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
+            pass
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def run(config: RunConfig) -> int:
     if config.command not in _RUNNERS:
         raise ValueError(f"unknown command {config.command!r}")
+    if config.output:
+        _check_output(config.output)
     return _RUNNERS[config.command](config)
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .arith import factorial, rational_str
 from . import lis
@@ -153,35 +154,40 @@ class SeriesMatrix:
         return SeriesMatrix(tuple(tuple(r) for r in rows))
 
     def determinant(self) -> HalfPowerSeries:
-        """Exact determinant by Laplace expansion along the rows, memoised on
-        the set of columns already used: the minor on rows r..l-1 depends
-        only on which r columns rows 0..r-1 took.  That is l*2**(l-1) - l
-        series products (186 at l = 6, 1016 at l = 8); the permutation
-        expansion needs l!*(l-1).
+        """Exact determinant by `laplace_determinant`.
 
         When all entries keep the same number of coefficients, every term of
         a minor ends at the same truncation horizon, so a minor whose
         leading coefficients cancel still carries every coefficient the
         full products would: the result has the coefficients and the
         horizon of the permutation expansion."""
-        rows = self.entries
-        l = len(rows)
+        return laplace_determinant(self.entries)
 
-        @lru_cache(maxsize=None)
-        def minor(used: int) -> HalfPowerSeries:
-            """Determinant of rows r..l-1 over the columns not in the bitmask
-            `used`, where r is the number of columns in it."""
-            r = used.bit_count()
-            free = [j for j in range(l) if not used >> j & 1]
-            if r == l - 1:
-                return rows[r][free[0]]
-            total = rows[r][free[0]] * minor(used | 1 << free[0])
-            for k, j in enumerate(free[1:], start=1):
-                term = rows[r][j] * minor(used | 1 << j)
-                total = total - term if k % 2 else total + term
-            return total
 
-        return minor(0)
+def laplace_determinant(rows: Sequence[Sequence]):
+    """Determinant of a nonempty square grid whose entries support ``+``,
+    ``-`` and ``*``, by Laplace expansion along the rows, memoised on the
+    set of columns already used: the minor on rows r..l-1 depends only on
+    which r columns rows 0..r-1 took.  That is l*2**(l-1) - l entry
+    products (186 at l = 6, 1016 at l = 8); the permutation expansion needs
+    l!*(l-1)."""
+    l = len(rows)
+
+    @lru_cache(maxsize=None)
+    def minor(used: int):
+        """Determinant of rows r..l-1 over the columns not in the bitmask
+        `used`, where r is the number of columns in it."""
+        r = used.bit_count()
+        free = [j for j in range(l) if not used >> j & 1]
+        if r == l - 1:
+            return rows[r][free[0]]
+        total = rows[r][free[0]] * minor(used | 1 << free[0])
+        for k, j in enumerate(free[1:], start=1):
+            term = rows[r][j] * minor(used | 1 << j)
+            total = total - term if k % 2 else total + term
+        return total
+
+    return minor(0)
 
 
 def bessel_i_sqrt(order: int, terms: int) -> HalfPowerSeries:

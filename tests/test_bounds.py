@@ -228,6 +228,18 @@ def test_solve_lambda_bracket_failure():
         solve_lambda((1e12, 1e12, 1e12), 4, tol=1e-4)
 
 
+BAD_TOLERANCES = [math.nan, math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_solve_lambda_rejects_bad_tolerances(bad):
+    v = REFERENCE_PARAMS[1][:3]
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_lambda(v, 4, tol=bad)
+    with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
+        solve_lambda(v, 4, quad_tol=bad)
+
+
 # ------------------------------------------------------------- rational form
 
 
@@ -341,6 +353,12 @@ def test_solve_x_one_term_algebra():
     assert abs(x - 7 ** 0.25) < 1e-9
 
 
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_solve_x_rejects_bad_tolerances(bad):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_x((0.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, 4, tol=bad)
+
+
 def test_solve_x_input_validation():
     with pytest.raises(ValueError):
         solve_x((-1.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, 4)
@@ -381,6 +399,13 @@ def test_certificate_checks_meet_stated_tolerances():
     assert by_name["lambda_consistency"] < 1e-4
     assert abs(by_name["pi_integral"]) < 1e-6
     assert by_name["x_consistency"] < 1e-7
+
+
+def test_loose_tolerance_cannot_loosen_the_checks():
+    certificate = certify_bound(1, quad_tol=1.0)
+    assert certificate.valid is False
+    failed = {c.name for c in certificate.checks if not c.passed}
+    assert {"lambda_consistency", "x_consistency"} <= failed
 
 
 def test_certificate_rejects_unknown_order():

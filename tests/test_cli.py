@@ -136,6 +136,34 @@ def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys)
     assert capsys.readouterr().err.startswith("zgap: ")
 
 
+@pytest.mark.parametrize("output", ["{tmp}/missing/x.json", "{tmp}"])
+def test_unwritable_output_is_rejected_before_any_partition_sum(
+    output, tmp_path, monkeypatch, capsys
+):
+    def refuse(h, l):
+        raise AssertionError("partition sum computed for an unwritable --output")
+
+    monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
+    assert main(["bounds", "--output", output.format(tmp=tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("zgap: cannot write ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_failed_run_leaves_existing_output_untouched(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("keep\n")
+    assert main(["bounds", "--tol", "0", "--output", str(path)]) == 2
+    assert path.read_text() == "keep\n"
+
+
+def test_loose_tolerance_is_not_a_valid_certificate(capsys):
+    status, out = run_cli(["bounds", "--n", "1", "--tol", "1"], capsys)
+    assert status == 1
+    assert json.loads(out)["valid"] is False
+
+
 def test_quadrature_failure_is_a_one_line_error(monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise bounds.QuadratureError("panel doubling did not converge", 1e-3)

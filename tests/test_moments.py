@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zgap.arith import factorial, multinomial
+from zgap.arith import binomial, factorial, multinomial
 from zgap.moments import (
     SOURCE_PARTITION_SUM,
     SOURCE_REFERENCE_TABLE,
@@ -61,6 +61,51 @@ def test_partition_sum_base_case_by_direct_summation():
         )
     assert -direct == Fraction(1, 12)  # prefactor (-1)^(1-0+0) = -1
     assert joint_moment_coefficient(0, 1) == Fraction(1, 12)
+
+
+def compositions(total, parts):
+    """Nonnegative integer tuples of fixed length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def partition_sum_oracle(h, l):
+    """Reference: the (2, 1) partition sum summed term by term over every
+    pair of compositions, exactly as the formula is printed."""
+    total = Fraction(0)
+    for k in range(2 * h + 1):
+        remaining = 2 * l + 2 * h - 2 * k
+        inner = Fraction(0)
+        for hv in compositions(k, l):
+            mult_h = multinomial(k, hv)
+            for mv in compositions(remaining, l + 1):
+                pair_product = 1
+                for j in range(1, l + 1):
+                    for s in range(j + 1, l + 1):
+                        pair_product *= (
+                            mv[s] + 2 * hv[s - 1] - mv[j] - 2 * hv[j - 1] - s + j
+                        )
+                if pair_product == 0:
+                    continue
+                denominator = 2 ** mv[0]
+                for j in range(1, l + 1):
+                    denominator *= factorial(2 * l + mv[j] + 2 * hv[j - 1] - j)
+                numerator = (-1) ** mv[0] * mult_h * multinomial(remaining, mv) * pair_product
+                inner += Fraction(numerator, denominator)
+        total += binomial(2 * h, k) * inner
+    return (-1) ** (l - h + (l * (l - 1)) // 2) * total
+
+
+ORACLE_CASES = [(h, l) for l in range(1, 5) for h in range(l + 1)] + [(h, 5) for h in range(3)]
+
+
+@pytest.mark.parametrize("h,l", ORACLE_CASES)
+def test_partition_sum_matches_term_by_term_oracle(h, l):
+    assert joint_moment_coefficient(h, l) == partition_sum_oracle(h, l)
 
 
 def test_partition_sum_rejects_bad_arguments():

@@ -17,6 +17,7 @@ from zgap.series import (
     bessel_i_sqrt,
     check_hankel_identity,
     hankel_determinant,
+    laplace_determinant,
     toeplitz_determinant,
     unitary_average,
 )
@@ -193,6 +194,15 @@ def test_determinant_matches_permutation_expansion_when_minors_cancel():
     assert det.offset == 5  # x**2..x**4 each need two leading rows, so cancel
     assert not det.is_zero()
     assert det == permutation_determinant(matrix)
+
+
+def test_laplace_determinant_on_any_ring():
+    matrix = bessel_matrix(4, 6, lambda j, k: j + k + 1)
+    assert laplace_determinant(matrix.entries) == matrix.determinant()
+    # the leading coefficients 1/(j+k+1)! as plain Fractions give the
+    # leading coefficient of the series determinant
+    leading = [[Fraction(1, factorial(j + k + 1)) for k in range(4)] for j in range(4)]
+    assert laplace_determinant(leading) == hankel_determinant(4).coeffs[0]
 
 
 def test_determinant_product_count(monkeypatch):
