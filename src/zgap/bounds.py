@@ -40,14 +40,14 @@ detect a corrupted coefficient table; the certificate therefore also
 cross-checks the table against the independently computed partition sums
 (`data_integrity` check).
 
-Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s).  Each
-panel is integrated by the Gauss-Kronrod 7/15 rule (QUADPACK qk15): the
-15-point Kronrod value is the estimate, and its distance from the 7-point
-Gauss value, which reuses 7 of the same 15 integrand evaluations, is the
-error estimate.  A panel whose error estimate exceeds 1e-12 in absolute
-value, and 1e-15 relative to the integral of |f| over it, is bisected.  The
-whole run is repeated with the initial uniform panel count doubled until two
-successive estimates differ by less than the requested tolerance.  The log
+Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s), whose 4
+equal panels are integrated once by the Gauss-Kronrod 7/15 rule (QUADPACK
+qk15): the 15-point Kronrod value is the estimate, and its distance from
+the 7-point Gauss value, which reuses 7 of the same 15 integrand
+evaluations, is the error estimate.  A panel whose error estimate exceeds
+min(1e-12, tol) in absolute value, and 1e-15 relative to the integral of
+|f| over it, is bisected.  A panel still unresolved after 52 bisections, or
+a 4097th panel in one integral, raises `QuadratureError` at once.  The log
 integrand uses the limit log(1 + c*u**2)/u**2 -> c near u = 0.  Everything
 is deterministic: repeated runs at fixed tolerances produce bit-identical
 certificates.
@@ -67,8 +67,7 @@ DEFAULT_QUAD_TOL = 1e-8
 
 PANEL_TOL = 1e-12
 _MAX_PANEL_DEPTH = 52
-_MAX_INITIAL_PANELS = 1024
-_PANEL_BUDGET = 200_000  # panels per doubling round; hit only by divergent input
+_PANEL_BUDGET = 4096  # panels per integral; certificates use at most 84 (180 at tol 1e-17)
 _ROUNDOFF = 1e-15  # panels cannot beat this relative to their own magnitude
 
 # claimed thresholds for the certified bounds sqrt(X), by derivative order
@@ -76,8 +75,9 @@ THRESHOLDS: dict[int, Fraction] = {1: Fraction(198, 100), 2: Fraction(171, 100)}
 
 
 class QuadratureError(Exception):
-    """Raised when the doubling sequence fails to converge; carries the
-    last achieved error estimate."""
+    """Raised when a panel stays unresolved at the depth limit, or an integral
+    exhausts its panel budget; carries that panel's error estimate, or the
+    sum over the panels accepted so far."""
 
     def __init__(self, message: str, achieved_error: float):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
@@ -119,42 +119,29 @@ def _panel_estimates(
     return half * kronrod, half * abs(kronrod - gauss), half * magnitude
 
 
-def _adaptive_panel(
-    f: Callable[[float], float], a: float, b: float, depth: int, state: list
-) -> float:
-    """state = [panels used, accumulated error estimate]."""
-    state[0] += 1
-    if state[0] > _PANEL_BUDGET:
-        raise QuadratureError("panel budget exhausted before convergence", state[1])
-    value, err, magnitude = _panel_estimates(f, a, b)
-    if err <= max(PANEL_TOL, _ROUNDOFF * magnitude) or depth >= _MAX_PANEL_DEPTH:
-        state[1] += err
-        return value
-    mid = 0.5 * (a + b)
-    return (
-        _adaptive_panel(f, a, mid, depth + 1, state)
-        + _adaptive_panel(f, mid, b, depth + 1, state)
-    )
-
-
 def integrate_unit_interval(f: Callable[[float], float], tol: float = DEFAULT_QUAD_TOL) -> float:
     """Adaptive composite integration of f over (0, 1) per the module
     quadrature contract.  Endpoints are never evaluated (Gauss-Kronrod
     nodes are interior)."""
-    previous = None
-    achieved = math.inf
-    panels = 4
-    while panels <= _MAX_INITIAL_PANELS:
-        state = [0, 0.0]
-        total = 0.0
-        for i in range(panels):
-            total += _adaptive_panel(f, i / panels, (i + 1) / panels, 0, state)
-        achieved = state[1]
-        if previous is not None and abs(total - previous) < tol:
-            return total
-        previous = total
-        panels *= 2
-    raise QuadratureError("panel doubling did not converge", achieved)
+    threshold = min(PANEL_TOL, tol)
+    panels = 0
+    accepted_error = 0.0
+
+    def panel(a: float, b: float, depth: int) -> float:
+        nonlocal panels, accepted_error
+        panels += 1
+        if panels > _PANEL_BUDGET:
+            raise QuadratureError(f"no convergence within {_PANEL_BUDGET} panels", accepted_error)
+        value, err, magnitude = _panel_estimates(f, a, b)
+        if err <= max(threshold, _ROUNDOFF * magnitude):
+            accepted_error += err
+            return value
+        if depth >= _MAX_PANEL_DEPTH:
+            raise QuadratureError(f"panel ({a!r}, {b!r}) unresolved at depth {depth}", err)
+        mid = 0.5 * (a + b)
+        return panel(a, mid, depth + 1) + panel(mid, b, depth + 1)
+
+    return sum(panel(i / 4, (i + 1) / 4, 0) for i in range(4))
 
 
 _ALMOST_ONE = math.nextafter(1.0, 0.0)
@@ -275,6 +262,21 @@ def _check_tolerance(name: str, tol: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
+def _bisect(above: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] after halving it, keeping the half
+    where `above(mid)` puts the root, until it is no wider than tol or no
+    float lies strictly between its ends."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_lambda(
     v: Sequence[float], l: int, tol: float = 1e-6, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> float:
@@ -303,13 +305,7 @@ def solve_lambda(
             lo /= 8.0
             if lo < 1e-6:
                 raise ValueError("no sign change for lambda in [1e-6, 1)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda lam: residual(lam) > 0.0, lo, hi, tol)
 
 
 def rational_form_deviation(
@@ -459,13 +455,7 @@ def solve_x(
         hi *= 2.0
         if hi > 1e3:
             raise ValueError("no sign change for X in (0, 1e3]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) - rhs < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda xv: lhs(xv) - rhs < 0.0, lo, hi, tol)
 
 
 @dataclass(frozen=True)
@@ -526,10 +516,11 @@ class BoundCertificate:
 def _integrity_checks(
     n: int, coefficients: Mapping[int, Rational]
 ) -> tuple[CheckResult, tuple[str, ...]]:
-    """Cross-check the coefficient data against the independently computed
-    partition sums.  For n = 1 every entry is reproducible; for n = 2 only
-    the h = 0 entry has an independent anchor (it equals the h = 4 value of
-    the n = 1 column), and the rest of the column is trusted transcription.
+    """Cross-check the coefficient data for n in {1, 2} against the
+    independently computed partition sums.  For n = 1 every entry is
+    reproducible; for n = 2 only the h = 0 entry has an independent anchor
+    (it equals the h = 4 value of the n = 1 column), and the rest of the
+    column is trusted transcription.
     """
     notes: tuple[str, ...] = ()
     if n == 1:
@@ -539,15 +530,25 @@ def _integrity_checks(
         ]
         passed = not mismatches
         residual = float(len(mismatches))
-    elif n == 2:
+    else:
         passed = Fraction(coefficients[0]) == moments.joint_moment_coefficient(4, 4)
         residual = 0.0 if passed else 1.0
         notes = (
             "n=2 column verified only at its h=0 anchor; h=1..4 are reference data",
         )
-    else:
-        raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
     return CheckResult("data_integrity", passed, residual), notes
+
+
+def _exact_prelude(
+    n: int, coefficients: Mapping[int, Rational]
+) -> tuple[moments.RatioSet, Rational, DerivedParams]:
+    """The exact part of a certificate: the ratio data of the coefficient
+    column for derivative order n, the closed-form X built from A(1..4),
+    and the parameters derived from both."""
+    ratios = moments.ratio_set_from_values(coefficients, n=n)
+    a, b, c, d = (ratios.A[h] for h in range(1, 5))
+    x_exact = closed_form_x(a, b, c, d)
+    return ratios, x_exact, derive_params(a, b, c, d, x_exact)
 
 
 def certify_bound(
@@ -573,11 +574,9 @@ def certify_bound(
         coefficients = moments.coefficient_column(n)
     integrity, notes = _integrity_checks(n, coefficients)
 
-    ratios = moments.ratio_set_from_values(coefficients, n=n)
+    ratios, x_exact, derived = _exact_prelude(n, coefficients)
     a, b, c, d = (ratios.A[h] for h in range(1, 5))
-    x_exact = closed_form_x(a, b, c, d)
     x_value = float(x_exact)
-    derived = derive_params(a, b, c, d, x_exact)
     params = derived.params
 
     checks = [integrity]
@@ -643,16 +642,14 @@ def perturbed_x_values(
     re-solved each time).  Used to confirm the certified point is a local
     non-improvement: no perturbation should beat the certified X beyond
     tolerance."""
-    certificate = certify_bound(n, quad_tol)
-    ratios = moments.ratio_set_from_values(moments.coefficient_column(n), n=n)
-    base_v = certificate.params.v
+    if n not in THRESHOLDS:
+        raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
+    ratios, _, derived = _exact_prelude(n, moments.coefficient_column(n))
+    base_v, l = derived.params.v, derived.params.l
     out = []
     for h in range(len(base_v)):
         for direction in (1.0 - rel, 1.0 + rel):
-            v = tuple(
-                base_v[i] * direction if i == h else base_v[i]
-                for i in range(len(base_v))
-            )
-            lam = solve_lambda(v, certificate.params.l, tol=quad_tol, quad_tol=quad_tol)
-            out.append(solve_x(v, lam, ratios.capB, certificate.params.l, tol=quad_tol))
+            v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
+            lam = solve_lambda(v, l, tol=quad_tol, quad_tol=quad_tol)
+            out.append(solve_x(v, lam, ratios.capB, l, tol=quad_tol))
     return out

@@ -126,6 +126,8 @@ def _run_moments(config: RunConfig) -> int:
 
 
 def _run_lis(config: RunConfig) -> int:
+    if config.max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {config.max_n}")
     entries = []
     ok = True
     for n in range(config.max_n + 1):

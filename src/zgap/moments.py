@@ -231,6 +231,8 @@ def moment_records(l: int = 4, pair: tuple[int, int] = (2, 1)) -> list[MomentRec
     values are attached when l = 4.  For the (3, 2) pair (l = 4 only) the
     reference table is the only source.
     """
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
     n1, n2 = pair
     records: list[MomentRecord] = []
     if pair == (2, 1):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from zgap.bounds import (
     solve_lambda,
     solve_x,
     _GAUSS_KRONROD_15,
+    _PANEL_BUDGET,
     _log_residual_from_coeffs,
 )
 from zgap.moments import coefficient_column, hall_ratio, ratio_set_from_values
@@ -77,8 +80,8 @@ def test_gauss_subset_is_the_seven_point_legendre_rule():
 
 
 def test_quadrature_spends_fifteen_evaluations_per_panel():
-    # both rules integrate a degree-13 polynomial exactly, so no panel is
-    # bisected and doubling stops after the 4- and 8-panel rounds
+    # both rules integrate a degree-13 polynomial exactly, so none of the
+    # 4 initial panels is bisected
     evaluations = 0
 
     def f(s):
@@ -87,7 +90,7 @@ def test_quadrature_spends_fifteen_evaluations_per_panel():
         return 1.0 + s**13
 
     assert abs(integrate_unit_interval(f) - 15.0 / 14.0) < 1e-14
-    assert evaluations == 15 * (4 + 8)
+    assert evaluations == 15 * 4
 
 
 def test_integrate_half_line_arctangent():
@@ -106,9 +109,17 @@ def test_integrate_half_line_against_library_quadrature():
 
 
 def test_quadrature_error_on_divergent_integrand():
+    evaluations = 0
+
+    def f(u):
+        nonlocal evaluations
+        evaluations += 1
+        return 1.0 / u
+
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_half_line(lambda u: 1.0 / u, 1e-8)
+        integrate_half_line(f, 1e-8)
     assert exc_info.value.achieved_error > 0
+    assert evaluations <= 15 * _PANEL_BUDGET
 
 
 # ----------------------------------------------------------- weight polynomial
@@ -359,6 +370,22 @@ def test_solve_x_rejects_bad_tolerances(bad):
         solve_x((0.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, 4, tol=bad)
 
 
+def test_solvers_stop_at_float_resolution():
+    # a tolerance below the float spacing at the root cannot be met; the
+    # bisection must still stop, at the root it finds for a coarser one
+    probe = (
+        "from zgap.bounds import solve_lambda, solve_x\n"
+        "for tol in (1e-12, 1e-17):\n"
+        "    print(repr(solve_lambda((0.95297, 1.01903, 1.07681), 4, tol=tol)),\n"
+        "          repr(solve_x((0.0, 0.0, 0.0), 1.0, dict.fromkeys(range(5), 1), 4, tol=tol)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60
+    )
+    coarse, fine = ([float(x) for x in line.split()] for line in result.stdout.splitlines())
+    assert all(abs(a - b) < 1e-12 for a, b in zip(coarse, fine))
+
+
 def test_solve_x_input_validation():
     with pytest.raises(ValueError):
         solve_x((-1.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, 4)
@@ -393,8 +420,10 @@ def test_certificates(n, bound_prefix, threshold):
     assert certificate.x_exact > certificate.threshold ** 2
 
 
-def test_certificate_checks_meet_stated_tolerances():
-    certificate = certify_bound(1, quad_tol=1e-8)
+@pytest.mark.parametrize("quad_tol", [1e-8, 1e-10, 1e-12, 1e-13])
+def test_certificate_checks_meet_stated_tolerances(quad_tol):
+    certificate = certify_bound(1, quad_tol=quad_tol)
+    assert certificate.valid
     by_name = {c.name: c.residual for c in certificate.checks}
     assert by_name["lambda_consistency"] < 1e-4
     assert abs(by_name["pi_integral"]) < 1e-6

@@ -112,7 +112,7 @@ def test_invalid_usage_exits_nonzero(capsys):
 @pytest.mark.parametrize(
     "args",
     [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
-     ["--output", "{missing}/x.json"]],
+     ["--tol", "1e-300"], ["--output", "{missing}/x.json"]],
 )
 def test_bad_bounds_input_is_a_one_line_error(args, tmp_path):
     args = [a.format(missing=tmp_path / "missing") for a in args]
@@ -125,6 +125,15 @@ def test_bad_bounds_input_is_a_one_line_error(args, tmp_path):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("zgap: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [["moments", "--l", "-2"], ["lis", "--max-n", "-1"]])
+def test_negative_range_is_a_one_line_error(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("zgap: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):
@@ -166,13 +175,13 @@ def test_loose_tolerance_is_not_a_valid_certificate(capsys):
 
 def test_quadrature_failure_is_a_one_line_error(monkeypatch, capsys):
     def diverge(*args, **kwargs):
-        raise bounds.QuadratureError("panel doubling did not converge", 1e-3)
+        raise bounds.QuadratureError("no convergence within 4096 panels", 1e-3)
 
     monkeypatch.setattr(bounds, "certify_bound", diverge)
     assert main(["bounds", "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("zgap: panel doubling did not converge")
+    assert captured.err.startswith("zgap: no convergence within 4096 panels")
     assert len(captured.err.splitlines()) == 1
 
 
