@@ -41,7 +41,6 @@ from .series import (
     HalfPowerSeries,
     IdentityReport,
     SeriesMatrix,
-    bessel_i_sqrt,
     check_hankel_identity,
     hankel_determinant,
     toeplitz_determinant,

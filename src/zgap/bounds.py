@@ -296,15 +296,17 @@ def solve_lambda(
     lo = hi = 1.0
     r = residual(1.0)
     if r > 0.0:  # residual decreasing: root above
-        while residual(hi) > 0.0:
+        while r > 0.0:
             hi *= 8.0
             if hi > 1e6:
                 raise ValueError("no sign change for lambda in (1, 1e6]")
+            r = residual(hi)
     else:
-        while residual(lo) < 0.0:
+        while r < 0.0:
             lo /= 8.0
             if lo < 1e-6:
                 raise ValueError("no sign change for lambda in [1e-6, 1)")
+            r = residual(lo)
     return _bisect(lambda lam: residual(lam) > 0.0, lo, hi, tol)
 
 

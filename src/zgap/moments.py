@@ -14,8 +14,9 @@ Contents:
   compositions weighted by a Vandermonde product; by the Andreief /
   Cauchy-Binet mechanism of Conrey-Rubinstein-Snaith it collapses to one
   l x l Hankel determinant of two-variable Bessel-type series, expanded
-  with integer coefficients by `zgap.series.laplace_determinant` (the l = 4
-  column in tens of milliseconds, l = 6 in under two seconds),
+  with integer coefficients (`zgap.series.IntegerSeries`) by
+  `zgap.series.SeriesMatrix.determinant` (the l = 4 column in tens of
+  milliseconds, l = 6 in under two seconds),
 * ``tabulated_coefficient(h, n)`` — reference constants for l = 4 and
   derivative pairs (2, 1) and (3, 2), stored in factored form; the (2, 1)
   column is independently reproducible via the partition sum, the (3, 2)
@@ -42,7 +43,7 @@ from typing import Mapping
 # multinomial is no longer called here; it stays bound in this module
 # because perfbench/tracer.py counts its calls where moments binds it.
 from .arith import FactoredConstant, Rational, binomial, factorial, multinomial  # noqa: F401
-from .series import laplace_determinant
+from .series import IntegerSeries, SeriesMatrix
 
 SOURCE_PARTITION_SUM = "partition-sum"
 SOURCE_REFERENCE_TABLE = "reference-table"
@@ -98,37 +99,6 @@ def moment_exponent(h: int, l: int, n1: int, n2: int) -> int:
     return l * l + 2 * h * n1 + 2 * (l - h) * n2
 
 
-class _Bivariate:
-    """Polynomial in s and t with integer coefficients, truncated to the
-    weighted degree 2*deg_s + deg_t <= top.  ``rows[a][m]`` is the
-    coefficient of s**a * t**m, so ``rows[a]`` has top - 2a + 1 entries.
-    Weights add under multiplication, so every kept coefficient of a sum or
-    product is exact."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list[list[int]]) -> None:
-        self.rows = rows
-
-    def __add__(self, other: "_Bivariate") -> "_Bivariate":
-        return _Bivariate([[x + y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "_Bivariate") -> "_Bivariate":
-        return _Bivariate([[x - y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)])
-
-    def __mul__(self, other: "_Bivariate") -> "_Bivariate":
-        out = [[0] * len(row) for row in self.rows]
-        for a1, p in enumerate(self.rows):
-            for a2, q in enumerate(other.rows[: len(out) - a1]):
-                row = out[a1 + a2]
-                horizon = len(row)
-                for m1, x in enumerate(p[:horizon]):
-                    if x:
-                        for m2, y in enumerate(q[: horizon - m1], start=m1):
-                            row[m2] += x * y
-        return _Bivariate(out)
-
-
 @lru_cache(maxsize=None)
 def joint_moment_coefficient(h: int, l: int) -> Rational:
     """Exact leading coefficient of the joint moment with derivative orders
@@ -169,7 +139,7 @@ def joint_moment_coefficient(h: int, l: int) -> Rational:
     scale = factorial(l + h) * factorial(top) * factorial(4 * l + 2 * h - 1)
     # scaled[n - 1] is Q * F_n, for the entries n = 1..2l-1
     scaled = [
-        _Bivariate(
+        IntegerSeries(
             [
                 [
                     scale // (factorial(a) * factorial(m) * factorial(2 * l - n + m + 2 * a))
@@ -180,7 +150,8 @@ def joint_moment_coefficient(h: int, l: int) -> Rational:
         )
         for n in range(1, 2 * l)
     ]
-    det = laplace_determinant([[scaled[i + j] for j in range(l)] for i in range(l)]).rows
+    grid = SeriesMatrix(tuple(tuple(scaled[i + j] for j in range(l)) for i in range(l)))
+    det = grid.determinant().rows
     total = Fraction(0)
     for k in range(2 * h + 1):
         remaining = top - 2 * k

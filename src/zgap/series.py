@@ -1,32 +1,33 @@
 """Exact truncated series for modified Bessel functions of the first kind
 and the Hankel/Toeplitz determinants built from them.
 
-Grading convention
-------------------
-Every series here lives on a square-root grading: a ``HalfPowerSeries`` with
-offset ``o`` (a multiple of 1/2) and coefficients ``(c_0, ..., c_{K-1})``
-represents
+Row and column factors
+----------------------
+The modified Bessel function is taken in its standard series form
 
-    x**o * (c_0 + c_1*x + ... + c_{K-1}*x**(K-1))
+    I_n(2*sqrt(x)) = x**(n/2) * g_n(x),   g_n(x) = sum_{m>=0} x**m / (m! * (m+n)!),
 
-exactly.  Equivalently it is a series in t = sqrt(x) supported on a single
-parity class, which is all that ever arises from Bessel entries; this avoids
-a general Puiseux engine.  The modified Bessel function is taken in its
-standard series form
+with 1/(negative)! = 0, so g_{-n}(x) = x**n * g_n(x) and the form also
+holds for negative n (I_{-n} = I_n).  In both determinants the power of x
+in entry (j, k) splits into a factor of row j times a factor of column k,
+and those factors come out of the determinant:
 
-    I_nu(2*sqrt(x)) = sum_{m>=0} x**((nu + 2m)/2) / (m! * (m+nu)!),
+* Hankel: x**((j+k+1)/2) = x**(j/2) * x**((k+1)/2), so
+  det[I_{j+k+1}(2*sqrt(x))] = x**(l**2/2) * det[g_{j+k+1}(x)].
+* Toeplitz: with x = z**2, I_{j-k}(2z) = z**j * z**(-k) * g_{j-k}(x); the
+  row and column factors cancel over every permutation, so
+  det[I_{j-k}(2z)] = det[g_{j-k}(x)].
 
-so ``bessel_i_sqrt(nu, K)`` has offset nu/2.  Reading x as z**2 turns the
-same object into the series of I_nu(2z); the unitary-average comparisons
-below use exactly that identification (z-degree = 2 * x-degree).
+What remains is a determinant of polynomials.  Its entries, cut at degree
+terms-1 and scaled by one common denominator D to integer coefficients,
+form a grid of `IntegerSeries`; the determinant of that grid, cut at the
+same degree, is exact there, and it is divided by D**l once.  There is no
+rounding anywhere in this module.
 
-Truncation contract: every operation returns only coefficients it can
-guarantee exactly; there is no rounding anywhere in this module.  Products
-keep min(K1, K2) coefficients, sums are cut at the earlier of the two
-knowledge horizons.
-
-All values are immutable; callers may parallelize over matrix entries or
-over the determinant dimension freely.
+Results are `HalfPowerSeries`: x**offset * (c_0 + c_1*x + ...) with the
+offset a multiple of 1/2.  Reading x as z**2 turns the Toeplitz result into
+the even series of det[I_{j-k}(2z)]; the unitary-average comparisons below
+use exactly that identification (z-degree = 2 * x-degree).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .arith import factorial, rational_str
 from . import lis
@@ -44,6 +44,9 @@ DEFAULT_TERMS = 12
 
 @dataclass(frozen=True)
 class HalfPowerSeries:
+    """x**offset * (c_0 + c_1*x + ... + c_{K-1}*x**(K-1)), exact through
+    x**known_through: the result type of the determinants and averages."""
+
     offset: Fraction
     coeffs: tuple[Fraction, ...]
 
@@ -68,9 +71,6 @@ class HalfPowerSeries:
         """Largest exponent whose coefficient is guaranteed exact."""
         return self.offset + len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def coefficient(self, exponent: Fraction | int) -> Fraction:
         """Exact coefficient of x**exponent; raises beyond the truncation
         horizon, returns 0 for exponents below the offset or off the parity
@@ -85,42 +85,9 @@ class HalfPowerSeries:
             return Fraction(0)
         return self.coeffs[int(step)]
 
-    def __neg__(self) -> "HalfPowerSeries":
-        return HalfPowerSeries(self.offset, tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "HalfPowerSeries") -> "HalfPowerSeries":
-        a, b = (self, other) if self.offset <= other.offset else (other, self)
-        shift = b.offset - a.offset
-        if shift.denominator != 1:
-            raise ValueError(
-                f"cannot add series on different parity classes "
-                f"(offsets {a.offset} and {b.offset})"
-            )
-        shift = int(shift)
-        horizon = min(a.offset + len(a.coeffs), b.offset + len(b.coeffs))
-        length = int(horizon - a.offset)
-        out = []
-        for k in range(length):
-            c = a.coeffs[k] if k < len(a.coeffs) else Fraction(0)
-            if 0 <= k - shift < len(b.coeffs):
-                c += b.coeffs[k - shift]
-            out.append(c)
-        return HalfPowerSeries(a.offset, tuple(out))
-
-    def __sub__(self, other: "HalfPowerSeries") -> "HalfPowerSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, HalfPowerSeries):
-            k = min(len(self.coeffs), len(other.coeffs))
-            out = [Fraction(0)] * k
-            for i, a in enumerate(self.coeffs[:k]):
-                if a == 0:
-                    continue
-                for j in range(k - i):
-                    out[i + j] += a * other.coeffs[j]
-            return HalfPowerSeries(self.offset + other.offset, tuple(out))
-        scalar = Fraction(other)
+    def __mul__(self, scalar) -> "HalfPowerSeries":
+        """The series times a rational scalar."""
+        scalar = Fraction(scalar)
         return HalfPowerSeries(self.offset, tuple(scalar * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -133,109 +100,117 @@ class HalfPowerSeries:
         }
 
 
+class IntegerSeries:
+    """Series in s and t with integer coefficients, truncated to the
+    weighted degree 2*deg_s + deg_t <= top.  ``rows[a][m]`` is the
+    coefficient of s**a * t**m, so ``rows[a]`` has top - 2a + 1 entries; a
+    series in t alone is the one-row case.  Operands of a sum or product
+    have the same top and the same number of rows.  Weights add under
+    multiplication, so every kept coefficient of a sum or product is
+    exact."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[list[int]]) -> None:
+        self.rows = rows
+
+    def __add__(self, other: "IntegerSeries") -> "IntegerSeries":
+        return IntegerSeries([[x + y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)])
+
+    def __sub__(self, other: "IntegerSeries") -> "IntegerSeries":
+        return IntegerSeries([[x - y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)])
+
+    def __mul__(self, other: "IntegerSeries") -> "IntegerSeries":
+        out = [[0] * len(row) for row in self.rows]
+        for a1, p in enumerate(self.rows):
+            for a2, q in enumerate(other.rows[: len(out) - a1]):
+                row = out[a1 + a2]
+                horizon = len(row)
+                for m1, x in enumerate(p[:horizon]):
+                    if x:
+                        for m2, y in enumerate(q[: horizon - m1], start=m1):
+                            row[m2] += x * y
+        return IntegerSeries(out)
+
+
 @dataclass(frozen=True)
 class SeriesMatrix:
-    """A square grid of series sharing one truncation budget."""
+    """A nonempty square grid over a commutative ring: entries that support
+    ``+``, ``-`` and ``*``, such as `IntegerSeries`, int or Fraction."""
 
-    entries: tuple[tuple[HalfPowerSeries, ...], ...]
+    entries: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
         l = len(self.entries)
         if l == 0 or any(len(row) != l for row in self.entries):
             raise ValueError("entries must form a nonempty square grid")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
+    def determinant(self):
+        """Exact determinant by Laplace expansion along the rows, memoised
+        on the set of columns already used: the minor on rows r..l-1
+        depends only on which r columns rows 0..r-1 took.  That is
+        l*2**(l-1) - l entry products (186 at l = 6, 1016 at l = 8); the
+        permutation expansion needs l!*(l-1)."""
+        rows = self.entries
+        l = len(rows)
 
-    def scale_row(self, row: int, scalar) -> "SeriesMatrix":
-        rows = [list(r) for r in self.entries]
-        rows[row] = [scalar * s for s in rows[row]]
-        return SeriesMatrix(tuple(tuple(r) for r in rows))
+        @lru_cache(maxsize=None)
+        def minor(used: int):
+            """Determinant of rows r..l-1 over the columns not in the bitmask
+            `used`, where r is the number of columns in it."""
+            r = used.bit_count()
+            free = [j for j in range(l) if not used >> j & 1]
+            if r == l - 1:
+                return rows[r][free[0]]
+            total = rows[r][free[0]] * minor(used | 1 << free[0])
+            for k, j in enumerate(free[1:], start=1):
+                term = rows[r][j] * minor(used | 1 << j)
+                total = total - term if k % 2 else total + term
+            return total
 
-    def determinant(self) -> HalfPowerSeries:
-        """Exact determinant by `laplace_determinant`.
-
-        When all entries keep the same number of coefficients, every term of
-        a minor ends at the same truncation horizon, so a minor whose
-        leading coefficients cancel still carries every coefficient the
-        full products would: the result has the coefficients and the
-        horizon of the permutation expansion."""
-        return laplace_determinant(self.entries)
-
-
-def laplace_determinant(rows: Sequence[Sequence]):
-    """Determinant of a nonempty square grid whose entries support ``+``,
-    ``-`` and ``*``, by Laplace expansion along the rows, memoised on the
-    set of columns already used: the minor on rows r..l-1 depends only on
-    which r columns rows 0..r-1 took.  That is l*2**(l-1) - l entry
-    products (186 at l = 6, 1016 at l = 8); the permutation expansion needs
-    l!*(l-1)."""
-    l = len(rows)
-
-    @lru_cache(maxsize=None)
-    def minor(used: int):
-        """Determinant of rows r..l-1 over the columns not in the bitmask
-        `used`, where r is the number of columns in it."""
-        r = used.bit_count()
-        free = [j for j in range(l) if not used >> j & 1]
-        if r == l - 1:
-            return rows[r][free[0]]
-        total = rows[r][free[0]] * minor(used | 1 << free[0])
-        for k, j in enumerate(free[1:], start=1):
-            term = rows[r][j] * minor(used | 1 << j)
-            total = total - term if k % 2 else total + term
-        return total
-
-    return minor(0)
+        return minor(0)
 
 
-def bessel_i_sqrt(order: int, terms: int) -> HalfPowerSeries:
-    """Series of I_order(2*sqrt(x)): offset order/2, coefficient of
-    x**(order/2 + m) equal to 1/(m! * (m+order)!)."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+def _bessel_determinant(orders: list[list[int]], terms: int) -> tuple[Fraction, ...]:
+    """Coefficients of x**0..x**(terms-1) in det[g_{orders[j][k]}(x)].  Every
+    entry is scaled by D = (terms-1)! * (terms-1+n)!, with n the largest
+    order, to integer coefficients; the determinant is divided by D**l
+    once."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    coeffs = tuple(
-        Fraction(1, factorial(m) * factorial(m + order)) for m in range(terms)
-    )
-    return HalfPowerSeries(Fraction(order, 2), coeffs)
+    top = terms - 1
+    scale = factorial(top) * factorial(top + max(map(max, orders)))
+    g = {
+        n: IntegerSeries(
+            [[scale // (factorial(m) * factorial(m + n)) if m + n >= 0 else 0 for m in range(terms)]]
+        )
+        for n in {n for row in orders for n in row}
+    }
+    det = SeriesMatrix(tuple(tuple(g[n] for n in row) for row in orders)).determinant()
+    return tuple(Fraction(c, scale ** len(orders)) for c in det.rows[0])
 
 
 @lru_cache(maxsize=None)
 def hankel_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
-    """det[ I_{j+k+1}(2*sqrt(x)) ] for j,k = 0..l-1, expanded exactly.
-
-    Every permutation product has leading exponent l**2/2, so the result has
-    offset l**2/2 and `terms` exact coefficients.
-    """
+    """det[ I_{j+k+1}(2*sqrt(x)) ] for j,k = 0..l-1, expanded exactly as
+    x**(l**2/2) * det[g_{j+k+1}(x)], with `terms` exact coefficients."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    matrix = SeriesMatrix(
-        tuple(
-            tuple(bessel_i_sqrt(j + k + 1, terms) for k in range(l))
-            for j in range(l)
-        )
-    )
-    return matrix.determinant()
+    orders = [[j + k + 1 for k in range(l)] for j in range(l)]
+    return HalfPowerSeries(Fraction(l * l, 2), _bessel_determinant(orders, terms))
 
 
 @lru_cache(maxsize=None)
 def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """det[ I_{j-k}(2z) ] for j,k = 0..l-1 as an even series in z, returned
-    on the x = z**2 grading: the coefficient of x**n is T_l(n)/(n!)**2 with
-    T_l(n) the number of permutations of {1..n} whose longest increasing
-    subsequence has length at most l."""
+    on the x = z**2 grading as det[g_{j-k}(x)] through x**(terms-1): the
+    coefficient of x**n is T_l(n)/(n!)**2 with T_l(n) the number of
+    permutations of {1..n} whose longest increasing subsequence has length
+    at most l."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    matrix = SeriesMatrix(
-        tuple(
-            tuple(bessel_i_sqrt(abs(j - k), terms) for k in range(l))
-            for j in range(l)
-        )
-    )
-    return matrix.determinant()
+    orders = [[j - k for k in range(l)] for j in range(l)]
+    return HalfPowerSeries(Fraction(0), _bessel_determinant(orders, terms))
 
 
 @lru_cache(maxsize=None)

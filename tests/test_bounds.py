@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from zgap import moments
+from zgap import bounds, moments
 from zgap.bounds import (
     QuadratureError,
     WirtingerParams,
@@ -237,6 +237,22 @@ def test_solve_lambda_bracket_failure():
     # weight polynomial so large that lambda would have to leave the bracket
     with pytest.raises(ValueError, match="no sign change"):
         solve_lambda((1e12, 1e12, 1e12), 4, tol=1e-4)
+
+
+@pytest.mark.parametrize("v", [(0.95297, 1.01903, 1.07681), (8.0, 8.0, 8.0)])
+def test_solve_lambda_evaluates_no_lambda_twice(v, monkeypatch):
+    # the first v has its root below lambda = 1, the second above it
+    seen = []
+    residual = bounds._log_residual_from_coeffs
+
+    def recording(coeffs, lam, *args):
+        seen.append(lam)
+        return residual(coeffs, lam, *args)
+
+    monkeypatch.setattr(bounds, "_log_residual_from_coeffs", recording)
+    solve_lambda(v, 4)
+    assert seen[0] == 1.0
+    assert len(seen) == len(set(seen))
 
 
 BAD_TOLERANCES = [math.nan, math.inf, 0.0, -1.0]

@@ -1,10 +1,13 @@
 """CLI front end: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zgap import bounds, moments
 from zgap.cli import RunConfig, main, parse_config, run
@@ -127,13 +130,53 @@ def test_bad_bounds_input_is_a_one_line_error(args, tmp_path):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("args", [["moments", "--l", "-2"], ["lis", "--max-n", "-1"]])
+@pytest.mark.parametrize(
+    "args",
+    [["moments", "--l", "-2"], ["lis", "--max-n", "-1"], ["hankel", "--terms", "0"],
+     ["hankel", "--terms", "-3"], ["hankel", "--l", "0"]],
+)
 def test_negative_range_is_a_one_line_error(args, capsys):
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("zgap: ")
+    name = args[-2].lstrip("-").replace("-", "_")
+    assert captured.err.startswith(f"zgap: {name} must be >= ")
     assert len(captured.err.splitlines()) == 1
+
+
+_SMALL_RANGES = {"--l": st.integers(-2, 6), "--terms": st.integers(-3, 12),
+                 "--max-n": st.integers(-3, 9)}
+_FLAGS = {"hankel": ("--l", "--terms"), "identity": ("--l", "--terms"),
+          "lis": ("--l", "--max-n"), "moments": ("--l",)}
+
+
+@st.composite
+def small_argv(draw):
+    """A hankel, identity, lis or moments command line in any format, each
+    range flag either left at its default or set to a small value, zero and
+    negative values included."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, "--format", draw(st.sampled_from(["json", "csv", "text"]))]
+    for flag in _FLAGS[command]:
+        value = draw(st.none() | _SMALL_RANGES[flag])
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_argv())
+def test_fuzzed_argv_gives_a_report_or_a_one_line_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("zgap: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert out.getvalue() and err.getvalue() == ""
 
 
 def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """Bessel series, determinant expansions, and the unitary-average identity."""
 
+import hashlib
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,14 +12,15 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from zgap.arith import factorial
+from zgap.cli import main
 from zgap.moments import cue_moment_coefficient
 from zgap.series import (
     HalfPowerSeries,
+    IntegerSeries,
     SeriesMatrix,
-    bessel_i_sqrt,
+    _bessel_determinant,
     check_hankel_identity,
     hankel_determinant,
-    laplace_determinant,
     toeplitz_determinant,
     unitary_average,
 )
@@ -25,24 +28,31 @@ from zgap.series import (
 HALF = Fraction(1, 2)
 
 
+def bessel_coefficients(order, terms):
+    """Coefficients of I_order(2*sqrt(x)) / x**(order/2) through x**(terms-1)."""
+    return [Fraction(1, factorial(m) * factorial(m + order)) for m in range(terms)]
+
+
+def bessel(order, terms):
+    """I_order(2*sqrt(x)), order >= 0, as a series with offset order/2."""
+    return HalfPowerSeries(Fraction(order, 2), tuple(bessel_coefficients(order, terms)))
+
+
 def test_bessel_series_examples():
-    s = bessel_i_sqrt(0, 3)
-    assert s.offset == 0
-    assert s.coeffs == (Fraction(1), Fraction(1), Fraction(1, 4))
-
-    s = bessel_i_sqrt(1, 2)
-    assert s.offset == HALF
-    assert s.coeffs == (Fraction(1), Fraction(1, 2))
-
-    s = bessel_i_sqrt(3, 1)
-    assert s.offset == Fraction(3, 2)
-    assert s.coeffs == (Fraction(1, 6),)
+    # a 1x1 grid is its one entry g_n(x) = sum_m x**m / (m! (m+n)!)
+    assert _bessel_determinant([[0]], 3) == (1, 1, Fraction(1, 4))
+    assert _bessel_determinant([[1]], 2) == (1, HALF)
+    assert _bessel_determinant([[3]], 1) == (Fraction(1, 6),)
+    # 1/(negative)! = 0, so g_{-2}(x) = x**2 * g_2(x)
+    assert _bessel_determinant([[-2]], 5) == (0, 0) + _bessel_determinant([[2]], 3)
+    assert hankel_determinant(1, 2) == HalfPowerSeries(HALF, (1, HALF))
+    assert toeplitz_determinant(1, 3) == HalfPowerSeries(0, (1, 1, Fraction(1, 4)))
 
 
 def test_bessel_series_general_term():
-    s = bessel_i_sqrt(2, 6)
+    g = _bessel_determinant([[2]], 6)
     for m in range(6):
-        assert s.coeffs[m] == Fraction(1, factorial(m) * factorial(m + 2))
+        assert g[m] == Fraction(1, factorial(m) * factorial(m + 2))
 
 
 def test_series_validation():
@@ -50,10 +60,11 @@ def test_series_validation():
         HalfPowerSeries(Fraction(1, 3), (Fraction(1),))
     with pytest.raises(ValueError):
         HalfPowerSeries(Fraction(0), ())
-    with pytest.raises(ValueError):
-        bessel_i_sqrt(-1, 3)
-    with pytest.raises(ValueError):
-        bessel_i_sqrt(0, 0)
+    for determinant in (hankel_determinant, toeplitz_determinant):
+        with pytest.raises(ValueError, match="l must be >= 1"):
+            determinant(0, 3)
+        with pytest.raises(ValueError, match="terms must be >= 1"):
+            determinant(2, 0)
 
 
 def test_series_normalization_strips_leading_zeros():
@@ -61,19 +72,12 @@ def test_series_normalization_strips_leading_zeros():
     assert s.offset == 3
     assert s.coeffs == (Fraction(3), Fraction(1))
     zero = HalfPowerSeries(Fraction(2), (Fraction(0), Fraction(0)))
-    assert zero.is_zero()
+    assert zero.coeffs == (0, 0)
     assert zero.offset == 2  # identically-zero series keeps its window
 
 
-def test_series_parity_mismatch_rejected():
-    a = bessel_i_sqrt(0, 3)
-    b = bessel_i_sqrt(1, 3)
-    with pytest.raises(ValueError):
-        a + b
-
-
 def test_coefficient_access():
-    s = bessel_i_sqrt(1, 3)  # offset 1/2, known through 5/2
+    s = hankel_determinant(1, 3)  # I_1(2 sqrt x): offset 1/2, known through 5/2
     assert s.coefficient(HALF) == 1
     assert s.coefficient(Fraction(5, 2)) == Fraction(1, 12)
     assert s.coefficient(0) == 0  # below the offset
@@ -84,7 +88,7 @@ def test_coefficient_access():
 
 def test_hankel_l1_equals_first_order_bessel():
     det = hankel_determinant(1, 6)
-    ref = bessel_i_sqrt(1, 6)
+    ref = bessel(1, 6)
     assert det.offset == ref.offset == HALF
     assert det.coeffs == ref.coeffs
     assert det.coeffs[:3] == (Fraction(1), Fraction(1, 2), Fraction(1, 12))
@@ -119,55 +123,78 @@ def test_hankel_leading_coefficient_law(l):
 def test_determinant_row_scaling_multilinearity():
     rng = random.Random(20240901)
 
-    def random_series():
-        offset = Fraction(rng.randint(0, 2))
-        coeffs = tuple(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(4)
-        )
-        if all(c == 0 for c in coeffs):
-            coeffs = (Fraction(1),) + coeffs[1:]
-        return HalfPowerSeries(offset, coeffs)
+    def random_series(lengths):
+        return IntegerSeries([[rng.randint(-9, 9) for _ in range(n)] for n in lengths])
 
-    for size in (2, 3):
-        for _ in range(5):
-            matrix = SeriesMatrix(
-                tuple(tuple(random_series() for _ in range(size)) for _ in range(size))
-            )
-            scalar = Fraction(3, 7)
-            row = rng.randrange(size)
-            direct = matrix.scale_row(row, scalar).determinant()
-            scaled = scalar * matrix.determinant()
-            assert direct.offset == scaled.offset
-            assert direct.coeffs == scaled.coeffs
+    # one-row series through x**3, and two-variable ones at weighted degree 4
+    for lengths in ([4], [5, 3, 1]):
+        for size in (2, 3):
+            for _ in range(5):
+                rows = [[random_series(lengths) for _ in range(size)] for _ in range(size)]
+                scalar = rng.choice([-3, 2, 7])
+                row = rng.randrange(size)
+                scaled = [list(r) for r in rows]
+                scaled[row] = [IntegerSeries([[scalar * c for c in p] for p in s.rows])
+                               for s in rows[row]]
+                direct = SeriesMatrix(tuple(map(tuple, scaled))).determinant()
+                det = SeriesMatrix(tuple(map(tuple, rows))).determinant()
+                assert direct.rows == [[scalar * c for c in p] for p in det.rows]
 
 
-def permutation_determinant(matrix):
-    """Reference determinant: the signed sum over all l! permutations."""
-    l = matrix.dimension
-    total = None
+def truncated_product(a, b):
+    """Product of two coefficient lists, cut at the shorter length."""
+    out = [Fraction(0)] * min(len(a), len(b))
+    for i, x in enumerate(a[: len(out)]):
+        for j, y in enumerate(b[: len(out) - i]):
+            out[i + j] += x * y
+    return out
+
+
+def permutation_determinant(grid):
+    """Reference determinant of a square grid of series x**offset * (c_0 +
+    c_1*x + ...), each given as an (offset, coefficient list) pair: the
+    signed sum over all l! permutations of the truncated entry products.
+    Returns ({exponent: coefficient}, horizon), where the horizon is the
+    lowest exponent through which every product is exact."""
+    l = len(grid)
+    total = defaultdict(Fraction)
+    horizon = None
     for perm in permutations(range(l)):
-        product = matrix.entries[0][perm[0]]
+        offset, product = grid[0][perm[0]]
         for row in range(1, l):
-            product = product * matrix.entries[row][perm[row]]
+            entry_offset, coeffs = grid[row][perm[row]]
+            offset += entry_offset
+            product = truncated_product(product, coeffs)
         inversions = sum(perm[i] > perm[j] for i in range(l) for j in range(i + 1, l))
-        term = -product if inversions % 2 else product
-        total = term if total is None else total + term
-    return total
+        for i, c in enumerate(product):
+            total[offset + i] += -c if inversions % 2 else c
+        end = offset + len(product) - 1
+        horizon = end if horizon is None else min(horizon, end)
+    return {e: c for e, c in total.items() if e <= horizon}, horizon
 
 
-def bessel_matrix(l, terms, order):
-    return SeriesMatrix(
-        tuple(tuple(bessel_i_sqrt(order(j, k), terms) for k in range(l)) for j in range(l))
-    )
+def bessel_grid(l, terms, order):
+    """Entries I_{order(j, k)}(2*sqrt(x)), order >= 0, as (offset, coefficients)."""
+    return [
+        [(Fraction(order(j, k), 2), bessel_coefficients(order(j, k), terms)) for k in range(l)]
+        for j in range(l)
+    ]
 
 
 @pytest.mark.parametrize("terms", [1, 3, 12])
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
 def test_determinant_matches_permutation_expansion(l, terms):
-    hankel = bessel_matrix(l, terms, lambda j, k: j + k + 1)
-    toeplitz = bessel_matrix(l, terms, lambda j, k: abs(j - k))
-    for matrix in (hankel, toeplitz):
-        assert matrix.determinant() == permutation_determinant(matrix)
+    # the Toeplitz entries are I_{|j-k|}(2z) with x = z**2, on the x grading
+    cases = [
+        (hankel_determinant(l, terms), lambda j, k: j + k + 1),
+        (toeplitz_determinant(l, terms), lambda j, k: abs(j - k)),
+    ]
+    for det, order in cases:
+        expected, horizon = permutation_determinant(bessel_grid(l, terms, order))
+        assert det.known_through == horizon
+        start = min(expected)
+        for i in range(int(horizon - start) + 1):
+            assert det.coefficient(start + i) == expected.get(start + i, 0)
 
 
 def test_determinant_matches_permutation_expansion_when_minors_cancel():
@@ -175,60 +202,56 @@ def test_determinant_matches_permutation_expansion_when_minors_cancel():
     # of size >= 2 cancels at its leading coefficient
     rng = random.Random(20261017)
     u, w = (1, 2, -3, 5), (2, -1, 4, 3)
-    matrix = SeriesMatrix(
-        tuple(
-            tuple(
-                HalfPowerSeries(
-                    HALF,
-                    (Fraction(u[j] * w[k]),)
-                    + tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)),
-                )
-                for k in range(4)
-            )
-            for j in range(4)
-        )
-    )
+    entries = [
+        [[u[j] * w[k]] + [rng.randint(-9, 9) for _ in range(5)] for k in range(4)]
+        for j in range(4)
+    ]
+    matrix = SeriesMatrix(tuple(tuple(IntegerSeries([c]) for c in row) for row in entries))
     corner = SeriesMatrix(tuple(row[:2] for row in matrix.entries[2:])).determinant()
-    assert corner.offset == 2  # the x**1 coefficient of this 2x2 minor cancelled
-    det = matrix.determinant()
-    assert det.offset == 5  # x**2..x**4 each need two leading rows, so cancel
-    assert not det.is_zero()
-    assert det == permutation_determinant(matrix)
+    assert corner.rows[0][0] == 0  # the leading coefficient of this 2x2 minor cancelled
+    assert corner.rows[0][1] != 0
+    det = matrix.determinant().rows[0]
+    assert det[:3] == [0, 0, 0]  # x**0..x**2 each need two leading rows, so cancel
+    assert det[3] != 0
+    expected, horizon = permutation_determinant([[(0, c) for c in row] for row in entries])
+    assert horizon == 5
+    assert det == [expected.get(e, 0) for e in range(6)]
 
 
 def test_laplace_determinant_on_any_ring():
-    matrix = bessel_matrix(4, 6, lambda j, k: j + k + 1)
-    assert laplace_determinant(matrix.entries) == matrix.determinant()
+    assert SeriesMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, 2))).determinant() == 4
     # the leading coefficients 1/(j+k+1)! as plain Fractions give the
     # leading coefficient of the series determinant
-    leading = [[Fraction(1, factorial(j + k + 1)) for k in range(4)] for j in range(4)]
-    assert laplace_determinant(leading) == hankel_determinant(4).coeffs[0]
+    leading = tuple(tuple(Fraction(1, factorial(j + k + 1)) for k in range(4)) for j in range(4))
+    assert SeriesMatrix(leading).determinant() == hankel_determinant(4).coeffs[0]
 
 
 def test_determinant_product_count(monkeypatch):
     products = 0
-    multiply = HalfPowerSeries.__mul__
+    multiply = IntegerSeries.__mul__
 
     def counting(self, other):
         nonlocal products
         products += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(HalfPowerSeries, "__mul__", counting)
+    monkeypatch.setattr(IntegerSeries, "__mul__", counting)
     counts = []
     for l in range(1, 7):
-        matrix = bessel_matrix(l, 4, lambda j, k: j + k + 1)
         products = 0
-        matrix.determinant()
+        hankel_determinant.__wrapped__(l, 4)  # past the cache
         counts.append(products)
     assert counts == [l * 2 ** (l - 1) - l for l in range(1, 7)]
     assert counts[-1] == 186
 
 
-def test_hankel_l8_is_in_reach():
+def test_hankel_l8_is_in_reach(capsys):
     det = hankel_determinant(8, 12)
     assert det.offset == 32
     assert len(det.coeffs) == 12
+    assert main(["hankel", "--l", "8", "--terms", "12"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "43eaa4761ea773603f10539b5144b154fbe48451c9a99b820f41a84ffff6fabb"
 
 
 def test_toeplitz_l1_is_zeroth_order_bessel():
@@ -253,7 +276,7 @@ def test_toeplitz_l3_constant_term():
 
 def test_unitary_average_one_dimensional():
     avg = unitary_average(1, 1, 6)
-    ref = bessel_i_sqrt(1, 6)
+    ref = bessel(1, 6)
     assert avg.offset == ref.offset
     assert avg.coeffs == ref.coeffs
 
