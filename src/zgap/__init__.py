@@ -27,7 +27,6 @@ from .lis import (
 )
 from .moments import (
     ArithmeticFactorEstimate,
-    MomentRecord,
     RatioSet,
     arithmetic_factor,
     cue_moment_coefficient,

@@ -360,7 +360,6 @@ class DerivedParams:
     params: WirtingerParams
     v_exact: tuple[Rational, Rational, Rational]
     lam_exact: Rational
-    tau: tuple[Rational, Rational, Rational, Rational]
     sigma: tuple[Rational, Rational, Rational, Rational]
 
 
@@ -398,7 +397,6 @@ def derive_params(
         params=params,
         v_exact=(v1, v2, v3),
         lam_exact=lam,
-        tau=(tau1, tau2, tau3, tau4),
         sigma=(s1, s2, s3, s4),
     )
 

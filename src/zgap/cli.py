@@ -4,22 +4,24 @@ deterministic JSON/CSV/text artifacts.
 Commands
 --------
 bounds      emit the certificate for derivative order n (exit 0 iff valid)
-moments     joint-moment coefficients with source tags and match flags
+moments     joint-moment coefficients, reference values and match flags
 lis         restricted-permutation counts with three-way agreement flags
 hankel      the Bessel Hankel-determinant series, exact coefficients
 identity    the unitary-average vs Hankel-determinant comparison report
 arithfactor truncated Euler-product estimate with error bound
 
-Defaults: terms=12, tol=1e-8, cutoff=1e5.  The default tolerance can be
-overridden with the ZGAP_TOL environment variable (a --tol flag wins).
-Identical configurations produce byte-identical outputs; the exit status is
-0 iff every check in the emitted report passed, and 2, with a one-line
-"zgap: ..." message on stderr, for invalid input, an unwritable --output
-path (checked before any work) or a quadrature that does not converge.
-Rationals serialize as "numerator/denominator" strings in lowest terms,
-reals as shortest round-trip decimals.  The --corrupt flag of `moments`
-and `bounds` is a test hook that perturbs one embedded reference constant
-to demonstrate failure detection.
+Defaults: tol=1e-8, cutoff=1e5; terms=12 for hankel, 8 for identity.  The
+default tolerance can be overridden with the ZGAP_TOL environment variable
+(a --tol flag wins).  Identical configurations produce byte-identical
+outputs; the exit status is 0 iff every check in the emitted report passed,
+and 2, with a one-line "zgap: ..." message on stderr, for invalid input, an
+unwritable --output path (checked before any work) or a quadrature that
+does not converge.  Rationals serialize as "numerator/denominator" strings
+in lowest terms, reals as shortest round-trip decimals.  The --corrupt flag
+of `moments` and `bounds` is a test hook that raises the h = 2 entry of the
+reference column.  `bounds --n 1` and `moments --l 4` detect it; `bounds
+--n 2` does not, because its (3,2) column is verified only at its h = 0
+anchor.
 """
 
 from __future__ import annotations
@@ -30,29 +32,14 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from . import bounds, lis, moments, series
 from .arith import rational_str
 
 DEFAULT_TOL = 1e-8
 DEFAULT_CUTOFF = 100_000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    format: str = "json"
-    output: str | None = None
-    n: int = 1
-    l: int = 4
-    pair: tuple[int, int] = (2, 1)
-    max_n: int = 9
-    terms: int = series.DEFAULT_TERMS
-    tol: float = DEFAULT_TOL
-    cutoff: int = DEFAULT_CUTOFF
-    corrupt: bool = False
 
 
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -62,51 +49,38 @@ def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
     return {**column, 2: Fraction(bad.numerator + 1, bad.denominator)}
 
 
-def _emit(payload: dict, rows: tuple[list[str], list[list]], config: RunConfig) -> None:
-    """Write the report in the requested format.  `rows` is (header, body)
-    for the CSV rendering; text rendering is derived from it."""
-    if config.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif config.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(rows[0])
-        writer.writerows(rows[1])
-        text = buffer.getvalue()
-    else:
-        header, body = rows
-        lines = ["  ".join(str(x) for x in header)]
-        lines += ["  ".join(str(x) for x in row) for row in body]
-        text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _run_bounds(config: RunConfig) -> int:
-    coefficients = _corrupted(moments.coefficient_column(config.n)) if config.corrupt else None
-    certificate = bounds.certify_bound(config.n, quad_tol=config.tol, coefficients=coefficients)
-    payload = certificate.to_json_dict()
+def _bounds_report(args: argparse.Namespace):
+    coefficients = _corrupted(moments.coefficient_column(args.n)) if args.corrupt else None
+    certificate = bounds.certify_bound(args.n, quad_tol=args.tol, coefficients=coefficients)
     header = ["check", "passed", "residual"]
     body = [[c.name, c.passed, repr(c.residual)] for c in certificate.checks]
     body.append(["bound", certificate.valid, repr(certificate.bound)])
-    _emit(payload, (header, body), config)
-    return 0 if certificate.valid else 1
+    return certificate.to_json_dict(), header, body, certificate.valid
 
 
-def _run_moments(config: RunConfig) -> int:
-    records = moments.moment_records(config.l, config.pair)
-    computed = {r.h: r.value for r in records if r.source == moments.SOURCE_PARTITION_SUM}
-    reference = {r.h: r.value for r in records if r.source == moments.SOURCE_REFERENCE_TABLE}
-    if config.corrupt and reference:
+def _moments_report(args: argparse.Namespace):
+    """For the (2, 1) pair the partition sums, with the reference column
+    alongside when l = 4; for the (3, 2) pair (l = 4 only) the reference
+    column alone."""
+    l, (n1, n2) = args.l, args.pair
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    if args.pair == (2, 1):
+        computed = {h: moments.joint_moment_coefficient(h, l) for h in range(l + 1)}
+        reference = moments.coefficient_column(1) if l == 4 else {}
+    elif args.pair == (3, 2):
+        if l != 4:
+            raise ValueError("the (3, 2) pair is tabulated for l = 4 only")
+        computed, reference = {}, moments.coefficient_column(2)
+    else:
+        raise ValueError(f"unsupported derivative pair {args.pair}")
+    if args.corrupt and reference:
         reference = _corrupted(reference)
 
     entries = []
     ok = True
-    for h in sorted({r.h for r in records}):
-        entry: dict = {"h": h, "l": config.l, "n1": config.pair[0], "n2": config.pair[1]}
+    for h in range(l + 1):
+        entry: dict = {"h": h, "l": l, "n1": n1, "n2": n2}
         if h in computed:
             entry["partition_sum"] = rational_str(computed[h])
         if h in reference:
@@ -115,81 +89,73 @@ def _run_moments(config: RunConfig) -> int:
             entry["match"] = computed[h] == reference[h]
             ok = ok and entry["match"]
         entries.append(entry)
-    payload = {"records": entries, "all_match": ok}
     header = ["h", "partition_sum", "reference", "match"]
     body = [
         [e["h"], e.get("partition_sum", ""), e.get("reference", ""), e.get("match", "")]
         for e in entries
     ]
-    _emit(payload, (header, body), config)
-    return 0 if ok else 1
+    return {"records": entries, "all_match": ok}, header, body, ok
 
 
-def _run_lis(config: RunConfig) -> int:
-    if config.max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {config.max_n}")
+def _lis_report(args: argparse.Namespace):
+    if args.max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {args.max_n}")
     entries = []
     ok = True
-    for n in range(config.max_n + 1):
-        count = lis.count_by_tableaux(config.l, n)
-        by_series = lis.count_by_series(config.l, n)
-        entry = {"l": config.l, "n": n, "count": count, "series": by_series}
+    for n in range(args.max_n + 1):
+        count = lis.count_by_tableaux(args.l, n)
+        by_series = lis.count_by_series(args.l, n)
+        entry = {"l": args.l, "n": n, "count": count, "series": by_series}
         agree = count == by_series
         if n <= lis.ENUMERATION_LIMIT:
-            by_enum = lis.count_by_enumeration(config.l, n)
+            by_enum = lis.count_by_enumeration(args.l, n)
             entry["enumeration"] = by_enum
             agree = agree and count == by_enum
         entry["agree"] = agree
         ok = ok and agree
         entries.append(entry)
-    payload = {"table": entries, "all_agree": ok}
     header = ["l", "n", "count", "enumeration", "series", "agree"]
     body = [
         [e["l"], e["n"], e["count"], e.get("enumeration", ""), e["series"], e["agree"]]
         for e in entries
     ]
-    _emit(payload, (header, body), config)
-    return 0 if ok else 1
+    return {"table": entries, "all_agree": ok}, header, body, ok
 
 
-def _run_hankel(config: RunConfig) -> int:
-    det = series.hankel_determinant(config.l, config.terms)
-    payload = {"l": config.l, "terms": config.terms, **det.to_json_dict()}
+def _hankel_report(args: argparse.Namespace):
+    det = series.hankel_determinant(args.l, args.terms)
+    payload = {"l": args.l, "terms": args.terms, **det.to_json_dict()}
     header = ["exponent", "coefficient"]
     body = [
         [rational_str(det.offset + k), rational_str(c)]
         for k, c in enumerate(det.coeffs)
     ]
-    _emit(payload, (header, body), config)
-    return 0
+    return payload, header, body, True
 
 
-def _run_identity(config: RunConfig) -> int:
-    report = series.check_hankel_identity(config.l, config.terms)
+def _identity_report(args: argparse.Namespace):
+    report = series.check_hankel_identity(args.l, args.terms)
     payload = report.to_json_dict()
-    header = ["field", "value"]
-    body = [[k, v] for k, v in sorted(payload.items())]
-    _emit(payload, (header, body), config)
-    return 0 if report.matched else 1
+    return payload, ["field", "value"], sorted(payload.items()), report.matched
 
 
-def _run_arithfactor(config: RunConfig) -> int:
-    estimate = moments.arithmetic_factor(config.l, config.cutoff)
-    payload = estimate.to_json_dict()
-    header = ["field", "value"]
-    body = [[k, v] for k, v in sorted(payload.items())]
-    _emit(payload, (header, body), config)
-    return 0
+def _arithfactor_report(args: argparse.Namespace):
+    payload = moments.arithmetic_factor(args.l, args.cutoff).to_json_dict()
+    return payload, ["field", "value"], sorted(payload.items()), True
 
 
-_RUNNERS = {
-    "bounds": _run_bounds,
-    "moments": _run_moments,
-    "lis": _run_lis,
-    "hankel": _run_hankel,
-    "identity": _run_identity,
-    "arithfactor": _run_arithfactor,
-}
+def _render(fmt: str, payload: dict, header: list, body: list) -> str:
+    """The report as JSON (`payload`), or as CSV or text rows (`header`,
+    `body`)."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(body)
+        return buffer.getvalue()
+    return "".join("  ".join(str(x) for x in row) + "\n" for row in [header, *body])
 
 
 def _check_output(path: str) -> None:
@@ -213,17 +179,21 @@ def _check_output(path: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def run(config: RunConfig) -> int:
-    if config.command not in _RUNNERS:
-        raise ValueError(f"unknown command {config.command!r}")
-    if config.output:
-        _check_output(config.output)
-    return _RUNNERS[config.command](config)
+def _pair(text: str) -> tuple[int, int]:
+    try:
+        n1, n2 = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated integers, got {text!r}"
+        ) from None
+    return n1, n2
 
 
-def _default_tol() -> float:
-    env = os.environ.get("ZGAP_TOL")
-    return float(env) if env else DEFAULT_TOL
+def _usage_error(message: str) -> NoReturn:
+    """Stands in for `ArgumentParser.error`: one line on stderr instead of
+    the usage block, and exit 2."""
+    sys.stderr.write(f"zgap: {message}\n")
+    raise SystemExit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,75 +202,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
+    def command(name: str, report, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(report=report)
+        return p
 
-    p = sub.add_parser("bounds", help="certify a zero-gap lower bound")
+    p = command("bounds", _bounds_report, "certify a zero-gap lower bound")
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=os.environ.get("ZGAP_TOL") or str(DEFAULT_TOL))
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    common(p)
 
-    p = sub.add_parser("moments", help="joint-moment coefficients and match flags")
+    p = command("moments", _moments_report, "joint-moment coefficients and match flags")
     p.add_argument("--l", type=int, default=4)
-    p.add_argument("--pair", default="2,1", help="derivative orders, e.g. 2,1")
+    p.add_argument("--pair", type=_pair, default="2,1", help="derivative orders, e.g. 2,1")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    common(p)
 
-    p = sub.add_parser("lis", help="restricted permutation counts")
+    p = command("lis", _lis_report, "restricted permutation counts")
     p.add_argument("--l", type=int, default=3)
     p.add_argument("--max-n", type=int, default=9, dest="max_n")
-    common(p)
 
-    p = sub.add_parser("hankel", help="Hankel determinant series")
+    p = command("hankel", _hankel_report, "Hankel determinant series")
     p.add_argument("--l", type=int, default=4)
     p.add_argument("--terms", type=int, default=series.DEFAULT_TERMS)
-    common(p)
 
-    p = sub.add_parser("identity", help="unitary-average identity check")
+    p = command("identity", _identity_report, "unitary-average identity check")
     p.add_argument("--l", type=int, default=3)
     p.add_argument("--terms", type=int, default=8)
-    common(p)
 
-    p = sub.add_parser("arithfactor", help="Euler-product factor estimate")
+    p = command("arithfactor", _arithfactor_report, "Euler-product factor estimate")
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    common(p)
 
+    parser.error = _usage_error
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--output", default=None, help="write to file instead of stdout")
+        p.error = _usage_error
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, format=args.format, output=args.output)
-    if args.command == "bounds":
-        config.n = args.n
-        config.tol = args.tol if args.tol is not None else _default_tol()
-        config.corrupt = args.corrupt
-    elif args.command == "moments":
-        config.l = args.l
-        n1, n2 = (int(t) for t in args.pair.split(","))
-        config.pair = (n1, n2)
-        config.corrupt = args.corrupt
-    elif args.command == "lis":
-        config.l = args.l
-        config.max_n = args.max_n
-    elif args.command in ("hankel", "identity"):
-        config.l = args.l
-        config.terms = args.terms
-    elif args.command == "arithfactor":
-        config.l = args.l
-        config.cutoff = args.cutoff
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Its report function maps the parsed arguments to
+    (payload, header, body, ok): the JSON payload, the CSV/text rows, and
+    whether every check in the report passed."""
+    args = build_parser().parse_args(argv)
     try:
-        return run(parse_config(argv))
+        if args.output:
+            _check_output(args.output)
+        payload, header, body, ok = args.report(args)
+        text = _render(args.format, payload, header, body)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, KeyError, bounds.QuadratureError, OSError) as exc:
         print(f"zgap: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

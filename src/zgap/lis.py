@@ -1,15 +1,18 @@
 """Counting permutations by the length of their longest increasing
 subsequence (LIS).
 
-``count_restricted(l, n)`` — the number of permutations of {1..n} whose LIS
-has length at most l — is computed by three independent routes so each can
-serve as an oracle for the others:
+The number of permutations of {1..n} whose LIS has length at most l is
+computed by three independent routes so each can serve as an oracle for the
+others:
 
-* direct enumeration of all n! permutations (n <= 9),
-* a sum of squared standard-tableau counts over partitions with first part
-  at most l (Robinson-Schensted: the LIS length of a permutation equals the
-  first-row length of its insertion tableau),
-* the Toeplitz determinant generating function from `zgap.series`.
+* ``count_by_enumeration(l, n)`` — direct enumeration of all n!
+  permutations (n <= 9),
+* ``count_by_tableaux(l, n)`` — a sum of squared standard-tableau counts
+  over partitions with first part at most l (Robinson-Schensted: the LIS
+  length of a permutation equals the first-row length of its insertion
+  tableau),
+* ``count_by_series(l, n)`` — the Toeplitz determinant generating function
+  from `zgap.series`.
 
 The partition and hook-length helpers here are also consumed by the
 unitary-group averages in `zgap.series`.

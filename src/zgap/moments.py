@@ -45,33 +45,6 @@ from typing import Mapping
 from .arith import FactoredConstant, Rational, binomial, factorial, multinomial  # noqa: F401
 from .series import IntegerSeries, SeriesMatrix
 
-SOURCE_PARTITION_SUM = "partition-sum"
-SOURCE_REFERENCE_TABLE = "reference-table"
-
-
-@dataclass(frozen=True)
-class MomentRecord:
-    """One coefficient value together with where it came from."""
-
-    h: int
-    l: int
-    n1: int
-    n2: int
-    value: Rational
-    source: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "l": self.l,
-            "n1": self.n1,
-            "n2": self.n2,
-            "numerator": str(self.value.numerator),
-            "denominator": str(self.value.denominator),
-            "source": self.source,
-        }
-
-
 @dataclass(frozen=True)
 class RatioSet:
     """The scaled ratios B(h) (h = 0..l, with B(l) = 1) and the adjacent
@@ -193,38 +166,6 @@ def tabulated_coefficient(h: int, n: int) -> Rational:
 def coefficient_column(n: int) -> dict[int, Rational]:
     """All five reference coefficients h = 0..4 for derivative pair (n+1, n)."""
     return {h: tabulated_coefficient(h, n) for h in range(5)}
-
-
-def moment_records(l: int = 4, pair: tuple[int, int] = (2, 1)) -> list[MomentRecord]:
-    """Records for h = 0..l with every available source.
-
-    For the (2, 1) pair the partition sum is always computed; reference
-    values are attached when l = 4.  For the (3, 2) pair (l = 4 only) the
-    reference table is the only source.
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    n1, n2 = pair
-    records: list[MomentRecord] = []
-    if pair == (2, 1):
-        for h in range(l + 1):
-            records.append(
-                MomentRecord(h, l, n1, n2, joint_moment_coefficient(h, l), SOURCE_PARTITION_SUM)
-            )
-            if l == 4:
-                records.append(
-                    MomentRecord(h, l, n1, n2, tabulated_coefficient(h, 1), SOURCE_REFERENCE_TABLE)
-                )
-    elif pair == (3, 2):
-        if l != 4:
-            raise ValueError("the (3, 2) pair is tabulated for l = 4 only")
-        for h in range(5):
-            records.append(
-                MomentRecord(h, l, n1, n2, tabulated_coefficient(h, 2), SOURCE_REFERENCE_TABLE)
-            )
-    else:
-        raise ValueError(f"unsupported derivative pair {pair}")
-    return records
 
 
 def ratio_set_from_values(b: Mapping[int, Rational], n: int | None = None, l: int = 4) -> RatioSet:

@@ -1,6 +1,7 @@
 """CLI front end: reports, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zgap import bounds, moments
-from zgap.cli import RunConfig, main, parse_config, run
+from zgap.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -33,6 +34,17 @@ def test_bounds_command_corrupted_fails(capsys):
     assert status == 1
     payload = json.loads(out)
     assert payload["valid"] is False
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 5: data_integrity checks the (3,2) column only at its h = 0 "
+    "anchor, and --corrupt raises its h = 2 entry",
+)
+def test_bounds_command_corrupted_fails_n2(capsys):
+    status, out = run_cli(["bounds", "--n", "2", "--corrupt"], capsys)
+    assert status == 1
+    assert json.loads(out)["valid"] is False
 
 
 def test_moments_command(capsys):
@@ -110,6 +122,35 @@ def test_invalid_usage_exits_nonzero(capsys):
         main(["unknown-command"])
     status, _ = run_cli(["moments", "--pair", "4,3"], capsys)
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "args, tol_env, message",
+    [(["hankel", "--l", "abc"], None, "argument --l: invalid int value: 'abc'"),
+     (["bounds", "--n", "3"], None, "argument --n: invalid choice: 3"),
+     (["lis", "--bogus"], None, "unrecognized arguments: --bogus"),
+     ([], None, "the following arguments are required: command"),
+     (["bounds"], "abc", "argument --tol: invalid float value: 'abc'"),
+     (["moments", "--pair", "2"], None,
+      "argument --pair: expected two comma-separated integers, got '2'"),
+     (["moments", "--pair", "a,b"], None,
+      "argument --pair: expected two comma-separated integers, got 'a,b'"),
+     (["moments", "--l", "3", "--pair", "3,2"], None,
+      "the (3, 2) pair is tabulated for l = 4 only"),
+     (["moments", "--l", "4", "--pair", "4,3"], None, "unsupported derivative pair (4, 3)")],
+)
+def test_rejected_input_is_a_one_line_error(args, tol_env, message, monkeypatch, capsys):
+    if tol_env is not None:
+        monkeypatch.setenv("ZGAP_TOL", tol_env)
+    try:
+        status = main(args)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"zgap: {message}")
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -237,20 +278,19 @@ def test_import_loads_no_numpy():
 
 
 def test_parse_config_defaults_and_env(monkeypatch):
-    config = parse_config(["bounds", "--n", "2"])
-    assert config.tol == 1e-8
+    assert build_parser().parse_args(["bounds", "--n", "2"]).tol == 1e-8
     monkeypatch.setenv("ZGAP_TOL", "1e-6")
-    config = parse_config(["bounds", "--n", "2"])
-    assert config.tol == 1e-6
-    config = parse_config(["bounds", "--n", "2", "--tol", "1e-9"])
-    assert config.tol == 1e-9  # explicit flag wins
+    assert build_parser().parse_args(["bounds", "--n", "2"]).tol == 1e-6
+    args = build_parser().parse_args(["bounds", "--n", "2", "--tol", "1e-9"])
+    assert args.tol == 1e-9  # explicit flag wins
 
 
-def test_output_file_determinism(tmp_path):
+def test_output_file_determinism(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
-        config = RunConfig(command="lis", l=3, max_n=7, format="json", output=str(path))
-        assert run(config) == 0
+        argv = ["lis", "--l", "3", "--max-n", "7", "--format", "json", "--output", str(path)]
+        assert main(argv) == 0
+    assert capsys.readouterr().out == ""
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -265,3 +305,82 @@ def test_cross_process_determinism(tmp_path):
         )
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# SHA-256 of stdout and the exit status of the exact-arithmetic reports, in
+# every format.  The CLI contract is byte-identical output, so any change to
+# these bytes must be deliberate.
+REPORT_DIGESTS = {
+    "moments --l 4 --format json":
+        (0, "8ce69da7807f7c078af7ba87af875f877b95bb46c480c9f28bdb331bd18d1051"),
+    "moments --l 4 --format csv":
+        (0, "5f5ee024e7a5bb98eb609ea837f3c8b04296a6aae268368fea1531e2b47cd0e5"),
+    "moments --l 4 --format text":
+        (0, "5b1016b128a93123b687cb8fb8aea1962ff3abb2ab8ab7e59db00d84e8f27f8f"),
+    "moments --l 4 --corrupt --format json":
+        (1, "40dd869f78daa129becb4a3da178a2bfaddf82825b17a436447f2085d07c0b2a"),
+    "moments --l 4 --corrupt --format csv":
+        (1, "0fa83b5936d787f9e030f7e12e5946a0e3f3a00f163f83624f3c86a8707a30bc"),
+    "moments --l 4 --corrupt --format text":
+        (1, "10d1ea2b291df23118cd9361bca50df0bda3710ba7624f1fa87cf06a1e003a3f"),
+    "moments --l 4 --pair 3,2 --format json":
+        (0, "adb6a7820e682a452c6b675644bba63ebd74ddb2c678c577a8887e8847fde597"),
+    "moments --l 4 --pair 3,2 --format csv":
+        (0, "30c54d226ea2591c42d75da00ce00beceb4fab76937e943dcc07f17033f5b826"),
+    "moments --l 4 --pair 3,2 --format text":
+        (0, "07cdbd6991916ac19b5a263c1d6011f1857c2e8beed5e31ed23df0ab9ef7f402"),
+    "moments --l 2 --format json":
+        (0, "7e02f0164461ac2176b852cfe0ba09a591d8411a8072e6e0d00fecafaa877824"),
+    "moments --l 2 --format csv":
+        (0, "464560ea64a1dcd8164f4c8219c66ac50b04f88f4bdd4e96e919f2e81edd93e1"),
+    "moments --l 2 --format text":
+        (0, "a54c16a41ae8f251674705d92e90532b0b50ee63e9938986e84ac38d986d2701"),
+    "lis --l 3 --format json":
+        (0, "37f0544c65764ee2ee4d29e843caa29ff71aba548968930e5e27a8e9469897d2"),
+    "lis --l 3 --format csv":
+        (0, "ea23cbece24debeb4a0923ac424555523e143dc11e4e9c56251d9c83f0d379ed"),
+    "lis --l 3 --format text":
+        (0, "753117200815c09e3f7cb7f4cb05b71f3beed234c975fb0633901172e2fe1ad1"),
+    "hankel --l 3 --format json":
+        (0, "d4afaaaf2824c6b6d2f7d4e5586e72edf5fd59d66c7647b232d04603c7b7dd4a"),
+    "hankel --l 3 --format csv":
+        (0, "7798ea2365558db7d547533d49b279d52109956e64a52e5202a448d9d65bba1c"),
+    "hankel --l 3 --format text":
+        (0, "24311d8a1cc09a3682ff19e156b79e8cb3b39f88e78f0da4edb5fc0b0f73ef33"),
+    "identity --l 3 --format json":
+        (0, "86661737ae2572a1a74a10539207b7246835b8f282a61b928a8bb0ad9a1783b1"),
+    "identity --l 3 --format csv":
+        (0, "802a2475cec089fc8da1f1080429b0a3801af28053730fa696a49d447a870bc6"),
+    "identity --l 3 --format text":
+        (0, "674c597435b7045a97c20502b2ba661b385aacde2977562709d885b38c22ffaa"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_exact_report_is_byte_identical(command, capsys):
+    status, out = run_cli(command.split(), capsys)
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == REPORT_DIGESTS[command]
+
+
+BOUNDS_CHECKS = ["data_integrity", "v_positive", "g_increasing", "lambda_consistency",
+                 "pi_integral", "x_consistency", "bound_above_threshold", "bound"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_bounds_report_pins_check_names_and_flags(n, fmt, capsys):
+    """The float residuals may move; the checks, their verdicts and the
+    exit status may not."""
+    status, out = run_cli(["bounds", "--n", str(n), "--format", fmt], capsys)
+    assert status == 0
+    if fmt == "json":
+        payload = json.loads(out)
+        rows = [(c["name"], c["passed"]) for c in payload["checks"]]
+        rows.append(("bound", payload["valid"]))
+    else:
+        header, *lines = out.splitlines()
+        sep = "," if fmt == "csv" else "  "
+        assert header.split(sep) == ["check", "passed", "residual"]
+        cells = [line.split(sep) for line in lines]
+        rows = [(name, passed == "True") for name, passed, _ in cells]
+    assert rows == [(name, True) for name in BOUNDS_CHECKS]

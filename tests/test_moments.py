@@ -7,8 +7,6 @@ import pytest
 
 from zgap.arith import binomial, factorial, multinomial
 from zgap.moments import (
-    SOURCE_PARTITION_SUM,
-    SOURCE_REFERENCE_TABLE,
     arithmetic_factor,
     coefficient_column,
     cue_moment_coefficient,
@@ -16,7 +14,6 @@ from zgap.moments import (
     joint_moment_coefficient,
     moment_exponent,
     moment_ratio,
-    moment_records,
     ratio_set_from_values,
     tabulated_coefficient,
 )
@@ -181,26 +178,6 @@ def test_ratio_set_from_values_matches_module_functions():
     ratios = ratio_set_from_values(coefficient_column(1), n=1)
     assert ratios.capB[4] == 1
     assert ratios.A == {h: hall_ratio(h, 1) for h in range(1, 5)}
-
-
-def test_moment_records_sources_and_serialization():
-    records = moment_records(4, (2, 1))
-    sources = {r.source for r in records}
-    assert sources == {SOURCE_PARTITION_SUM, SOURCE_REFERENCE_TABLE}
-    by_key = {}
-    for r in records:
-        by_key.setdefault(r.h, set()).add(r.value)
-    assert all(len(values) == 1 for values in by_key.values())  # sources agree
-    payload = records[0].to_json_dict()
-    assert payload["source"] == SOURCE_PARTITION_SUM
-    assert Fraction(int(payload["numerator"]), int(payload["denominator"])) == records[0].value
-
-    table_only = moment_records(4, (3, 2))
-    assert {r.source for r in table_only} == {SOURCE_REFERENCE_TABLE}
-    with pytest.raises(ValueError):
-        moment_records(3, (3, 2))
-    with pytest.raises(ValueError):
-        moment_records(4, (4, 3))
 
 
 def test_arithmetic_factor_telescopes_for_l1():
