@@ -24,11 +24,11 @@ Pipeline (all at l = 4):
        integral_0^inf log(1 + g(u)/((2l-1)*lambda)) du/u**2 = l*pi,
 
    where g(u) = (2l-1) * sum_h C(l,h) v_h u**(2h) must be increasing on the
-   positive axis, and the equivalent rational-integrand form whose value
-   must be pi.  Sign conventions: (*) is used verbatim for extraction; the
-   rational integrand carries all-plus signs in its denominator (the two
-   polynomials are related by t**2 <-> -u**2), and the quadrature oracle
-   below confirms that reading.
+   positive axis (every exact v_h >= 0 proves it), and the equivalent
+   rational-integrand form whose value must be pi.  Sign conventions: (*) is
+   used verbatim for extraction; the rational integrand carries all-plus
+   signs in its denominator (the two polynomials are related by
+   t**2 <-> -u**2), and the quadrature oracle below confirms that reading.
 
 4. re-solve for X by bisection on the defining polynomial equation and
    compare with the closed form, check the bound sqrt(X) against the
@@ -178,41 +178,6 @@ class WirtingerParams:
     def v_full(self) -> tuple[float, ...]:
         """(v_1, ..., v_l) with the implicit v_l = 1 appended."""
         return self.v + (1.0,)
-
-
-def g_eval(params: WirtingerParams, u: float) -> float:
-    """g(u) = (2l-1) * sum_h C(l,h) v_h u**(2h)."""
-    l = params.l
-    acc = 0.0
-    for h, vh in enumerate(params.v_full(), start=1):
-        acc += binomial(l, h) * vh * u ** (2 * h)
-    return (2 * l - 1) * acc
-
-
-def _g_derivative(params: WirtingerParams, u: float) -> float:
-    l = params.l
-    acc = 0.0
-    for h, vh in enumerate(params.v_full(), start=1):
-        acc += 2 * h * binomial(l, h) * vh * u ** (2 * h - 1)
-    return (2 * l - 1) * acc
-
-
-def g_decrease_witness(params: WirtingerParams) -> float | None:
-    """A point u in [1e-6, 1e6] with g'(u) < 0, or None if the geometric
-    grid finds no sign violation."""
-    for i in range(481):
-        u = 10.0 ** (-6.0 + 12.0 * i / 480.0)
-        if _g_derivative(params, u) < 0.0:
-            return u
-    return None
-
-
-def g_is_increasing(params: WirtingerParams) -> bool:
-    """True when all v_h >= 0 (sufficient condition); otherwise a geometric
-    grid scan of g' over [1e-6, 1e6] decides."""
-    if all(vh >= 0.0 for vh in params.v_full()):
-        return True
-    return g_decrease_witness(params) is None
 
 
 def _log_residual_from_coeffs(
@@ -401,24 +366,6 @@ def derive_params(
     )
 
 
-def factorization_residuals(derived: DerivedParams) -> tuple[Rational, ...]:
-    """Exact coefficient differences (t**8, t**6, t**4, t**2, 1) between the
-    two sides of the factorization (*) at the derived values; all zero iff
-    the extraction is consistent."""
-    v1, v2, v3 = derived.v_exact
-    lam = derived.lam_exact
-    s1, s2, s3, s4 = derived.sigma
-    lhs = (Fraction(1), -4 * v3, 6 * v2, -4 * v1, lam)
-    rhs = (
-        Fraction(1),
-        2 * s2 - s1 * s1,
-        s2 * s2 + 2 * s4 - 2 * s1 * s3,
-        2 * s2 * s4 - s3 * s3,
-        s4 * s4,
-    )
-    return tuple(p - q for p, q in zip(lhs, rhs))
-
-
 def solve_x(
     v: Sequence[float],
     lam: float,
@@ -545,7 +492,7 @@ def _exact_prelude(
     """The exact part of a certificate: the ratio data of the coefficient
     column for derivative order n, the closed-form X built from A(1..4),
     and the parameters derived from both."""
-    ratios = moments.ratio_set_from_values(coefficients, n=n)
+    ratios = moments.ratio_set_from_values(coefficients)
     a, b, c, d = (ratios.A[h] for h in range(1, 5))
     x_exact = closed_form_x(a, b, c, d)
     return ratios, x_exact, derive_params(a, b, c, d, x_exact)
@@ -585,9 +532,9 @@ def certify_bound(
     checks.append(
         CheckResult("v_positive", v_positive, float(min(derived.v_exact)))
     )
-    checks.append(
-        CheckResult("g_increasing", g_is_increasing(params), 0.0)
-    )
+    # g'(u)/u = sum_h 2h (2l-1) C(l,h) v_h u**(2h-2) with v_l = 1, so
+    # exact v_h >= 0 proves g increasing on u > 0
+    checks.append(CheckResult("g_increasing", all(t >= 0 for t in derived.v_exact), 0.0))
 
     check_tol = min(quad_tol, DEFAULT_QUAD_TOL)
     lam_tol = 1e4 * check_tol

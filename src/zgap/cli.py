@@ -21,7 +21,9 @@ in lowest terms, reals as shortest round-trip decimals.  The --corrupt flag
 of `moments` and `bounds` is a test hook that raises the h = 2 entry of the
 reference column.  `bounds --n 1` and `moments --l 4` detect it; `bounds
 --n 2` does not, because its (3,2) column is verified only at its h = 0
-anchor.
+anchor.  `arithfactor` accepts --cutoff in [2, 10**8]; it exits 2 when the
+Euler product underflows a float (l >= 21 at the default cutoff) or its
+error bound is not finite (a cutoff far below l**4).
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ floating point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +51,6 @@ class RatioSet:
     """The scaled ratios B(h) (h = 0..l, with B(l) = 1) and the adjacent
     ratios A(h) (h = 1..l) consumed by the optimization pipeline."""
 
-    n: int | None
     capB: dict[int, Rational]
     A: dict[int, Rational]
 
@@ -168,7 +168,7 @@ def coefficient_column(n: int) -> dict[int, Rational]:
     return {h: tabulated_coefficient(h, n) for h in range(5)}
 
 
-def ratio_set_from_values(b: Mapping[int, Rational], n: int | None = None, l: int = 4) -> RatioSet:
+def ratio_set_from_values(b: Mapping[int, Rational], l: int = 4) -> RatioSet:
     """Build the B(h) and A(h) ratio maps from coefficient values b[0..l].
 
     B(h) = 4**(h-l) * b[h]/b[l]  (so B(l) = 1);
@@ -181,21 +181,21 @@ def ratio_set_from_values(b: Mapping[int, Rational], n: int | None = None, l: in
         h: abs(Fraction(2 * h - 1, 2 * h - 3)) * capB[h - 1] / capB[h]
         for h in range(1, l + 1)
     }
-    return RatioSet(n=n, capB=capB, A=A)
+    return RatioSet(capB=capB, A=A)
 
 
 def moment_ratio(h: int, l: int, n: int) -> Rational:
     """B(h, l; n) from the reference coefficients (l = 4 only)."""
     if l != 4:
         raise ValueError("ratios are tabulated for l = 4 only")
-    return ratio_set_from_values(coefficient_column(n), n=n).capB[h]
+    return ratio_set_from_values(coefficient_column(n)).capB[h]
 
 
 def hall_ratio(h: int, n: int) -> Rational:
     """A(h, 4; n) = |(2h-1)/(2h-3)| * B(h-1)/B(h), exact."""
     if not 1 <= h <= 4:
         raise ValueError(f"h must be in 1..4, got {h}")
-    return ratio_set_from_values(coefficient_column(n), n=n).A[h]
+    return ratio_set_from_values(coefficient_column(n)).A[h]
 
 
 @dataclass(frozen=True)
@@ -245,11 +245,15 @@ def arithmetic_factor(
     log is O(l**4 / p**2) (the 1/p terms cancel between the two pieces), so
     the tail is bounded by l**4 * sum_{n > cutoff} 1/n**2 < l**4 / cutoff.
     Crude but sufficient: nothing downstream consumes this value.
+
+    A prime_cutoff above 10**8 (a 100 MB sieve), a product that underflows a
+    float (l >= 21 at the default cutoff) and an error bound that is not
+    finite raise ValueError.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    if prime_cutoff < 2:
-        raise ValueError(f"prime_cutoff must be >= 2, got {prime_cutoff}")
+    if not 2 <= prime_cutoff <= 10**8:
+        raise ValueError(f"prime_cutoff must be in [2, 10**8], got {prime_cutoff}")
     if inner_terms < 2:
         raise ValueError(f"inner_terms must be >= 2, got {inner_terms}")
     m_cut = inner_terms
@@ -270,8 +274,15 @@ def arithmetic_factor(
         else:  # cannot happen for inner_terms >= 2*l, kept defensive
             inner_tail_rel += float("inf")
         value *= (1.0 - inv_p) ** (l * l) * inner
+        if value < sys.float_info.min:
+            raise ValueError(f"the Euler product for l={l} underflows a float at p={p}")
     product_tail = l**4 / prime_cutoff
-    error = abs(value) * math.expm1(inner_tail_rel + product_tail)
+    try:
+        error = value * math.expm1(inner_tail_rel + product_tail)
+    except OverflowError:
+        error = math.inf
+    if not math.isfinite(error):
+        raise ValueError(f"the error bound for l={l} is not finite at prime_cutoff={prime_cutoff}")
     return ArithmeticFactorEstimate(
         l=l,
         value=value,

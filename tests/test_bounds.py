@@ -17,10 +17,6 @@ from zgap.bounds import (
     certify_bound,
     closed_form_x,
     derive_params,
-    factorization_residuals,
-    g_decrease_witness,
-    g_eval,
-    g_is_increasing,
     integrate_half_line,
     integrate_unit_interval,
     lambda_equation_residual,
@@ -125,26 +121,30 @@ def test_quadrature_error_on_divergent_integrand():
 # ----------------------------------------------------------- weight polynomial
 
 
-def test_g_eval_examples():
-    params = WirtingerParams(l=4, v=(1.0, 1.0, 1.0), lam=1.0)
-    assert g_eval(params, 0.0) == 0.0
-    # (2l-1) * sum C(4,h) u^(2h) at u=1: 7 * (4+6+4+1)
-    assert g_eval(params, 1.0) == pytest.approx(7 * 15)
+def certify_column(column):
+    """The n = 1 certificate for `column`, and its checks by name."""
+    certificate = certify_bound(1, coefficients=column)
+    return certificate, {c.name: c for c in certificate.checks}
 
 
 def test_g_monotone_for_derived_parameters():
-    params = derived_params_for(1).params
-    assert all(v > 0 for v in params.v)
-    assert g_is_increasing(params)
+    certificate, checks = certify_column(coefficient_column(1))
+    assert all(v > 0 for v in certificate.v_exact)
+    assert checks["g_increasing"].passed
+    assert checks["g_increasing"].residual == 0.0
 
 
 def test_g_monotone_check_finds_witness():
-    params = WirtingerParams(l=4, v=(-5.0, 1.0, 1.0), lam=1.0)
-    assert not g_is_increasing(params)
-    witness = g_decrease_witness(params)
-    assert witness is not None
-    # the polynomial really does decrease locally at the witness
-    assert g_eval(params, witness * 1.000001) < g_eval(params, witness)
+    # doubling the h = 0 entry gives v_exact ~ (11.30, -4.46, 5.07); the row
+    # passes only when every exact v_h >= 0, so the negative v_2 fails it
+    column = coefficient_column(1)
+    column[0] *= 2
+    certificate, checks = certify_column(column)
+    assert [float(v) for v in certificate.v_exact] == pytest.approx(
+        [11.298, -4.4588, 5.0691], abs=1e-3
+    )
+    assert not checks["g_increasing"].passed
+    assert checks["g_increasing"].residual == 0.0
 
 
 def test_params_length_validation():
@@ -189,7 +189,9 @@ def test_lambda_residual_matches_library_quadrature():
     params = derived_params_for(1).params
 
     def integrand(u):
-        g = g_eval(params, u)
+        g = 7 * sum(
+            math.comb(4, h) * v * u ** (2 * h) for h, v in enumerate(params.v_full(), 1)
+        )
         return math.log1p(g / (7 * params.lam)) / (u * u)
 
     reference, _ = quad(integrand, 0, math.inf, limit=400)
@@ -343,6 +345,24 @@ def test_derived_parameters_match_reference(n):
     assert abs(derived.params.lam - lam) < 1e-4
 
 
+def factorization_residuals(derived):
+    """Exact coefficient differences (t**8, t**6, t**4, t**2, 1) between the
+    two sides of the factorization (*) at the derived values; all zero iff
+    the extraction is consistent."""
+    v1, v2, v3 = derived.v_exact
+    lam = derived.lam_exact
+    s1, s2, s3, s4 = derived.sigma
+    lhs = (Fraction(1), -4 * v3, 6 * v2, -4 * v1, lam)
+    rhs = (
+        Fraction(1),
+        2 * s2 - s1 * s1,
+        s2 * s2 + 2 * s4 - 2 * s1 * s3,
+        2 * s2 * s4 - s3 * s3,
+        s4 * s4,
+    )
+    return tuple(p - q for p, q in zip(lhs, rhs))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_factorization_identity_exact(n):
     residuals = factorization_residuals(derived_params_for(n))
@@ -369,7 +389,7 @@ def test_lambda_exact_equals_sigma4_squared():
 @pytest.mark.parametrize("n", [1, 2])
 def test_solve_x_agrees_with_closed_form(n):
     derived = derived_params_for(n)
-    ratios = ratio_set_from_values(coefficient_column(n), n=n)
+    ratios = ratio_set_from_values(coefficient_column(n))
     x = solve_x(derived.params.v, derived.params.lam, ratios.capB, 4, tol=1e-8)
     assert abs(x - float(closed_form_x(*RATIO_INPUTS[n]))) < 1e-7
 
@@ -483,6 +503,22 @@ def test_certificate_detects_corrupted_coefficient():
     assert not certificate.valid
     failed = {c.name for c in certificate.checks if not c.passed}
     assert "data_integrity" in failed
+
+
+def test_certificate_without_positive_v_skips_the_numeric_checks():
+    # halving the h = 0 entry gives v_exact ~ (-0.044, 1.31, -0.021)
+    column = coefficient_column(1)
+    column[0] /= 2
+    certificate, checks = certify_column(column)
+    assert [float(v) for v in certificate.v_exact] == pytest.approx(
+        [-0.04397, 1.3123, -0.02128], abs=1e-4
+    )
+    assert not checks["v_positive"].passed
+    assert not checks["g_increasing"].passed
+    for name in ("lambda_consistency", "pi_integral", "x_consistency"):
+        assert not checks[name].passed
+        assert checks[name].residual == math.inf
+    assert not certificate.valid
 
 
 def test_certificate_detects_corrupted_anchor_n2():

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -137,7 +138,11 @@ def test_invalid_usage_exits_nonzero(capsys):
       "argument --pair: expected two comma-separated integers, got 'a,b'"),
      (["moments", "--l", "3", "--pair", "3,2"], None,
       "the (3, 2) pair is tabulated for l = 4 only"),
-     (["moments", "--l", "4", "--pair", "4,3"], None, "unsupported derivative pair (4, 3)")],
+     (["moments", "--l", "4", "--pair", "4,3"], None, "unsupported derivative pair (4, 3)"),
+     (["arithfactor", "--l", "21"], None, "the Euler product for l=21 underflows a float"),
+     (["arithfactor", "--l", "30"], None, "the Euler product for l=30 underflows a float"),
+     (["arithfactor", "--cutoff", "100000001"], None,
+      "prime_cutoff must be in [2, 10**8], got 100000001")],
 )
 def test_rejected_input_is_a_one_line_error(args, tol_env, message, monkeypatch, capsys):
     if tol_env is not None:
@@ -185,27 +190,39 @@ def test_negative_range_is_a_one_line_error(args, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-_SMALL_RANGES = {"--l": st.integers(-2, 6), "--terms": st.integers(-3, 12),
-                 "--max-n": st.integers(-3, 9)}
-_FLAGS = {"hankel": ("--l", "--terms"), "identity": ("--l", "--terms"),
-          "lis": ("--l", "--max-n"), "moments": ("--l",)}
+_SMALL_L = st.integers(-2, 6)
+_FLAGS = {
+    "hankel": {"--l": _SMALL_L, "--terms": st.integers(-3, 12)},
+    "identity": {"--l": _SMALL_L, "--terms": st.integers(-3, 12)},
+    "lis": {"--l": _SMALL_L, "--max-n": st.integers(-3, 9)},
+    "moments": {"--l": _SMALL_L},
+    "arithfactor": {"--l": st.integers(-2, 40), "--cutoff": st.integers(-3, 10**4)},
+}
 
 
 @st.composite
 def small_argv(draw):
-    """A hankel, identity, lis or moments command line in any format, each
-    range flag either left at its default or set to a small value, zero and
-    negative values included."""
+    """A hankel, identity, lis, moments or arithfactor command line in any
+    format, each range flag either left at its default or set to a small
+    value, zero and negative values included."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command, "--format", draw(st.sampled_from(["json", "csv", "text"]))]
-    for flag in _FLAGS[command]:
-        value = draw(st.none() | _SMALL_RANGES[flag])
+    for flag, values in _FLAGS[command].items():
+        value = draw(st.none() | values)
         if value is not None:
             argv += [flag, str(value)]
     return argv
 
 
-@settings(max_examples=60, deadline=None)
+def report_fields(fmt, text):
+    """The field -> value rows of a two-column report in any format."""
+    if fmt == "json":
+        return json.loads(text)
+    separator = "," if fmt == "csv" else "  "
+    return dict(line.split(separator, 1) for line in text.splitlines()[1:])
+
+
+@settings(max_examples=75, deadline=None)
 @given(small_argv())
 def test_fuzzed_argv_gives_a_report_or_a_one_line_error(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -218,6 +235,11 @@ def test_fuzzed_argv_gives_a_report_or_a_one_line_error(argv):
         assert len(err.getvalue().splitlines()) == 1
     else:
         assert out.getvalue() and err.getvalue() == ""
+    if argv[0] == "arithfactor" and status == 0:
+        fields = report_fields(argv[2], out.getvalue())
+        value, error_bound = float(fields["value"]), float(fields["error_bound"])
+        assert math.isfinite(value) and value > 0
+        assert math.isfinite(error_bound)
 
 
 def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):

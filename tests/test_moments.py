@@ -1,10 +1,12 @@
 """Joint-moment coefficients, reference constants, and derived ratios."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from zgap import moments
 from zgap.arith import binomial, factorial, multinomial
 from zgap.moments import (
     arithmetic_factor,
@@ -175,7 +177,7 @@ def test_hall_ratios_exact(h, n):
 
 
 def test_ratio_set_from_values_matches_module_functions():
-    ratios = ratio_set_from_values(coefficient_column(1), n=1)
+    ratios = ratio_set_from_values(coefficient_column(1))
     assert ratios.capB[4] == 1
     assert ratios.A == {h: hall_ratio(h, 1) for h in range(1, 5)}
 
@@ -212,6 +214,27 @@ def test_arithmetic_factor_self_consistency():
     coarse = arithmetic_factor(4, prime_cutoff=1_000)
     fine = arithmetic_factor(4, prime_cutoff=10_000)
     assert abs(coarse.value - fine.value) <= coarse.error_bound + fine.error_bound
+
+
+def test_arithmetic_factor_l20_is_the_last_normal_value():
+    estimate = arithmetic_factor(20)
+    assert sys.float_info.min < estimate.value < 1e-280
+    assert 0 < estimate.error_bound < math.inf
+
+
+def test_arithmetic_factor_rejects_an_infinite_error_bound():
+    # the omitted-prime tail l**4 / cutoff = 5000 overflows expm1
+    with pytest.raises(ValueError, match="error bound"):
+        arithmetic_factor(10, prime_cutoff=2)
+
+
+def test_arithmetic_factor_rejects_a_cutoff_above_the_ceiling(monkeypatch):
+    def refuse(n):
+        raise AssertionError("sieve allocated for a rejected cutoff")
+
+    monkeypatch.setattr(moments, "_primes_up_to", refuse)
+    with pytest.raises(ValueError, match="prime_cutoff"):
+        arithmetic_factor(2, prime_cutoff=10**8 + 1)
 
 
 def _primes(n):
