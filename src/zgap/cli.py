@@ -15,15 +15,16 @@ default tolerance can be overridden with the ZGAP_TOL environment variable
 (a --tol flag wins).  Identical configurations produce byte-identical
 outputs; the exit status is 0 iff every check in the emitted report passed,
 and 2, with a one-line "zgap: ..." message on stderr, for invalid input, an
-unwritable --output path (checked before any work) or a quadrature that
-does not converge.  Rationals serialize as "numerator/denominator" strings
-in lowest terms, reals as shortest round-trip decimals.  The --corrupt flag
-of `moments` and `bounds` is a test hook that raises the h = 2 entry of the
-reference column.  `bounds --n 1` and `moments --l 4` detect it; `bounds
---n 2` does not, because its (3,2) column is verified only at its h = 0
-anchor.  `arithfactor` accepts --cutoff in [2, 10**8]; it exits 2 when the
+unwritable --output path (checked before any work), a quadrature that
+does not converge or a computation that runs out of memory.  Rationals
+serialize as "numerator/denominator" strings in lowest terms, reals as
+shortest round-trip decimals.  The --corrupt flag of `moments` and
+`bounds` is a test hook that raises the h = 2 entry of the reference
+column.  `bounds --n 1` and `moments --l 4` detect it; `bounds --n 2` does
+not, because its (3,2) column is verified only at its h = 0 anchor.  `arithfactor` accepts --cutoff in [2, 10**8]; it exits 2 when the
 Euler product underflows a float (l >= 21 at the default cutoff) or its
-error bound is not finite (a cutoff far below l**4).
+error bound is not below its value (l >= 17 at the default cutoff, or a
+cutoff far below l**4).
 """
 
 from __future__ import annotations
@@ -260,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
     except (ValueError, KeyError, bounds.QuadratureError, OSError) as exc:
         print(f"zgap: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"zgap: out of memory computing the {args.command} report", file=sys.stderr)
         return 2
     return 0 if ok else 1
 

@@ -5,8 +5,9 @@ The number of permutations of {1..n} whose LIS has length at most l is
 computed by three independent routes so each can serve as an oracle for the
 others:
 
-* ``count_by_enumeration(l, n)`` — direct enumeration of all n!
-  permutations (n <= 9),
+* ``count_by_enumeration(l, n)`` — patience sorting of every permutation,
+  counted by a transfer over the pile tops instead of listing the n!
+  permutations one by one (n <= 9),
 * ``count_by_tableaux(l, n)`` — a sum of squared standard-tableau counts
   over partitions with first part at most l (Robinson-Schensted: the LIS
   length of a permutation equals the first-row length of its insertion
@@ -24,12 +25,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator, Sequence
 
 from .arith import factorial
 
-ENUMERATION_LIMIT = 9  # 9! = 362880 permutations; cost guard
+# Largest n with an `enumeration` entry in the `lis` table.  It pins the
+# table's columns, not the cost: the transfer is cheap well past n = 9, but
+# a higher limit would change `lis --max-n` output above 9.
+ENUMERATION_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -74,16 +77,32 @@ def lis_length(perm: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _lis_length_counts(n: int) -> tuple[int, ...]:
     """counts[k] = number of permutations of 1..n with LIS length exactly k
-    (index 0 unused).  Full enumeration; cached so the counts for all l come
-    from one pass over the n! permutations."""
+    (index 0 unused), by patience sorting every permutation at once.
+
+    Deal the values left to right.  After k values the state is the sorted
+    tuple of the ranks of the pile tops among those k values, weighted by
+    the number of permutations of k that reach it.  The next value takes
+    each relative rank r in 0..k once: the ranks >= r shift up by one, and
+    r replaces the first top >= r or opens a new pile.  There are at most
+    2**(n-1) states, against n! permutations."""
+    states = {(): 1}
+    for k in range(n):
+        dealt: dict[tuple[int, ...], int] = {}
+        for tops, weight in states.items():
+            for r in range(k + 1):
+                i = bisect_left(tops, r)
+                key = tops[:i] + (r,) + tuple(t + 1 for t in tops[i + 1 :])
+                dealt[key] = dealt.get(key, 0) + weight
+        states = dealt
     counts = [0] * (n + 1)
-    for perm in permutations(range(1, n + 1)):
-        counts[_patience_piles(perm)] += 1
+    for tops, weight in states.items():
+        counts[len(tops)] += weight
     return tuple(counts)
 
 
 def count_by_enumeration(l: int, n: int) -> int:
-    """T(n) for LIS length <= l, by checking every permutation of 1..n."""
+    """T(n) for LIS length <= l, by patience sorting every permutation of
+    1..n through the pile-top transfer of `_lis_length_counts`."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if n < 0:

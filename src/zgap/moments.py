@@ -248,7 +248,8 @@ def arithmetic_factor(
 
     A prime_cutoff above 10**8 (a 100 MB sieve), a product that underflows a
     float (l >= 21 at the default cutoff) and an error bound that is not
-    finite raise ValueError.
+    below the value (l >= 17 at the default cutoff, or a cutoff far below
+    l**4) raise ValueError.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -281,8 +282,11 @@ def arithmetic_factor(
         error = value * math.expm1(inner_tail_rel + product_tail)
     except OverflowError:
         error = math.inf
-    if not math.isfinite(error):
-        raise ValueError(f"the error bound for l={l} is not finite at prime_cutoff={prime_cutoff}")
+    if not error < value:  # no correct digit; also an infinite bound
+        raise ValueError(
+            f"the error bound for l={l} at prime_cutoff={prime_cutoff} is {error:.3g},"
+            f" not below the value {value:.3g}"
+        )
     return ArithmeticFactorEstimate(
         l=l,
         value=value,

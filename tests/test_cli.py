@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zgap import bounds, moments
+from zgap import bounds, moments, series
 from zgap.cli import build_parser, main
 
 
@@ -142,7 +142,9 @@ def test_invalid_usage_exits_nonzero(capsys):
      (["arithfactor", "--l", "21"], None, "the Euler product for l=21 underflows a float"),
      (["arithfactor", "--l", "30"], None, "the Euler product for l=30 underflows a float"),
      (["arithfactor", "--cutoff", "100000001"], None,
-      "prime_cutoff must be in [2, 10**8], got 100000001")],
+      "prime_cutoff must be in [2, 10**8], got 100000001"),
+     (["arithfactor", "--l", "17"], None,
+      "the error bound for l=17 at prime_cutoff=100000 is 7.88e-196, not below the value")],
 )
 def test_rejected_input_is_a_one_line_error(args, tol_env, message, monkeypatch, capsys):
     if tol_env is not None:
@@ -194,7 +196,7 @@ _SMALL_L = st.integers(-2, 6)
 _FLAGS = {
     "hankel": {"--l": _SMALL_L, "--terms": st.integers(-3, 12)},
     "identity": {"--l": _SMALL_L, "--terms": st.integers(-3, 12)},
-    "lis": {"--l": _SMALL_L, "--max-n": st.integers(-3, 9)},
+    "lis": {"--l": _SMALL_L, "--max-n": st.integers(-3, 14)},
     "moments": {"--l": _SMALL_L},
     "arithfactor": {"--l": st.integers(-2, 40), "--cutoff": st.integers(-3, 10**4)},
 }
@@ -239,7 +241,7 @@ def test_fuzzed_argv_gives_a_report_or_a_one_line_error(argv):
         fields = report_fields(argv[2], out.getvalue())
         value, error_bound = float(fields["value"]), float(fields["error_bound"])
         assert math.isfinite(value) and value > 0
-        assert math.isfinite(error_bound)
+        assert math.isfinite(error_bound) and error_bound < value
 
 
 def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):
@@ -289,6 +291,17 @@ def test_quadrature_failure_is_a_one_line_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("zgap: no convergence within 4096 panels")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
+    def exhaust(l, terms):
+        raise MemoryError
+
+    monkeypatch.setattr(series, "toeplitz_determinant", exhaust)
+    assert main(["lis", "--l", "20", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zgap: out of memory computing the lis report\n"
 
 
 def test_import_loads_no_numpy():
@@ -363,6 +376,12 @@ REPORT_DIGESTS = {
         (0, "ea23cbece24debeb4a0923ac424555523e143dc11e4e9c56251d9c83f0d379ed"),
     "lis --l 3 --format text":
         (0, "753117200815c09e3f7cb7f4cb05b71f3beed234c975fb0633901172e2fe1ad1"),
+    "lis --l 4 --max-n 14 --format json":
+        (0, "b5f5ece60eaa8bb8a0a5bf5a059b2dd190619686c91b88231da68717d26c0565"),
+    "lis --l 4 --max-n 14 --format csv":
+        (0, "5dccfd72c16765c28d9928408ba89cd45743687bcf45869d518d4937273b2ff9"),
+    "lis --l 4 --max-n 14 --format text":
+        (0, "877aa29fe55f49f88be001b2f6259c17c90fa81953fd8a18f2da52c4c22d4ec7"),
     "hankel --l 3 --format json":
         (0, "d4afaaaf2824c6b6d2f7d4e5586e72edf5fd59d66c7647b232d04603c7b7dd4a"),
     "hankel --l 3 --format csv":

@@ -7,6 +7,8 @@ import pytest
 from zgap.arith import factorial
 from zgap.lis import (
     Partition,
+    _lis_length_counts,
+    _patience_piles,
     count_by_enumeration,
     count_by_series,
     count_by_tableaux,
@@ -51,6 +53,27 @@ def test_enumeration_examples():
     assert count_by_enumeration(2, 3) == 5
     assert count_by_enumeration(1, 4) == 1
     assert count_by_enumeration(5, 4) == 24
+
+
+def lis_length_counts_oracle(n):
+    """counts[k] = permutations of 1..n with LIS length k, by patience
+    sorting each of the n! permutations in turn."""
+    counts = [0] * (n + 1)
+    for perm in permutations(range(1, n + 1)):
+        counts[_patience_piles(perm)] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pile_transfer_matches_listing_every_permutation(n):
+    assert _lis_length_counts(n) == lis_length_counts_oracle(n)
+
+
+def test_pile_transfer_matches_tableaux_through_fourteen():
+    for n in range(1, 15):
+        counts = _lis_length_counts(n)
+        for l in range(1, n + 1):
+            assert sum(counts[1 : l + 1]) == count_by_tableaux(l, n)
 
 
 def test_enumeration_cost_guard():

@@ -1,7 +1,6 @@
 """Joint-moment coefficients, reference constants, and derived ratios."""
 
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -216,10 +215,14 @@ def test_arithmetic_factor_self_consistency():
     assert abs(coarse.value - fine.value) <= coarse.error_bound + fine.error_bound
 
 
-def test_arithmetic_factor_l20_is_the_last_normal_value():
-    estimate = arithmetic_factor(20)
-    assert sys.float_info.min < estimate.value < 1e-280
-    assert 0 < estimate.error_bound < math.inf
+def test_arithmetic_factor_l16_is_the_last_value_with_a_correct_digit():
+    # at the default cutoff the omitted-prime tail l**4 / cutoff grows until,
+    # from l = 17, the error bound exceeds the value
+    estimate = arithmetic_factor(16)
+    assert 0 < estimate.error_bound < estimate.value
+    assert estimate.error_bound / estimate.value > 0.9
+    with pytest.raises(ValueError, match="error bound for l=17 .* not below the value"):
+        arithmetic_factor(17)
 
 
 def test_arithmetic_factor_rejects_an_infinite_error_bound():
