@@ -22,7 +22,6 @@ from .lis import (
     count_by_enumeration,
     count_by_series,
     count_by_tableaux,
-    lis_length,
     standard_tableaux,
 )
 from .moments import (

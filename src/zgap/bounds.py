@@ -40,6 +40,18 @@ detect a corrupted coefficient table; the certificate therefore also
 cross-checks the table against the independently computed partition sums
 (`data_integrity` check).
 
+Residue route for the sensitivity check: with Q(y) = lambda +
+sum_h C(l,h) v_h y**h, integrating the log form by parts gives
+
+    integral_0^inf log(1 + P(u**2)/lambda) du/u**2
+        = integral_R Q'(u**2)/Q(u**2) du = pi * sum_k (-y_k)**(-1/2)
+
+over the l roots y_k of Q, principal branch.  It holds when lambda > 0 and
+every C(l,h) v_h > 0, because Q then has no root on [0, inf).  Only
+`perturbed_x_values` solves lambda this way; the certificate's
+`lambda_consistency` and `pi_integral` checks stay on quadrature, so they
+remain independent of the residue route.
+
 Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s), whose 4
 equal panels are integrated once by the Gauss-Kronrod 7/15 rule (QUADPACK
 qk15): the 15-point Kronrod value is the estimate, and its distance from
@@ -206,6 +218,59 @@ def _log_residual_from_coeffs(
     return integrate_half_line(integrand, quad_tol) - l * math.pi
 
 
+def _weight_coeffs(v: Sequence[float], l: int) -> list[float]:
+    """[C(l,h) v_h for h = 1..l] as floats, with v_l = 1 appended to v."""
+    return [binomial(l, h) * float(vh) for h, vh in enumerate(tuple(v) + (1.0,), start=1)]
+
+
+_ROOT_ITERATIONS = 64  # Aberth sweeps; the perturbed lambda solves take at most 13
+
+
+def _polynomial_roots(
+    coeffs: Sequence[float], max_iter: int = _ROOT_ITERATIONS
+) -> list[complex]:
+    """All roots of sum_k coeffs[k] * y**k (coeffs[-1] != 0) by Aberth-Ehrlich
+    iteration from points on the circle of radius |coeffs[0]/coeffs[-1]|**(1/deg).
+    Stops once every correction of a sweep is at most 1e-14 times the
+    largest root magnitude; raises `ArithmeticError` if no sweep within
+    max_iter does."""
+    deg = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs[:-1]]
+    radius = abs(monic[0]) ** (1.0 / deg)
+    z = [
+        radius * complex(math.cos(t), math.sin(t))
+        for t in (2.0 * math.pi * k / deg + 0.4 for k in range(deg))
+    ]
+    for _ in range(max_iter):
+        largest_step = 0.0
+        for i, zi in enumerate(z):
+            p, dp = 1.0, 0.0
+            for c in reversed(monic):
+                dp = dp * zi + p
+                p = p * zi + c
+            if p == 0.0:
+                continue
+            ratio = p / dp
+            repulsion = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            step = ratio / (1.0 - ratio * repulsion)
+            z[i] = zi - step
+            largest_step = max(largest_step, abs(step))
+        if largest_step <= 1e-14 * max(abs(t) for t in z):
+            return z
+    raise ArithmeticError(f"polynomial roots did not converge in {max_iter} Aberth sweeps")
+
+
+def _residue_residual(coeffs: Sequence[float], lam: float, l: int) -> float:
+    """The residual of `_log_residual_from_coeffs` without quadrature:
+    pi * sum_k (-y_k)**(-1/2) - l*pi over the roots y_k of
+    Q(y) = lam + sum_h coeffs[h-1] * y**h (module docstring).  Valid only
+    for lam > 0 and every coefficient > 0."""
+    if lam <= 0.0 or min(coeffs) <= 0.0:
+        raise ValueError("the residue form needs lambda > 0 and positive coefficients")
+    roots = _polynomial_roots([lam, *coeffs])
+    return math.pi * sum((-y) ** -0.5 for y in roots).real - l * math.pi
+
+
 def lambda_equation_residual(
     params: WirtingerParams, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> float:
@@ -215,8 +280,7 @@ def lambda_equation_residual(
     bisection in `solve_lambda` certified.
     """
     l = params.l
-    coeffs = [binomial(l, h) * vh for h, vh in enumerate(params.v_full(), start=1)]
-    return _log_residual_from_coeffs(coeffs, params.lam, l, quad_tol)
+    return _log_residual_from_coeffs(_weight_coeffs(params.v, l), params.lam, l, quad_tol)
 
 
 def _check_tolerance(name: str, tol: float) -> None:
@@ -242,22 +306,9 @@ def _bisect(above: Callable[[float], bool], lo: float, hi: float, tol: float) ->
     return 0.5 * (lo + hi)
 
 
-def solve_lambda(
-    v: Sequence[float], l: int, tol: float = 1e-6, quad_tol: float = DEFAULT_QUAD_TOL
-) -> float:
-    """The unique root of the lambda equation for the weight polynomial with
-    parameters v (length l-1, v_l = 1 implicit), by bracket expansion and
-    bisection on the monotone residual."""
-    _check_tolerance("tol", tol)
-    _check_tolerance("quad_tol", quad_tol)
-    coeffs = [
-        binomial(l, h) * float(vh)
-        for h, vh in enumerate(tuple(v) + (1.0,), start=1)
-    ]
-
-    def residual(lam: float) -> float:
-        return _log_residual_from_coeffs(coeffs, lam, l, quad_tol)
-
+def _root_of_decreasing(residual: Callable[[float], float], tol: float) -> float:
+    """The root of a residual decreasing in lambda: bracket it by factors of
+    8 from lambda = 1 within [1e-6, 1e6], then `_bisect` to tol."""
     lo = hi = 1.0
     r = residual(1.0)
     if r > 0.0:  # residual decreasing: root above
@@ -273,6 +324,20 @@ def solve_lambda(
                 raise ValueError("no sign change for lambda in [1e-6, 1)")
             r = residual(lo)
     return _bisect(lambda lam: residual(lam) > 0.0, lo, hi, tol)
+
+
+def solve_lambda(
+    v: Sequence[float], l: int, tol: float = 1e-6, quad_tol: float = DEFAULT_QUAD_TOL
+) -> float:
+    """The unique root of the lambda equation for the weight polynomial with
+    parameters v (length l-1, v_l = 1 implicit), by bracket expansion and
+    bisection on the monotone residual."""
+    _check_tolerance("tol", tol)
+    _check_tolerance("quad_tol", quad_tol)
+    coeffs = _weight_coeffs(v, l)
+    return _root_of_decreasing(
+        lambda lam: _log_residual_from_coeffs(coeffs, lam, l, quad_tol), tol
+    )
 
 
 def rational_form_deviation(
@@ -585,18 +650,26 @@ def certify_bound(
 def perturbed_x_values(
     n: int, rel: float = 0.01, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> list[float]:
-    """X recomputed after perturbing each derived v_h by +-rel (lambda
-    re-solved each time).  Used to confirm the certified point is a local
+    """X recomputed after perturbing each derived v_h by +-rel, for rel
+    in (0, 1).  Used to confirm the certified point is a local
     non-improvement: no perturbation should beat the certified X beyond
-    tolerance."""
+    tolerance.
+
+    Each lambda is re-solved by the bracket and bisection of `solve_lambda`
+    to quad_tol, but on the residue residual, which needs no quadrature:
+    the derived v_h are positive, so the perturbed ones are too."""
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
+    if not (math.isfinite(rel) and 0.0 < rel < 1.0):
+        raise ValueError(f"rel must be finite and in (0, 1), got {rel!r}")
+    _check_tolerance("quad_tol", quad_tol)
     ratios, _, derived = _exact_prelude(n, moments.coefficient_column(n))
     base_v, l = derived.params.v, derived.params.l
     out = []
     for h in range(len(base_v)):
         for direction in (1.0 - rel, 1.0 + rel):
             v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
-            lam = solve_lambda(v, l, tol=quad_tol, quad_tol=quad_tol)
+            coeffs = _weight_coeffs(v, l)
+            lam = _root_of_decreasing(lambda lam: _residue_residual(coeffs, lam, l), quad_tol)
             out.append(solve_x(v, lam, ratios.capB, l, tol=quad_tol))
     return out

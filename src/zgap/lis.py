@@ -52,28 +52,6 @@ class Partition:
         return sum(self.parts)
 
 
-def _patience_piles(perm: Sequence[int]) -> int:
-    """Number of piles patience sorting deals `perm` into, which is the
-    length of its longest strictly increasing subsequence."""
-    piles: list[int] = []
-    for x in perm:
-        i = bisect_left(piles, x)
-        if i == len(piles):
-            piles.append(x)
-        else:
-            piles[i] = x
-    return len(piles)
-
-
-def lis_length(perm: Sequence[int]) -> int:
-    """Length of the longest strictly increasing subsequence of a
-    permutation of 1..n (patience sorting: number of piles)."""
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
-    return _patience_piles(perm)
-
-
 @lru_cache(maxsize=None)
 def _lis_length_counts(n: int) -> tuple[int, ...]:
     """counts[k] = number of permutations of 1..n with LIS length exactly k
@@ -171,14 +149,20 @@ def count_by_tableaux(l: int, n: int) -> int:
 def count_by_series(l: int, n: int) -> int:
     """T(n) read off the Toeplitz determinant generating function:
     (n!)^2 times the degree-n coefficient.  A non-integral product signals a
-    series bug and raises."""
+    series bug and raises.
+
+    For l >= n every permutation of 1..n counts, T_l(n) = T_n(n) = n!, so the
+    degree-n coefficient of the l x l determinant equals that of the
+    min(l, n) x min(l, n) one, which is still a determinant route.  Building
+    the smaller one keeps the cost at min(l, n): the Laplace expansion
+    memoises every column subset, 2**l entries."""
     from . import series  # deferred; series imports this module at top level
 
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    det = series.toeplitz_determinant(l, n + 1)
+    det = series.toeplitz_determinant(max(1, min(l, n)), n + 1)
     coeff = det.coefficient(Fraction(n))
     value = coeff * factorial(n) ** 2
     if value.denominator != 1:

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
@@ -541,3 +542,103 @@ def test_certificate_serialization_is_exact():
     assert Fraction(payload["lambda_exact"]) == certificate.lam_exact
     assert payload["valid"] is True
     assert {c["name"] for c in payload["checks"]} == {c.name for c in certificate.checks}
+
+
+# ------------------------------------------------------- sensitivity check
+
+
+def residue_cases():
+    for n in (1, 2):
+        params = derived_params_for(n).params
+        perturbed = (params.v[0] * 1.01,) + params.v[1:]
+        for v in (params.v, perturbed):
+            for lam in (params.lam / 2, params.lam, 2 * params.lam):
+                yield n, v, lam
+
+
+@pytest.mark.parametrize("n, v, lam", list(residue_cases()))
+def test_residue_residual_matches_quadrature(n, v, lam):
+    coeffs = bounds._weight_coeffs(v, 4)
+    by_residues = bounds._residue_residual(coeffs, lam, 4)
+    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 4, 1e-10), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scales=st.tuples(*[st.floats(0.7, 1.3)] * 3),
+    log_lam=st.floats(-3.0, 3.0),
+)
+def test_residue_residual_matches_quadrature_near_the_derived_point(scales, log_lam):
+    v = tuple(x * s for x, s in zip(derived_params_for(1).params.v, scales))
+    coeffs, lam = bounds._weight_coeffs(v, 4), 10.0**log_lam
+    by_residues = bounds._residue_residual(coeffs, lam, 4)
+    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 4, 1e-10), abs=1e-10)
+
+
+def test_residue_residual_rejects_what_it_cannot_evaluate():
+    coeffs = bounds._weight_coeffs(derived_params_for(1).params.v, 4)
+    with pytest.raises(ValueError):
+        bounds._residue_residual(coeffs, 0.0, 4)
+    with pytest.raises(ValueError):
+        bounds._residue_residual([-coeffs[0]] + coeffs[1:], 1.0, 4)
+
+
+def test_root_finder_raises_at_its_iteration_cap():
+    coeffs = [1.0] + bounds._weight_coeffs(derived_params_for(1).params.v, 4)
+    roots = bounds._polynomial_roots(coeffs)
+    assert all(abs(sum(c * y**k for k, c in enumerate(coeffs))) < 1e-12 for y in roots)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        bounds._polynomial_roots(coeffs, max_iter=1)
+
+
+# float.hex of perturbed_x_values(n, rel), recorded when lambda was still
+# solved by quadrature
+PERTURBED_X_HEX = {
+    (1, 0.01): ["0x1.f730140800000p+1", "0x1.f730151800000p+1", "0x1.f730549800000p+1",
+                "0x1.f73054b800000p+1", "0x1.f73051b800000p+1", "0x1.f73051e800000p+1"],
+    (1, 0.1): ["0x1.f710799800000p+1", "0x1.f714a29800000p+1", "0x1.f72b824800000p+1",
+               "0x1.f72be1e800000p+1", "0x1.f72a559800000p+1", "0x1.f72ad51800000p+1"],
+    (2, 0.01): ["0x1.7952473800000p+1", "0x1.7952481800000p+1", "0x1.795278f800000p+1",
+                "0x1.7952791800000p+1", "0x1.795277d800000p+1", "0x1.795277e800000p+1"],
+    (2, 0.1): ["0x1.793a2bd800000p+1", "0x1.793d5f5800000p+1", "0x1.794f055800000p+1",
+               "0x1.794f47b800000p+1", "0x1.794e8b4800000p+1", "0x1.794ed99800000p+1"],
+}
+
+
+@pytest.mark.parametrize("n, rel", sorted(PERTURBED_X_HEX))
+def test_perturbed_x_values_are_bit_identical_to_the_quadrature_solve(n, rel):
+    assert [x.hex() for x in bounds.perturbed_x_values(n, rel)] == PERTURBED_X_HEX[n, rel]
+
+
+def test_only_the_certificate_uses_quadrature(monkeypatch):
+    quadrature = bounds.integrate_unit_interval
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(bounds, "integrate_unit_interval", refuse)
+    for n in (1, 2):
+        bounds.perturbed_x_values(n)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate_unit_interval", counting)
+    assert certify_bound(1).valid
+    assert calls
+
+
+@pytest.mark.parametrize("rel", [math.nan, math.inf, 0.0, -0.5, 1.0, 1.5])
+def test_perturbed_x_values_rejects_bad_rel_before_any_work(rel, monkeypatch):
+    monkeypatch.setattr(bounds, "_exact_prelude", None)
+    with pytest.raises(ValueError, match="rel must be finite and in"):
+        bounds.perturbed_x_values(1, rel=rel)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_perturbed_x_values_rejects_bad_tolerance_before_any_work(bad, monkeypatch):
+    monkeypatch.setattr(bounds, "_exact_prelude", None)
+    with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
+        bounds.perturbed_x_values(1, quad_tol=bad)

@@ -382,6 +382,12 @@ REPORT_DIGESTS = {
         (0, "5dccfd72c16765c28d9928408ba89cd45743687bcf45869d518d4937273b2ff9"),
     "lis --l 4 --max-n 14 --format text":
         (0, "877aa29fe55f49f88be001b2f6259c17c90fa81953fd8a18f2da52c4c22d4ec7"),
+    "lis --l 10 --max-n 6 --format json":
+        (0, "4509805ea8f4b20f435d224690b19727b1ee1ebae42adb13d7b24c860519e417"),
+    "lis --l 10 --max-n 6 --format csv":
+        (0, "fa669c3910dda76eb3c20c4d321ecb0ac81c2dd1641ad566a859af851b9791c8"),
+    "lis --l 10 --max-n 6 --format text":
+        (0, "dc4973bae990f37028621e595c80d3de4524e736bfb6715bfe18d6df97705700"),
     "hankel --l 3 --format json":
         (0, "d4afaaaf2824c6b6d2f7d4e5586e72edf5fd59d66c7647b232d04603c7b7dd4a"),
     "hankel --l 3 --format csv":

@@ -1,6 +1,9 @@
 """Restricted-permutation counts: three routes, one answer."""
 
-from itertools import combinations, permutations
+import time
+from bisect import bisect_left
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -8,45 +11,14 @@ from zgap.arith import factorial
 from zgap.lis import (
     Partition,
     _lis_length_counts,
-    _patience_piles,
     count_by_enumeration,
     count_by_series,
     count_by_tableaux,
-    lis_length,
     partitions_max_length,
     partitions_max_part,
     standard_tableaux,
 )
-
-
-def brute_force_lis(perm):
-    """Exhaustive subsequence check, independent of patience sorting."""
-    best = 0
-    for size in range(1, len(perm) + 1):
-        for idx in combinations(range(len(perm)), size):
-            values = [perm[i] for i in idx]
-            if all(a < b for a, b in zip(values, values[1:])):
-                best = max(best, size)
-    return best
-
-
-def test_lis_length_examples():
-    assert lis_length([1, 2, 3]) == 3
-    assert lis_length([3, 2, 1]) == 1
-    assert lis_length([2, 4, 1, 3]) == brute_force_lis([2, 4, 1, 3]) == 2
-
-
-def test_lis_length_matches_brute_force_exhaustively():
-    for n in range(1, 6):
-        for perm in permutations(range(1, n + 1)):
-            assert lis_length(perm) == brute_force_lis(perm)
-
-
-def test_lis_length_rejects_non_permutations():
-    with pytest.raises(ValueError):
-        lis_length([1, 2, 2])
-    with pytest.raises(ValueError):
-        lis_length([0, 1])
+from zgap.series import toeplitz_determinant
 
 
 def test_enumeration_examples():
@@ -55,12 +27,25 @@ def test_enumeration_examples():
     assert count_by_enumeration(5, 4) == 24
 
 
+def patience_piles(perm):
+    """Number of piles patience sorting deals `perm` into, which is the
+    length of its longest strictly increasing subsequence."""
+    piles = []
+    for x in perm:
+        i = bisect_left(piles, x)
+        if i == len(piles):
+            piles.append(x)
+        else:
+            piles[i] = x
+    return len(piles)
+
+
 def lis_length_counts_oracle(n):
     """counts[k] = permutations of 1..n with LIS length k, by patience
     sorting each of the n! permutations in turn."""
     counts = [0] * (n + 1)
     for perm in permutations(range(1, n + 1)):
-        counts[_patience_piles(perm)] += 1
+        counts[patience_piles(perm)] += 1
     return tuple(counts)
 
 
@@ -168,6 +153,20 @@ def test_series_count_examples():
     assert count_by_series(2, 3) == 5
     assert count_by_series(4, 4) == 24
     assert count_by_series(3, 8) == count_by_tableaux(3, 8)
+
+
+def test_series_count_far_above_n_is_fast():
+    start = time.perf_counter()
+    assert count_by_series(20, 2) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_series_count_matches_the_full_determinant_above_n():
+    # for l > n the count reads a min(l, n) determinant; the l x l one must agree
+    for l in range(2, 9):
+        for n in range(1, l):
+            full = toeplitz_determinant(l, n + 1).coefficient(Fraction(n))
+            assert count_by_series(l, n) == full * factorial(n) ** 2 == factorial(n)
 
 
 def test_three_way_agreement_sample():
