@@ -1,5 +1,6 @@
-"""Exact rational arithmetic and the combinatorial primitives shared by
-every other module.
+"""Exact rational arithmetic: the `Rational` alias and its serialized
+form, the multinomial coefficient, and reference constants kept in factored
+form.  Factorials and binomials come from `math` directly.
 
 All exact values in this package are `fractions.Fraction` instances, which
 already guarantee the invariants we rely on: lowest terms after every
@@ -25,20 +26,6 @@ def rational_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient, zero outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
     """Exact multinomial coefficient n! / prod(part!).
 
@@ -49,9 +36,9 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
         raise ValueError(f"multinomial parts must be nonnegative, got {parts}")
     if sum(parts) != n:
         raise ValueError(f"multinomial parts {parts} do not sum to n={n}")
-    out = factorial(n)
+    out = math.factorial(n)
     for p in parts:
-        out //= factorial(p)
+        out //= math.factorial(p)
     return out
 
 

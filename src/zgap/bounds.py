@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .arith import Rational, binomial, rational_str
+from .arith import Rational, rational_str
 from . import moments
 
 DEFAULT_QUAD_TOL = 1e-8
@@ -197,7 +197,8 @@ def _log_residual_from_coeffs(
 ) -> float:
     """integral_0^inf log(1 + P(u**2)/lam) du/u**2  -  l*pi, where
     P(y) = sum_h coeffs[h-1] * y**h (coeffs[h-1] = C(l,h) v_h for the
-    standard weight polynomial)."""
+    standard weight polynomial).  Strictly decreasing in lam (the integrand
+    is), which is what makes the bisection in `solve_lambda` certified."""
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     c = tuple(float(x) for x in coeffs)
@@ -220,7 +221,7 @@ def _log_residual_from_coeffs(
 
 def _weight_coeffs(v: Sequence[float], l: int) -> list[float]:
     """[C(l,h) v_h for h = 1..l] as floats, with v_l = 1 appended to v."""
-    return [binomial(l, h) * float(vh) for h, vh in enumerate(tuple(v) + (1.0,), start=1)]
+    return [math.comb(l, h) * float(vh) for h, vh in enumerate(tuple(v) + (1.0,), start=1)]
 
 
 _ROOT_ITERATIONS = 64  # Aberth sweeps; the perturbed lambda solves take at most 13
@@ -269,18 +270,6 @@ def _residue_residual(coeffs: Sequence[float], lam: float, l: int) -> float:
         raise ValueError("the residue form needs lambda > 0 and positive coefficients")
     roots = _polynomial_roots([lam, *coeffs])
     return math.pi * sum((-y) ** -0.5 for y in roots).real - l * math.pi
-
-
-def lambda_equation_residual(
-    params: WirtingerParams, quad_tol: float = DEFAULT_QUAD_TOL
-) -> float:
-    """Residual of the log-form lambda equation at the given parameters.
-
-    Strictly decreasing in lambda (the integrand is), which is what makes
-    bisection in `solve_lambda` certified.
-    """
-    l = params.l
-    return _log_residual_from_coeffs(_weight_coeffs(params.v, l), params.lam, l, quad_tol)
 
 
 def _check_tolerance(name: str, tol: float) -> None:
@@ -354,8 +343,8 @@ def rational_form_deviation(
     l = params.l
     lam = params.lam
     v_full = params.v_full()
-    num_coeffs = [binomial(l - 1, h - 1) * v_full[h - 1] for h in range(1, l + 1)]
-    den_coeffs = [binomial(l, h) * v_full[h - 1] for h in range(1, l + 1)]
+    num_coeffs = [math.comb(l - 1, h - 1) * v_full[h - 1] for h in range(1, l + 1)]
+    den_coeffs = [math.comb(l, h) * v_full[h - 1] for h in range(1, l + 1)]
 
     def integrand(u: float) -> float:
         y = u * u
@@ -458,7 +447,7 @@ def solve_x(
 
     def lhs(xv: float) -> float:
         return sum(
-            (2 * l - 1) / (2 * h - 1) * binomial(l, h) * capB[h] * v_full[h - 1] * xv**h
+            (2 * l - 1) / (2 * h - 1) * math.comb(l, h) * capB[h] * v_full[h - 1] * xv**h
             for h in range(1, l + 1)
         )
 

@@ -18,13 +18,17 @@ and 2, with a one-line "zgap: ..." message on stderr, for invalid input, an
 unwritable --output path (checked before any work), a quadrature that
 does not converge or a computation that runs out of memory.  Rationals
 serialize as "numerator/denominator" strings in lowest terms, reals as
-shortest round-trip decimals.  The --corrupt flag of `moments` and
-`bounds` is a test hook that raises the h = 2 entry of the reference
-column.  `bounds --n 1` and `moments --l 4` detect it; `bounds --n 2` does
-not, because its (3,2) column is verified only at its h = 0 anchor.  `arithfactor` accepts --cutoff in [2, 10**8]; it exits 2 when the
-Euler product underflows a float (l >= 21 at the default cutoff) or its
-error bound is not below its value (l >= 17 at the default cutoff, or a
-cutoff far below l**4).
+shortest round-trip decimals.
+
+The --corrupt flag of `moments` and `bounds` is a test hook that raises the
+h = 2 entry of the reference column.  `bounds --n 1` and `moments --l 4`
+detect it; `bounds --n 2` does not, because its (3,2) column is verified
+only at its h = 0 anchor.
+
+`arithfactor` accepts --cutoff in [2, 10**8]; it exits 2 when the Euler
+product underflows a float (l >= 21 at the default cutoff) or its error
+bound is not below its value (l >= 17 at the default cutoff, or a cutoff
+far below l**4).  `identity` accepts l in 1..8.
 """
 
 from __future__ import annotations

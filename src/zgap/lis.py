@@ -22,34 +22,15 @@ unitary-group averages in `zgap.series`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import Iterator, Sequence
-
-from .arith import factorial
 
 # Largest n with an `enumeration` entry in the `lis` table.  It pins the
 # table's columns, not the cost: the transfer is cheap well past n = 9, but
 # a higher limit would change `lis --max-n` output above 9.
 ENUMERATION_LIMIT = 9
-
-
-@dataclass(frozen=True)
-class Partition:
-    """An integer partition: weakly decreasing positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p <= 0 for p in self.parts):
-            raise ValueError(f"partition parts must be positive, got {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"partition parts must weakly decrease, got {self.parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
 
 
 @lru_cache(maxsize=None)
@@ -107,20 +88,21 @@ def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 def partitions_max_length(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most max_len parts (conjugates of the
-    max-part-bounded family)."""
+    """Partitions of n into at most max_len parts: the partitions of n,
+    in the order of `partitions_max_part`, filtered by length."""
     for shape in partitions_max_part(n, n if n > 0 else 1):
         if len(shape) <= max_len:
             yield shape
 
 
-def standard_tableaux(shape: Partition | Sequence[int]) -> int:
+def standard_tableaux(shape: Sequence[int]) -> int:
     """Number of standard Young tableaux of the given shape, by the hook
     length formula: weight! / prod(hook lengths).  Always an exact integer.
+    The shape must be a partition: positive, weakly decreasing parts.
     """
-    parts = shape.parts if isinstance(shape, Partition) else tuple(shape)
-    if parts and not isinstance(shape, Partition):
-        Partition(parts)  # validate
+    parts = tuple(shape)
+    if any(p <= 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"a shape needs positive, weakly decreasing parts, got {parts}")
     n = sum(parts)
     if n == 0:
         return 1

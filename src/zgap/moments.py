@@ -4,11 +4,6 @@ derived from them.
 
 Contents:
 
-* ``cue_moment_coefficient(l)`` — the leading coefficient
-  prod_{j=0}^{l-1} j!/(j+l)! of the 2l-th absolute moment of the
-  characteristic polynomial as matrix size grows,
-* ``moment_exponent`` — the growth exponent l^2 + 2*h*n1 + 2*(l-h)*n2 of the
-  joint moment with derivative orders (n1, n2),
 * ``joint_moment_coefficient(h, l)`` — the exact coefficient for derivative
   pair (2, 1).  Its partition-sum formula is a double sum over
   compositions weighted by a Vandermonde product; by the Andreief /
@@ -17,13 +12,14 @@ Contents:
   with integer coefficients (`zgap.series.IntegerSeries`) by
   `zgap.series.SeriesMatrix.determinant` (the l = 4 column in tens of
   milliseconds, l = 6 in under two seconds),
-* ``tabulated_coefficient(h, n)`` — reference constants for l = 4 and
+* ``coefficient_column(n)`` — reference constants for l = 4 and
   derivative pairs (2, 1) and (3, 2), stored in factored form; the (2, 1)
   column is independently reproducible via the partition sum, the (3, 2)
   column enters purely as reference data (no printed formula exists for it,
   so nothing is extrapolated),
-* ``moment_ratio`` / ``hall_ratio`` — the scaled ratios feeding the zero-gap
-  optimization in `zgap.bounds` (the arithmetic factor cancels in them),
+* ``ratio_set_from_values(b)`` — the scaled ratios B(h) and A(h) feeding the
+  zero-gap optimization in `zgap.bounds` (the arithmetic factor cancels in
+  them),
 * ``arithmetic_factor(l)`` — a truncated evaluation of the Euler product
   c_l over primes, with an error estimate.  It is contextual: no bound
   computation depends on it.
@@ -39,12 +35,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import Mapping
 
 # multinomial is no longer called here; it stays bound in this module
 # because perfbench/tracer.py counts its calls where moments binds it.
-from .arith import FactoredConstant, Rational, binomial, factorial, multinomial  # noqa: F401
+from .arith import FactoredConstant, Rational, multinomial  # noqa: F401
 from .series import IntegerSeries, SeriesMatrix
+
+# Terms of the inner sum over m per prime in `arithmetic_factor`.
+INNER_TERMS = 64
+
 
 @dataclass(frozen=True)
 class RatioSet:
@@ -53,23 +54,6 @@ class RatioSet:
 
     capB: dict[int, Rational]
     A: dict[int, Rational]
-
-
-def cue_moment_coefficient(l: int) -> Rational:
-    """prod_{j=0}^{l-1} j!/(j+l)!, exact."""
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    out = Fraction(1)
-    for j in range(l):
-        out *= Fraction(factorial(j), factorial(j + l))
-    return out
-
-
-def moment_exponent(h: int, l: int, n1: int, n2: int) -> int:
-    """Growth exponent l^2 + 2*h*n1 + 2*(l-h)*n2 of the joint moment."""
-    if not 0 <= h <= l:
-        raise ValueError(f"need 0 <= h <= l, got h={h}, l={l}")
-    return l * l + 2 * h * n1 + 2 * (l - h) * n2
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +116,7 @@ def joint_moment_coefficient(h: int, l: int) -> Rational:
             Fraction((-1) ** m0 * det[k][remaining - m0], 2**m0 * factorial(m0))
             for m0 in range(remaining + 1)
         )
-        total += binomial(2 * h, k) * factorial(k) * factorial(remaining) * inner
+        total += math.comb(2 * h, k) * factorial(k) * factorial(remaining) * inner
     sign = (-1) ** (l - h + (l * (l - 1)) // 2)
     return sign * total / scale**l
 
@@ -155,47 +139,28 @@ REFERENCE_COEFFICIENTS: dict[tuple[int, int], FactoredConstant] = {
 }
 
 
-def tabulated_coefficient(h: int, n: int) -> Rational:
-    """Reference coefficient for l = 4, derivative pair (n+1, n), n in {1, 2}."""
-    key = (h, n)
-    if key not in REFERENCE_COEFFICIENTS:
-        raise KeyError(f"no reference coefficient for h={h}, n={n}")
-    return REFERENCE_COEFFICIENTS[key].value()
-
-
 def coefficient_column(n: int) -> dict[int, Rational]:
-    """All five reference coefficients h = 0..4 for derivative pair (n+1, n)."""
-    return {h: tabulated_coefficient(h, n) for h in range(5)}
+    """All five reference coefficients h = 0..4 for derivative pair (n+1, n),
+    n in {1, 2}; any other n raises KeyError."""
+    return {h: REFERENCE_COEFFICIENTS[h, n].value() for h in range(5)}
 
 
-def ratio_set_from_values(b: Mapping[int, Rational], l: int = 4) -> RatioSet:
-    """Build the B(h) and A(h) ratio maps from coefficient values b[0..l].
+def ratio_set_from_values(b: Mapping[int, Rational]) -> RatioSet:
+    """Build the B(h) and A(h) ratio maps from coefficient values b[0..l],
+    l = 4.
 
     B(h) = 4**(h-l) * b[h]/b[l]  (so B(l) = 1);
     A(h) = |(2h-1)/(2h-3)| * B(h-1)/B(h).
 
     The arithmetic factor multiplying every b cancels in both.
     """
+    l = 4
     capB = {h: Fraction(4) ** (h - l) * Fraction(b[h]) / Fraction(b[l]) for h in range(l + 1)}
     A = {
         h: abs(Fraction(2 * h - 1, 2 * h - 3)) * capB[h - 1] / capB[h]
         for h in range(1, l + 1)
     }
     return RatioSet(capB=capB, A=A)
-
-
-def moment_ratio(h: int, l: int, n: int) -> Rational:
-    """B(h, l; n) from the reference coefficients (l = 4 only)."""
-    if l != 4:
-        raise ValueError("ratios are tabulated for l = 4 only")
-    return ratio_set_from_values(coefficient_column(n)).capB[h]
-
-
-def hall_ratio(h: int, n: int) -> Rational:
-    """A(h, 4; n) = |(2h-1)/(2h-3)| * B(h-1)/B(h), exact."""
-    if not 1 <= h <= 4:
-        raise ValueError(f"h must be in 1..4, got {h}")
-    return ratio_set_from_values(coefficient_column(n)).A[h]
 
 
 @dataclass(frozen=True)
@@ -206,7 +171,6 @@ class ArithmeticFactorEstimate:
     value: float
     error_bound: float
     prime_cutoff: int
-    inner_terms: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,7 +178,7 @@ class ArithmeticFactorEstimate:
             "value": repr(self.value),
             "error_bound": repr(self.error_bound),
             "prime_cutoff": self.prime_cutoff,
-            "inner_terms": self.inner_terms,
+            "inner_terms": INNER_TERMS,
         }
 
 
@@ -230,14 +194,12 @@ def _primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def arithmetic_factor(
-    l: int, prime_cutoff: int = 100_000, inner_terms: int = 64
-) -> ArithmeticFactorEstimate:
+def arithmetic_factor(l: int, prime_cutoff: int = 100_000) -> ArithmeticFactorEstimate:
     """Truncated evaluation of the arithmetic factor
 
         c_l = prod_p (1 - 1/p)**(l**2) * sum_m C(m+l-1, m)**2 p**(-m)
 
-    over primes p <= prime_cutoff, inner sum over m < inner_terms.
+    over primes p <= prime_cutoff, inner sum over m < M = INNER_TERMS.
 
     Error estimate combines (a) the inner-sum tail, bounded per prime by the
     first omitted term times a geometric majorant with ratio
@@ -255,9 +217,7 @@ def arithmetic_factor(
         raise ValueError(f"l must be >= 1, got {l}")
     if not 2 <= prime_cutoff <= 10**8:
         raise ValueError(f"prime_cutoff must be in [2, 10**8], got {prime_cutoff}")
-    if inner_terms < 2:
-        raise ValueError(f"inner_terms must be >= 2, got {inner_terms}")
-    m_cut = inner_terms
+    m_cut = INNER_TERMS
     value = 1.0
     inner_tail_rel = 0.0
     for p in _primes_up_to(prime_cutoff):
@@ -272,7 +232,7 @@ def arithmetic_factor(
         ratio = ((m_cut + l) / (m_cut + 1)) ** 2 * inv_p
         if ratio < 1.0:
             inner_tail_rel += first_omitted / (1.0 - ratio) / inner
-        else:  # cannot happen for inner_terms >= 2*l, kept defensive
+        else:  # from l = 28 at p = 2; the infinite bound is rejected below
             inner_tail_rel += float("inf")
         value *= (1.0 - inv_p) ** (l * l) * inner
         if value < sys.float_info.min:
@@ -292,5 +252,4 @@ def arithmetic_factor(
         value=value,
         error_bound=error,
         prime_cutoff=prime_cutoff,
-        inner_terms=inner_terms,
     )

@@ -1,39 +1,43 @@
 """Exact arithmetic and combinatorial primitives."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zgap.arith import (
-    FactoredConstant,
-    binomial,
-    factorial,
-    multinomial,
-)
-from zgap.moments import tabulated_coefficient
+from zgap import lis, moments, series
+from zgap.arith import FactoredConstant, multinomial
+from zgap.moments import coefficient_column
+
+# moments, lis and series bind math.factorial by name, where the benchmark
+# tracer counts its calls
+BOUND_FACTORIALS = (moments.factorial, lis.factorial, series.factorial)
 
 
 def test_factorial_examples():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
     # repeated-multiplication oracle
     expected = 1
     for k in range(1, 17):
         expected *= k
     assert expected == 20922789888000
-    assert factorial(16) == expected
+    for factorial in BOUND_FACTORIALS:
+        assert factorial(0) == 1
+        assert factorial(5) == 120
+        assert factorial(16) == expected
 
 
 def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
+    for factorial in BOUND_FACTORIALS:
+        with pytest.raises(ValueError):
+            factorial(-1)
 
 
 def test_factorial_recurrence():
-    for n in range(50):
-        assert factorial(n) * (n + 1) == factorial(n + 1)
+    for factorial in BOUND_FACTORIALS:
+        for n in range(50):
+            assert factorial(n) * (n + 1) == factorial(n + 1)
 
 
 def test_multinomial_examples():
@@ -68,7 +72,7 @@ def test_multinomial_is_product_of_binomials():
                 product = 1
                 remaining = n
                 for p in parts:
-                    product *= binomial(remaining, p)
+                    product *= math.comb(remaining, p)
                     remaining -= p
                 assert multinomial(n, parts) == product
 
@@ -79,7 +83,7 @@ def test_evaluate_factored_examples():
     constant = FactoredConstant(
         1, ((31, 1), (2, -20), (3, -10), (5, -4), (7, -2), (11, -1), (13, -1))
     )
-    assert constant.value() == tabulated_coefficient(0, 1)
+    assert constant.value() == coefficient_column(1)[0]
 
 
 def test_factored_constant_validation():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
+from oracles import hall_ratio
 from zgap import bounds, moments
 from zgap.bounds import (
     QuadratureError,
@@ -20,7 +21,6 @@ from zgap.bounds import (
     derive_params,
     integrate_half_line,
     integrate_unit_interval,
-    lambda_equation_residual,
     rational_form_deviation,
     solve_lambda,
     solve_x,
@@ -28,7 +28,7 @@ from zgap.bounds import (
     _PANEL_BUDGET,
     _log_residual_from_coeffs,
 )
-from zgap.moments import coefficient_column, hall_ratio, ratio_set_from_values
+from zgap.moments import coefficient_column, ratio_set_from_values
 
 RATIO_INPUTS = {
     1: tuple(hall_ratio(h, 1) for h in (1, 2, 3, 4)),
@@ -40,6 +40,12 @@ REFERENCE_PARAMS = {
     2: (0.86987, 0.87121, 0.89954, 0.89144),
 }
 REFERENCE_X = {1: 3.93116, 2: 2.94783}
+
+
+def lambda_equation_residual(params, quad_tol=bounds.DEFAULT_QUAD_TOL):
+    """The log-form lambda equation's residual at `params`."""
+    coeffs = bounds._weight_coeffs(params.v, params.l)
+    return _log_residual_from_coeffs(coeffs, params.lam, params.l, quad_tol)
 
 
 def derived_params_for(n):

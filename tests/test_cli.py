@@ -343,9 +343,16 @@ def test_cross_process_determinism(tmp_path):
 
 
 # SHA-256 of stdout and the exit status of the exact-arithmetic reports, in
-# every format.  The CLI contract is byte-identical output, so any change to
-# these bytes must be deliberate.
+# every format, and of the JSON float reports of `bounds` and `arithfactor`.
+# The CLI contract is byte-identical output, so any change to these bytes
+# must be deliberate.
 REPORT_DIGESTS = {
+    "bounds --n 1 --format json":
+        (0, "9265bd626f5190624bbf3237c1e9a9d14edbdb7a9f29143876a9f0adc8b3ef58"),
+    "bounds --n 2 --format json":
+        (0, "c91eb304705a84cb2d04fea622b0a13b2975db3e248287cd1e5e829316245bf9"),
+    "arithfactor --l 2 --format json":
+        (0, "0fde187a09b408c0440e4e2c334150dead419d1bed7c374ecb52b70ff6d70f4e"),
     "moments --l 4 --format json":
         (0, "8ce69da7807f7c078af7ba87af875f877b95bb46c480c9f28bdb331bd18d1051"),
     "moments --l 4 --format csv":
@@ -416,8 +423,9 @@ BOUNDS_CHECKS = ["data_integrity", "v_positive", "g_increasing", "lambda_consist
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_bounds_report_pins_check_names_and_flags(n, fmt, capsys):
-    """The float residuals may move; the checks, their verdicts and the
-    exit status may not."""
+    """The checks, their verdicts and the exit status in every format.  The
+    JSON bytes, float residuals included, are pinned in `REPORT_DIGESTS`; a
+    digest there may move only with a CHANGES.md entry that says why."""
     status, out = run_cli(["bounds", "--n", str(n), "--format", fmt], capsys)
     assert status == 0
     if fmt == "json":

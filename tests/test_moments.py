@@ -5,18 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cue_moment_coefficient, hall_ratio
 from zgap import moments
-from zgap.arith import binomial, factorial, multinomial
+from zgap.arith import multinomial
 from zgap.moments import (
     arithmetic_factor,
     coefficient_column,
-    cue_moment_coefficient,
-    hall_ratio,
     joint_moment_coefficient,
-    moment_exponent,
-    moment_ratio,
     ratio_set_from_values,
-    tabulated_coefficient,
 )
 
 G_VALUES = {1: 1, 2: 2, 3: 42, 4: 24024}
@@ -25,26 +21,14 @@ G_VALUES = {1: 1, 2: 2, 3: 42, 4: 24024}
 def test_cue_moment_coefficient_examples():
     assert cue_moment_coefficient(1) == 1
     assert cue_moment_coefficient(2) == Fraction(1, 12)
-    assert cue_moment_coefficient(2) * factorial(4) == 2
+    assert cue_moment_coefficient(2) * math.factorial(4) == 2
     assert cue_moment_coefficient(3) == Fraction(1, 8640)
-    assert cue_moment_coefficient(3) * factorial(9) == 42
+    assert cue_moment_coefficient(3) * math.factorial(9) == 42
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_g_value_normalization(l):
-    assert cue_moment_coefficient(l) * factorial(l * l) == G_VALUES[l]
-
-
-def test_moment_exponent():
-    for l in (1, 3, 5):
-        assert moment_exponent(0, l, 7, 0) == l * l
-    for h, l in ((0, 1), (2, 3), (4, 4)):
-        assert moment_exponent(h, l, 1, 0) == l * l + 2 * h
-    # direct substitution: l^2 + 2*h*n1 + 2*(l-h)*n2
-    assert moment_exponent(4, 4, 2, 1) == 16 + 2 * 4 * 2 + 0 == 32
-    assert moment_exponent(2, 4, 2, 1) == 16 + 8 + 4
-    with pytest.raises(ValueError):
-        moment_exponent(5, 4, 2, 1)
+    assert cue_moment_coefficient(l) * math.factorial(l * l) == G_VALUES[l]
 
 
 def test_partition_sum_base_case_by_direct_summation():
@@ -55,7 +39,7 @@ def test_partition_sum_base_case_by_direct_summation():
         direct += (
             Fraction(-1, 2) ** m0
             * multinomial(2, [m0, m1])
-            * Fraction(1, factorial(2 + m1 - 1))
+            * Fraction(1, math.factorial(2 + m1 - 1))
         )
     assert -direct == Fraction(1, 12)  # prefactor (-1)^(1-0+0) = -1
     assert joint_moment_coefficient(0, 1) == Fraction(1, 12)
@@ -91,10 +75,10 @@ def partition_sum_oracle(h, l):
                     continue
                 denominator = 2 ** mv[0]
                 for j in range(1, l + 1):
-                    denominator *= factorial(2 * l + mv[j] + 2 * hv[j - 1] - j)
+                    denominator *= math.factorial(2 * l + mv[j] + 2 * hv[j - 1] - j)
                 numerator = (-1) ** mv[0] * mult_h * multinomial(remaining, mv) * pair_product
                 inner += Fraction(numerator, denominator)
-        total += binomial(2 * h, k) * inner
+        total += math.comb(2 * h, k) * inner
     return (-1) ** (l - h + (l * (l - 1)) // 2) * total
 
 
@@ -115,47 +99,48 @@ def test_partition_sum_rejects_bad_arguments():
 
 @pytest.mark.parametrize("h", [0, 1, 2, 3, 4])
 def test_partition_sum_reproduces_reference_column(h):
-    assert joint_moment_coefficient(h, 4) == tabulated_coefficient(h, 1)
+    assert joint_moment_coefficient(h, 4) == coefficient_column(1)[h]
 
 
 def test_reference_table_examples():
-    assert tabulated_coefficient(1, 1) == Fraction(
+    assert coefficient_column(1)[1] == Fraction(
         71, 2**22 * 3**9 * 5**4 * 7**2 * 11**2 * 13 * 17
     )
-    assert tabulated_coefficient(0, 2) == Fraction(
+    assert coefficient_column(2)[0] == Fraction(
         103 * 413129,
         2**28 * 3**12 * 5**5 * 7**3 * 11**2 * 13**2 * 17 * 19 * 23,
     )
-    assert tabulated_coefficient(4, 2) == Fraction(
+    assert coefficient_column(2)[4] == Fraction(
         449 * 1721279377,
         2**36 * 3**10 * 5**7 * 7**4 * 11**3 * 13**3 * 17**2 * 19 * 23 * 31,
     )
 
 
 def test_reference_table_cross_column_identity():
-    assert tabulated_coefficient(4, 1) == tabulated_coefficient(0, 2)
+    assert coefficient_column(1)[4] == coefficient_column(2)[0]
 
 
 def test_reference_table_out_of_range():
+    assert sorted(coefficient_column(1)) == [0, 1, 2, 3, 4]
     with pytest.raises(KeyError):
-        tabulated_coefficient(5, 1)
+        coefficient_column(0)
     with pytest.raises(KeyError):
-        tabulated_coefficient(0, 3)
+        coefficient_column(3)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ratio_normalization_and_positivity(n):
-    for h in range(5):
-        value = moment_ratio(h, 4, n)
-        assert value > 0
-    assert moment_ratio(4, 4, n) == 1
+    capB = ratio_set_from_values(coefficient_column(n)).capB
+    assert sorted(capB) == [0, 1, 2, 3, 4]
+    assert all(value > 0 for value in capB.values())
+    assert capB[4] == 1
 
 
 def test_ratio_spot_checks():
     b = coefficient_column(1)
-    assert moment_ratio(3, 4, 1) == Fraction(1, 4) * b[3] / b[4]
+    assert ratio_set_from_values(b).capB[3] == Fraction(1, 4) * b[3] / b[4]
     b2 = coefficient_column(2)
-    assert moment_ratio(0, 4, 2) == Fraction(1, 4) ** 4 * b2[0] / b2[4]
+    assert ratio_set_from_values(b2).capB[0] == Fraction(1, 4) ** 4 * b2[0] / b2[4]
 
 
 HALL_RATIOS = {
@@ -172,13 +157,15 @@ HALL_RATIOS = {
 
 @pytest.mark.parametrize("h,n", sorted(HALL_RATIOS))
 def test_hall_ratios_exact(h, n):
-    assert hall_ratio(h, n) == HALL_RATIOS[(h, n)]
+    ratios = ratio_set_from_values(coefficient_column(n))
+    assert ratios.A[h] == hall_ratio(h, n) == HALL_RATIOS[(h, n)]
 
 
-def test_ratio_set_from_values_matches_module_functions():
-    ratios = ratio_set_from_values(coefficient_column(1))
-    assert ratios.capB[4] == 1
-    assert ratios.A == {h: hall_ratio(h, 1) for h in range(1, 5)}
+def test_ratio_set_from_values_matches_the_hall_ratio_oracle():
+    for n in (1, 2):
+        ratios = ratio_set_from_values(coefficient_column(n))
+        assert ratios.capB[4] == 1
+        assert ratios.A == {h: hall_ratio(h, n) for h in range(1, 5)}
 
 
 def test_arithmetic_factor_telescopes_for_l1():

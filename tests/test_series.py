@@ -6,14 +6,14 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 
-from zgap.arith import factorial
+from oracles import cue_moment_coefficient
 from zgap.cli import main
-from zgap.moments import cue_moment_coefficient
 from zgap.series import (
     HalfPowerSeries,
     IntegerSeries,
@@ -309,17 +309,22 @@ def test_unitary_average_normalization(l):
     assert unitary_average(l, 0, 3).coefficient(0) == 1
 
 
-@pytest.mark.parametrize("l,sign", [(1, 1), (2, -1), (3, -1), (4, 1)])
+@pytest.mark.parametrize(
+    "l,sign", [(1, 1), (2, -1), (3, -1), (4, 1), (5, 1), (6, -1), (7, -1), (8, 1)]
+)
 def test_hankel_identity(l, sign):
-    report = check_hankel_identity(l, 8 if l < 4 else 5)
+    # 12 terms reach partitions of up to 11 with more than l rows, which the
+    # unitary average must leave out, for every l here
+    report = check_hankel_identity(l, 12)
     assert report.matched
     assert report.sign == sign
-    assert report.terms_compared >= (5 if l == 4 else 8)
+    assert report.terms_compared == 12
 
 
 def test_hankel_identity_range_guard():
-    with pytest.raises(ValueError):
-        check_hankel_identity(5, 4)
+    for l in (0, 9):
+        with pytest.raises(ValueError, match="l in 1..8"):
+            check_hankel_identity(l, 4)
 
 
 def test_hankel_identity_detects_corruption():
