@@ -174,33 +174,14 @@ def integrate_half_line(f: Callable[[float], float], tol: float = DEFAULT_QUAD_T
     return integrate_unit_interval(mapped, tol)
 
 
-@dataclass(frozen=True)
-class WirtingerParams:
-    """Parameters (v_1 .. v_{l-1}, lambda) of the weight polynomial
-    g(u) = (2l-1) * sum_{h=1}^{l} C(l,h) v_h u**(2h), with v_l = 1 implicit."""
-
-    l: int
-    v: tuple[float, ...]
-    lam: float
-
-    def __post_init__(self) -> None:
-        if len(self.v) != self.l - 1:
-            raise ValueError(f"expected {self.l - 1} v-values, got {len(self.v)}")
-
-    def v_full(self) -> tuple[float, ...]:
-        """(v_1, ..., v_l) with the implicit v_l = 1 appended."""
-        return self.v + (1.0,)
-
-
-def _log_residual_from_coeffs(
-    coeffs: Sequence[float], lam: float, l: int, quad_tol: float
-) -> float:
+def _log_residual_from_coeffs(coeffs: Sequence[float], lam: float, quad_tol: float) -> float:
     """integral_0^inf log(1 + P(u**2)/lam) du/u**2  -  l*pi, where
-    P(y) = sum_h coeffs[h-1] * y**h (coeffs[h-1] = C(l,h) v_h for the
-    standard weight polynomial).  Strictly decreasing in lam (the integrand
-    is), which is what makes the bisection in `solve_lambda` certified."""
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    P(y) = sum_h coeffs[h-1] * y**h and l = len(coeffs) (coeffs[h-1] =
+    C(l,h) v_h for the standard weight polynomial).  Strictly decreasing in
+    lam (the integrand is), which is what makes the bisection in
+    `solve_lambda` certified."""
+    if not (lam > 0.0 and all(x >= 0.0 for x in coeffs)):
+        raise ValueError("the log form needs lambda > 0 and coefficients >= 0")
     c = tuple(float(x) for x in coeffs)
 
     def integrand(u: float) -> float:
@@ -216,25 +197,25 @@ def _log_residual_from_coeffs(
         # log1p(w)/w -> 1; avoids 0/0 at the origin
         return (p_over_y / lam) * (1.0 - 0.5 * w + w * w / 3.0)
 
-    return integrate_half_line(integrand, quad_tol) - l * math.pi
+    return integrate_half_line(integrand, quad_tol) - len(c) * math.pi
 
 
-def _weight_coeffs(v: Sequence[float], l: int) -> list[float]:
-    """[C(l,h) v_h for h = 1..l] as floats, with v_l = 1 appended to v."""
-    return [math.comb(l, h) * float(vh) for h, vh in enumerate(tuple(v) + (1.0,), start=1)]
+def _weight_coeffs(v: Sequence[float]) -> list[float]:
+    """[C(l,h) v_h for h = 1..l] as floats, with v_l = 1 appended to v, so
+    l = len(v) + 1."""
+    v_full = tuple(v) + (1.0,)
+    return [math.comb(len(v_full), h) * float(vh) for h, vh in enumerate(v_full, start=1)]
 
 
 _ROOT_ITERATIONS = 64  # Aberth sweeps; the perturbed lambda solves take at most 13
 
 
-def _polynomial_roots(
-    coeffs: Sequence[float], max_iter: int = _ROOT_ITERATIONS
-) -> list[complex]:
+def _polynomial_roots(coeffs: Sequence[float]) -> list[complex]:
     """All roots of sum_k coeffs[k] * y**k (coeffs[-1] != 0) by Aberth-Ehrlich
     iteration from points on the circle of radius |coeffs[0]/coeffs[-1]|**(1/deg).
     Stops once every correction of a sweep is at most 1e-14 times the
-    largest root magnitude; raises `ArithmeticError` if no sweep within
-    max_iter does."""
+    largest root magnitude; raises `ArithmeticError` if none of the first
+    `_ROOT_ITERATIONS` sweeps (read at call time) does."""
     deg = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs[:-1]]
     radius = abs(monic[0]) ** (1.0 / deg)
@@ -242,7 +223,7 @@ def _polynomial_roots(
         radius * complex(math.cos(t), math.sin(t))
         for t in (2.0 * math.pi * k / deg + 0.4 for k in range(deg))
     ]
-    for _ in range(max_iter):
+    for _ in range(_ROOT_ITERATIONS):
         largest_step = 0.0
         for i, zi in enumerate(z):
             p, dp = 1.0, 0.0
@@ -258,18 +239,20 @@ def _polynomial_roots(
             largest_step = max(largest_step, abs(step))
         if largest_step <= 1e-14 * max(abs(t) for t in z):
             return z
-    raise ArithmeticError(f"polynomial roots did not converge in {max_iter} Aberth sweeps")
+    raise ArithmeticError(
+        f"polynomial roots did not converge in {_ROOT_ITERATIONS} Aberth sweeps"
+    )
 
 
-def _residue_residual(coeffs: Sequence[float], lam: float, l: int) -> float:
+def _residue_residual(coeffs: Sequence[float], lam: float) -> float:
     """The residual of `_log_residual_from_coeffs` without quadrature:
-    pi * sum_k (-y_k)**(-1/2) - l*pi over the roots y_k of
+    pi * sum_k (-y_k)**(-1/2) - l*pi over the l = len(coeffs) roots y_k of
     Q(y) = lam + sum_h coeffs[h-1] * y**h (module docstring).  Valid only
     for lam > 0 and every coefficient > 0."""
-    if lam <= 0.0 or min(coeffs) <= 0.0:
+    if not (lam > 0.0 and all(c > 0.0 for c in coeffs)):
         raise ValueError("the residue form needs lambda > 0 and positive coefficients")
     roots = _polynomial_roots([lam, *coeffs])
-    return math.pi * sum((-y) ** -0.5 for y in roots).real - l * math.pi
+    return math.pi * sum((-y) ** -0.5 for y in roots).real - len(coeffs) * math.pi
 
 
 def _check_tolerance(name: str, tol: float) -> None:
@@ -315,36 +298,33 @@ def _root_of_decreasing(residual: Callable[[float], float], tol: float) -> float
     return _bisect(lambda lam: residual(lam) > 0.0, lo, hi, tol)
 
 
-def solve_lambda(
-    v: Sequence[float], l: int, tol: float = 1e-6, quad_tol: float = DEFAULT_QUAD_TOL
-) -> float:
+def solve_lambda(v: Sequence[float], *, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """The unique root of the lambda equation for the weight polynomial with
-    parameters v (length l-1, v_l = 1 implicit), by bracket expansion and
-    bisection on the monotone residual."""
-    _check_tolerance("tol", tol)
+    parameters v = (v_1 .. v_{l-1}), v_l = 1 implicit, by bracket expansion
+    and bisection on the monotone residual.  Each residual is a quadrature
+    at quad_tol, and the bisection stops once the bracket is no wider than
+    quad_tol."""
     _check_tolerance("quad_tol", quad_tol)
-    coeffs = _weight_coeffs(v, l)
+    coeffs = _weight_coeffs(v)
     return _root_of_decreasing(
-        lambda lam: _log_residual_from_coeffs(coeffs, lam, l, quad_tol), tol
+        lambda lam: _log_residual_from_coeffs(coeffs, lam, quad_tol), quad_tol
     )
 
 
 def rational_form_deviation(
-    params: WirtingerParams, quad_tol: float = DEFAULT_QUAD_TOL
+    v: Sequence[float], lam: float, *, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> float:
     """Deviation from pi of the rational-integrand form of the lambda
-    equation,
+    equation for v = (v_1 .. v_{l-1}), v_l = 1 implicit,
 
         integral_{-inf}^{inf}
             (sum_h C(l-1,h-1) v_h u**(2h-2))
           / (sum_h C(l,h)   v_h u**(2h) + lambda)  du   -   pi,
 
     evaluated as twice the half-line integral (the integrand is even)."""
-    l = params.l
-    lam = params.lam
-    v_full = params.v_full()
-    num_coeffs = [math.comb(l - 1, h - 1) * v_full[h - 1] for h in range(1, l + 1)]
-    den_coeffs = [math.comb(l, h) * v_full[h - 1] for h in range(1, l + 1)]
+    l = len(v) + 1
+    num_coeffs = [math.comb(l - 1, h - 1) * vh for h, vh in enumerate((*v, 1.0), start=1)]
+    den_coeffs = _weight_coeffs(v)
 
     def integrand(u: float) -> float:
         y = u * u
@@ -373,10 +353,11 @@ def closed_form_x(a: Rational, b: Rational, c: Rational, d: Rational) -> Rationa
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Exact parameter set extracted from the quartic factorization (*),
-    plus its float view."""
+    """Exact parameter set extracted from the quartic factorization (*):
+    (v_1, v_2, v_3) and lambda of the l = 4 weight polynomial, and the
+    sigma's they come from.  Callers that integrate take `float()` of
+    these."""
 
-    params: WirtingerParams
     v_exact: tuple[Rational, Rational, Rational]
     lam_exact: Rational
     sigma: tuple[Rational, Rational, Rational, Rational]
@@ -410,21 +391,14 @@ def derive_params(
     v3 = (s1 * s1 - 2 * s2) / 4
     v2 = (s2 * s2 + 2 * s4 - 2 * s1 * s3) / 6
     v1 = (s3 * s3 - 2 * s2 * s4) / 4
-    lam = s4 * s4
-    params = WirtingerParams(l=4, v=(float(v1), float(v2), float(v3)), lam=float(lam))
-    return DerivedParams(
-        params=params,
-        v_exact=(v1, v2, v3),
-        lam_exact=lam,
-        sigma=(s1, s2, s3, s4),
-    )
+    return DerivedParams(v_exact=(v1, v2, v3), lam_exact=s4 * s4, sigma=(s1, s2, s3, s4))
 
 
 def solve_x(
     v: Sequence[float],
     lam: float,
     ratios: Mapping[int, Rational | float],
-    l: int,
+    *,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> float:
     """The unique positive root of
@@ -432,16 +406,17 @@ def solve_x(
         sum_{h=1}^{l} (2l-1)/(2h-1) * C(l,h) * B(h) * v_h * X**h
             = (2l-1) * lambda * B(0),
 
-    by bisection; the left side is strictly increasing from 0 when all
-    v_h >= 0 and all B(h) > 0."""
+    for v = (v_1 .. v_{l-1}), v_l = 1 implicit, by bisection; the left side
+    is strictly increasing from 0 when all v_h >= 0 and all B(h) > 0."""
     _check_tolerance("tol", tol)
     v_full = tuple(float(t) for t in v) + (1.0,)
-    if any(t < 0.0 for t in v_full):
+    l = len(v_full)
+    if not all(t >= 0.0 for t in v_full):
         raise ValueError("solve_x requires all v_h >= 0")
     capB = {h: float(ratios[h]) for h in range(l + 1)}
-    if any(t <= 0.0 for t in capB.values()):
+    if not all(t > 0.0 for t in capB.values()):
         raise ValueError("solve_x requires all ratios positive")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     rhs = (2 * l - 1) * lam * capB[0]
 
@@ -471,7 +446,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Full audit trail of one certification run."""
+    """Full audit trail of one certification run.  It stores the exact
+    values; every float it reports (X, v, lambda, the bound) is `float()`
+    of one of them, and the threshold is THRESHOLDS[n]."""
 
     n: int
     a: Rational
@@ -479,19 +456,20 @@ class BoundCertificate:
     c: Rational
     d: Rational
     x_exact: Rational
-    x_value: float
-    params: WirtingerParams
     v_exact: tuple[Rational, Rational, Rational]
     lam_exact: Rational
     checks: tuple[CheckResult, ...]
-    bound: float
-    threshold: Rational
     quad_tol: float
     notes: tuple[str, ...] = ()
 
     @property
     def valid(self) -> bool:
         return all(check.passed for check in self.checks)
+
+    @property
+    def bound(self) -> float:
+        """The certified lower bound sqrt(X), as a float."""
+        return math.sqrt(float(self.x_exact))
 
     def to_json_dict(self) -> dict:
         return {
@@ -500,14 +478,14 @@ class BoundCertificate:
                 k: rational_str(v) for k, v in zip("abcd", (self.a, self.b, self.c, self.d))
             },
             "x_exact": rational_str(self.x_exact),
-            "x_value": repr(self.x_value),
-            "v": [repr(t) for t in self.params.v],
+            "x_value": repr(float(self.x_exact)),
+            "v": [repr(float(t)) for t in self.v_exact],
             "v_exact": [rational_str(t) for t in self.v_exact],
-            "lambda": repr(self.params.lam),
+            "lambda": repr(float(self.lam_exact)),
             "lambda_exact": rational_str(self.lam_exact),
             "checks": [check.to_json_dict() for check in self.checks],
             "bound": repr(self.bound),
-            "threshold": rational_str(self.threshold),
+            "threshold": rational_str(THRESHOLDS[self.n]),
             "quad_tol": repr(self.quad_tol),
             "valid": self.valid,
             "notes": list(self.notes),
@@ -541,11 +519,11 @@ def _integrity_checks(
 
 
 def _exact_prelude(
-    n: int, coefficients: Mapping[int, Rational]
+    coefficients: Mapping[int, Rational],
 ) -> tuple[moments.RatioSet, Rational, DerivedParams]:
-    """The exact part of a certificate: the ratio data of the coefficient
-    column for derivative order n, the closed-form X built from A(1..4),
-    and the parameters derived from both."""
+    """The exact part of a certificate: the ratio data of a coefficient
+    column, the closed-form X built from A(1..4), and the parameters derived
+    from both."""
     ratios = moments.ratio_set_from_values(coefficients)
     a, b, c, d = (ratios.A[h] for h in range(1, 5))
     x_exact = closed_form_x(a, b, c, d)
@@ -575,64 +553,41 @@ def certify_bound(
         coefficients = moments.coefficient_column(n)
     integrity, notes = _integrity_checks(n, coefficients)
 
-    ratios, x_exact, derived = _exact_prelude(n, coefficients)
-    a, b, c, d = (ratios.A[h] for h in range(1, 5))
-    x_value = float(x_exact)
-    params = derived.params
-
-    checks = [integrity]
-
+    ratios, x_exact, derived = _exact_prelude(coefficients)
     v_positive = all(t > 0 for t in derived.v_exact)
-    checks.append(
-        CheckResult("v_positive", v_positive, float(min(derived.v_exact)))
-    )
-    # g'(u)/u = sum_h 2h (2l-1) C(l,h) v_h u**(2h-2) with v_l = 1, so
-    # exact v_h >= 0 proves g increasing on u > 0
-    checks.append(CheckResult("g_increasing", all(t >= 0 for t in derived.v_exact), 0.0))
+    checks = [
+        integrity,
+        CheckResult("v_positive", v_positive, float(min(derived.v_exact))),
+        # g'(u)/u = sum_h 2h (2l-1) C(l,h) v_h u**(2h-2) with v_l = 1, so
+        # exact v_h >= 0 proves g increasing on u > 0
+        CheckResult("g_increasing", all(t >= 0 for t in derived.v_exact), 0.0),
+    ]
 
     check_tol = min(quad_tol, DEFAULT_QUAD_TOL)
-    lam_tol = 1e4 * check_tol
-    pi_tol = 1e2 * check_tol
-    x_tol = 10 * check_tol
-
     if v_positive:
-        lam_solved = solve_lambda(params.v, params.l, tol=quad_tol, quad_tol=quad_tol)
-        lam_gap = abs(lam_solved - params.lam)
-        checks.append(CheckResult("lambda_consistency", lam_gap < lam_tol, lam_gap))
-
-        pi_gap = rational_form_deviation(params, quad_tol)
-        checks.append(CheckResult("pi_integral", abs(pi_gap) < pi_tol, pi_gap))
-
-        x_solved = solve_x(params.v, params.lam, ratios.capB, params.l, tol=quad_tol)
-        x_gap = abs(x_solved - x_value)
-        checks.append(CheckResult("x_consistency", x_gap < x_tol, x_gap))
+        v = tuple(float(t) for t in derived.v_exact)
+        lam = float(derived.lam_exact)
+        lam_gap = abs(solve_lambda(v, quad_tol=quad_tol) - lam)
+        pi_gap = rational_form_deviation(v, lam, quad_tol=quad_tol)
+        x_gap = abs(solve_x(v, lam, ratios.capB, tol=quad_tol) - float(x_exact))
+        checks += [
+            CheckResult("lambda_consistency", lam_gap < 1e4 * check_tol, lam_gap),
+            CheckResult("pi_integral", abs(pi_gap) < 1e2 * check_tol, pi_gap),
+            CheckResult("x_consistency", x_gap < 10 * check_tol, x_gap),
+        ]
     else:  # the numeric re-verification assumes a monotone weight polynomial
-        checks.append(CheckResult("lambda_consistency", False, math.inf))
-        checks.append(CheckResult("pi_integral", False, math.inf))
-        checks.append(CheckResult("x_consistency", False, math.inf))
+        checks += [
+            CheckResult(name, False, math.inf)
+            for name in ("lambda_consistency", "pi_integral", "x_consistency")
+        ]
 
-    threshold = THRESHOLDS[n]
-    above = x_exact > threshold * threshold  # exact rational comparison
-    checks.append(
-        CheckResult("bound_above_threshold", above, float(x_exact - threshold * threshold))
-    )
+    margin = x_exact - THRESHOLDS[n] ** 2  # exact rational comparison
+    checks.append(CheckResult("bound_above_threshold", margin > 0, float(margin)))
 
+    a, b, c, d = (ratios.A[h] for h in range(1, 5))
     return BoundCertificate(
-        n=n,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        x_exact=x_exact,
-        x_value=x_value,
-        params=params,
-        v_exact=derived.v_exact,
-        lam_exact=derived.lam_exact,
-        checks=tuple(checks),
-        bound=math.sqrt(x_value),
-        threshold=threshold,
-        quad_tol=quad_tol,
-        notes=notes,
+        n=n, a=a, b=b, c=c, d=d, x_exact=x_exact, v_exact=derived.v_exact,
+        lam_exact=derived.lam_exact, checks=tuple(checks), quad_tol=quad_tol, notes=notes,
     )
 
 
@@ -652,13 +607,13 @@ def perturbed_x_values(
     if not (math.isfinite(rel) and 0.0 < rel < 1.0):
         raise ValueError(f"rel must be finite and in (0, 1), got {rel!r}")
     _check_tolerance("quad_tol", quad_tol)
-    ratios, _, derived = _exact_prelude(n, moments.coefficient_column(n))
-    base_v, l = derived.params.v, derived.params.l
+    ratios, _, derived = _exact_prelude(moments.coefficient_column(n))
+    base_v = tuple(float(t) for t in derived.v_exact)
     out = []
     for h in range(len(base_v)):
         for direction in (1.0 - rel, 1.0 + rel):
             v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
-            coeffs = _weight_coeffs(v, l)
-            lam = _root_of_decreasing(lambda lam: _residue_residual(coeffs, lam, l), quad_tol)
-            out.append(solve_x(v, lam, ratios.capB, l, tol=quad_tol))
+            coeffs = _weight_coeffs(v)
+            lam = _root_of_decreasing(lambda lam: _residue_residual(coeffs, lam), quad_tol)
+            out.append(solve_x(v, lam, ratios.capB, tol=quad_tol))
     return out

@@ -45,9 +45,6 @@ from typing import NoReturn
 from . import bounds, lis, moments, series
 from .arith import rational_str
 
-DEFAULT_TOL = 1e-8
-DEFAULT_CUTOFF = 100_000
-
 
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
     """The --corrupt test hook: `column` with the numerator of its h = 2
@@ -171,6 +168,8 @@ def _check_output(path: str) -> None:
     new one, a scratch file is created in its directory, which tests
     writability where permission bits alone do not (as for root on a
     read-only mount)."""
+    if not path:
+        raise ValueError("cannot write '': the --output path is empty")
     if os.path.isdir(path):
         raise ValueError(f"cannot write {path}: it is a directory")
     if os.path.exists(path):
@@ -216,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", _bounds_report, "certify a zero-gap lower bound")
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tol", type=float, default=os.environ.get("ZGAP_TOL") or str(DEFAULT_TOL))
+    p.add_argument(
+        "--tol", type=float, default=os.environ.get("ZGAP_TOL") or str(bounds.DEFAULT_QUAD_TOL)
+    )
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = command("moments", _moments_report, "joint-moment coefficients and match flags")
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("arithfactor", _arithfactor_report, "Euler-product factor estimate")
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--cutoff", type=int, default=moments.DEFAULT_PRIME_CUTOFF)
 
     parser.error = _usage_error
     for p in sub.choices.values():
@@ -254,11 +255,11 @@ def main(argv: list[str] | None = None) -> int:
     whether every check in the report passed."""
     args = build_parser().parse_args(argv)
     try:
-        if args.output:
+        if args.output is not None:
             _check_output(args.output)
         payload, header, body, ok = args.report(args)
         text = _render(args.format, payload, header, body)
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:

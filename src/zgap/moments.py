@@ -45,6 +45,8 @@ from .series import IntegerSeries, SeriesMatrix
 
 # Terms of the inner sum over m per prime in `arithmetic_factor`.
 INNER_TERMS = 64
+# Default largest prime of `arithmetic_factor` and of `zgap arithfactor`.
+DEFAULT_PRIME_CUTOFF = 100_000
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,9 @@ def _primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def arithmetic_factor(l: int, prime_cutoff: int = 100_000) -> ArithmeticFactorEstimate:
+def arithmetic_factor(
+    l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
+) -> ArithmeticFactorEstimate:
     """Truncated evaluation of the arithmetic factor
 
         c_l = prod_p (1 - 1/p)**(l**2) * sum_m C(m+l-1, m)**2 p**(-m)

@@ -52,14 +52,15 @@ def test_criterion_2_ratio_reproduction_exact():
 
 def _certification_chain(n, x_print, param_prints, threshold):
     certificate = bounds.certify_bound(n, quad_tol=1e-8)
-    x_ok = abs(certificate.x_value - x_print) < 1e-5
-    v_lam = certificate.params.v + (certificate.params.lam,)
+    x_value = float(certificate.x_exact)
+    x_ok = abs(x_value - x_print) < 1e-5
+    v_lam = [float(t) for t in (*certificate.v_exact, certificate.lam_exact)]
     params_ok = all(abs(a - b) < 1e-4 for a, b in zip(v_lam, param_prints))
     pi_residual = next(c for c in certificate.checks if c.name == "pi_integral").residual
     pi_ok = abs(pi_residual) < 1e-6
     bound_ok = certificate.valid and certificate.bound > threshold
     detail = (
-        f"X={certificate.x_value:.7f}, pi residual={pi_residual:.2e}, "
+        f"X={x_value:.7f}, pi residual={pi_residual:.2e}, "
         f"bound={certificate.bound:.6f} > {threshold}"
     )
     return x_ok and params_ok and pi_ok and bound_ok, detail
@@ -78,7 +79,7 @@ def test_criterion_4_second_derivative_chain():
 def test_criterion_5_lambda_formulations_agree():
     a, b, c, d = (hall_ratio(h, 1) for h in (1, 2, 3, 4))
     derived = bounds.derive_params(a, b, c, d, bounds.closed_form_x(a, b, c, d))
-    solved = bounds.solve_lambda(derived.params.v, 4, tol=1e-6)
+    solved = bounds.solve_lambda([float(t) for t in derived.v_exact], quad_tol=1e-6)
     gap = abs(solved - float(derived.sigma[3] ** 2))
     report("5 lambda equation equivalence", gap < 1e-4, f"|gap| = {gap:.2e}")
 
@@ -141,12 +142,12 @@ def test_criterion_10_property_suite(tmp_path):
     series_mutation_caught = not series.check_hankel_identity(2, 6, rhs=corrupted).matched
 
     # (c) lambda grows when any single v_h grows by 10%
-    base_v = bounds.certify_bound(1).params.v
-    base_lambda = bounds.solve_lambda(base_v, 4, tol=1e-6)
+    base_v = [float(t) for t in bounds.certify_bound(1).v_exact]
+    base_lambda = bounds.solve_lambda(base_v, quad_tol=1e-6)
     monotone = True
     for h in range(3):
         bumped = tuple(v * 1.1 if i == h else v for i, v in enumerate(base_v))
-        monotone = monotone and bounds.solve_lambda(bumped, 4, tol=1e-6) > base_lambda
+        monotone = monotone and bounds.solve_lambda(bumped, quad_tol=1e-6) > base_lambda
 
     # (d) identical CLI configs give byte-identical artifacts
     deterministic = True
@@ -176,7 +177,7 @@ def test_criterion_10_property_suite(tmp_path):
 
 def test_supplementary_local_non_improvement():
     # +-1% perturbations of the certified parameters do not improve X
-    certified = bounds.certify_bound(1).x_value
+    certified = float(bounds.certify_bound(1).x_exact)
     best = max(bounds.perturbed_x_values(1, rel=0.01))
     ok = best <= certified + 1e-6 * certified
     print(f"SUPPLEMENTARY local non-improvement: {'PASS' if ok else 'FAIL'} "

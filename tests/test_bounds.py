@@ -14,8 +14,8 @@ from scipy.special import roots_legendre
 from oracles import hall_ratio
 from zgap import bounds, moments
 from zgap.bounds import (
+    THRESHOLDS,
     QuadratureError,
-    WirtingerParams,
     certify_bound,
     closed_form_x,
     derive_params,
@@ -42,15 +42,20 @@ REFERENCE_PARAMS = {
 REFERENCE_X = {1: 3.93116, 2: 2.94783}
 
 
-def lambda_equation_residual(params, quad_tol=bounds.DEFAULT_QUAD_TOL):
-    """The log-form lambda equation's residual at `params`."""
-    coeffs = bounds._weight_coeffs(params.v, params.l)
-    return _log_residual_from_coeffs(coeffs, params.lam, params.l, quad_tol)
+def lambda_equation_residual(v, lam, quad_tol=bounds.DEFAULT_QUAD_TOL):
+    """The log-form lambda equation's residual at (v, lam)."""
+    return _log_residual_from_coeffs(bounds._weight_coeffs(v), lam, quad_tol)
 
 
 def derived_params_for(n):
     a, b, c, d = RATIO_INPUTS[n]
     return derive_params(a, b, c, d, closed_form_x(a, b, c, d))
+
+
+def derived_floats_for(n):
+    """(v, lam) as floats of the exact derived parameters for order n."""
+    derived = derived_params_for(n)
+    return tuple(float(t) for t in derived.v_exact), float(derived.lam_exact)
 
 
 # ---------------------------------------------------------------- quadrature
@@ -154,68 +159,55 @@ def test_g_monotone_check_finds_witness():
     assert checks["g_increasing"].residual == 0.0
 
 
-def test_params_length_validation():
-    with pytest.raises(ValueError):
-        WirtingerParams(l=4, v=(1.0, 1.0), lam=1.0)
-
-
 # ------------------------------------------------------------ lambda equation
 
 
 def test_lambda_residual_at_reference_parameters():
     for n in (1, 2):
         v1, v2, v3, lam = REFERENCE_PARAMS[n]
-        params = WirtingerParams(l=4, v=(v1, v2, v3), lam=lam)
-        assert abs(lambda_equation_residual(params)) < 1e-3
+        assert abs(lambda_equation_residual((v1, v2, v3), lam)) < 1e-3
 
 
 def test_lambda_residual_vanishes_at_derived_parameters():
-    params = derived_params_for(1).params
-    assert abs(lambda_equation_residual(params, 1e-10)) < 1e-8
+    v, lam = derived_floats_for(1)
+    assert abs(lambda_equation_residual(v, lam, 1e-10)) < 1e-8
 
 
 def test_lambda_residual_large_lambda_limit():
-    params = derived_params_for(1).params
-    residual = lambda_equation_residual(
-        WirtingerParams(l=4, v=params.v, lam=1e12), 1e-8
-    )
+    v, _ = derived_floats_for(1)
+    residual = lambda_equation_residual(v, 1e12, 1e-8)
     assert residual > -4 * math.pi
     assert abs(residual + 4 * math.pi) < 0.5
 
 
 def test_lambda_residual_decreasing_in_lambda():
-    params = derived_params_for(1).params
-    values = [
-        lambda_equation_residual(WirtingerParams(l=4, v=params.v, lam=lam))
-        for lam in (0.5, 1.0, 2.0)
-    ]
+    v, _ = derived_floats_for(1)
+    values = [lambda_equation_residual(v, lam) for lam in (0.5, 1.0, 2.0)]
     assert values[0] > values[1] > values[2]
 
 
 def test_lambda_residual_matches_library_quadrature():
-    params = derived_params_for(1).params
+    v, lam = derived_floats_for(1)
 
     def integrand(u):
-        g = 7 * sum(
-            math.comb(4, h) * v * u ** (2 * h) for h, v in enumerate(params.v_full(), 1)
-        )
-        return math.log1p(g / (7 * params.lam)) / (u * u)
+        g = 7 * sum(math.comb(4, h) * vh * u ** (2 * h) for h, vh in enumerate(v + (1.0,), 1))
+        return math.log1p(g / (7 * lam)) / (u * u)
 
     reference, _ = quad(integrand, 0, math.inf, limit=400)
-    mine = lambda_equation_residual(params, 1e-10) + 4 * math.pi
+    mine = lambda_equation_residual(v, lam, 1e-10) + 4 * math.pi
     assert abs(mine - reference) < 1e-7
 
 
 def test_lambda_residual_requires_positive_lambda():
-    params = derived_params_for(1).params
+    v, _ = derived_floats_for(1)
     with pytest.raises(ValueError):
-        lambda_equation_residual(WirtingerParams(l=4, v=params.v, lam=-1.0))
+        lambda_equation_residual(v, -1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_solve_lambda_matches_reference(n):
     v1, v2, v3, lam = REFERENCE_PARAMS[n]
-    solved = solve_lambda((v1, v2, v3), 4, tol=1e-6)
+    solved = solve_lambda((v1, v2, v3), quad_tol=1e-6)
     assert abs(solved - lam) < 1e-4
 
 
@@ -223,14 +215,14 @@ def test_solve_lambda_scales_with_weight_polynomial():
     # replacing the polynomial P by 2P at fixed lambda increases the
     # integral, so the solving lambda must grow (and exactly doubles, since
     # only P/lambda enters)
-    derived = derived_params_for(1)
-    coeffs = [math.comb(4, h) * v for h, v in enumerate(derived.params.v_full(), 1)]
+    v, _ = derived_floats_for(1)
+    coeffs = [math.comb(4, h) * vh for h, vh in enumerate(v + (1.0,), 1)]
 
     def solve(cs):
         lo, hi = 1e-3, 1e3
         while hi - lo > 1e-8:
             mid = 0.5 * (lo + hi)
-            if _log_residual_from_coeffs(cs, mid, 4, 1e-9) > 0:
+            if _log_residual_from_coeffs(cs, mid, 1e-9) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -245,7 +237,7 @@ def test_solve_lambda_scales_with_weight_polynomial():
 def test_solve_lambda_bracket_failure():
     # weight polynomial so large that lambda would have to leave the bracket
     with pytest.raises(ValueError, match="no sign change"):
-        solve_lambda((1e12, 1e12, 1e12), 4, tol=1e-4)
+        solve_lambda((1e12, 1e12, 1e12), quad_tol=1e-4)
 
 
 @pytest.mark.parametrize("v", [(0.95297, 1.01903, 1.07681), (8.0, 8.0, 8.0)])
@@ -259,7 +251,7 @@ def test_solve_lambda_evaluates_no_lambda_twice(v, monkeypatch):
         return residual(coeffs, lam, *args)
 
     monkeypatch.setattr(bounds, "_log_residual_from_coeffs", recording)
-    solve_lambda(v, 4)
+    solve_lambda(v)
     assert seen[0] == 1.0
     assert len(seen) == len(set(seen))
 
@@ -270,10 +262,8 @@ BAD_TOLERANCES = [math.nan, math.inf, 0.0, -1.0]
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
 def test_solve_lambda_rejects_bad_tolerances(bad):
     v = REFERENCE_PARAMS[1][:3]
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        solve_lambda(v, 4, tol=bad)
     with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
-        solve_lambda(v, 4, quad_tol=bad)
+        solve_lambda(v, quad_tol=bad)
 
 
 # ------------------------------------------------------------- rational form
@@ -281,8 +271,8 @@ def test_solve_lambda_rejects_bad_tolerances(bad):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_rational_form_deviation_at_derived_parameters(n):
-    params = derived_params_for(n).params
-    assert abs(rational_form_deviation(params, 1e-8)) < 1e-6
+    v, lam = derived_floats_for(n)
+    assert abs(rational_form_deviation(v, lam, quad_tol=1e-8)) < 1e-6
 
 
 def test_rational_form_beta_integral_oracle():
@@ -290,24 +280,19 @@ def test_rational_form_beta_integral_oracle():
     #   int u^6/(u^8 + lam) du = pi  over the real line, whose closed form
     #   (beta integral) gives lam = (4 sin(pi/8))**-8
     lam = (4 * math.sin(math.pi / 8)) ** -8
-    params = WirtingerParams(l=4, v=(0.0, 0.0, 0.0), lam=lam)
-    assert abs(rational_form_deviation(params, 1e-10)) < 1e-9
+    assert abs(rational_form_deviation((0.0, 0.0, 0.0), lam, quad_tol=1e-10)) < 1e-9
 
 
 def test_rational_form_against_library_quadrature():
-    params = derived_params_for(2).params
-    value = rational_form_deviation(params, 1e-10) + math.pi
+    v, lam = derived_floats_for(2)
+    value = rational_form_deviation(v, lam, quad_tol=1e-10) + math.pi
 
     def integrand(u):
-        num = sum(
-            math.comb(3, h - 1) * v * u ** (2 * h - 2)
-            for h, v in enumerate(params.v_full(), 1)
-        )
-        den = sum(
-            math.comb(4, h) * v * u ** (2 * h)
-            for h, v in enumerate(params.v_full(), 1)
-        )
-        return num / (den + params.lam)
+        v_full = enumerate(v + (1.0,), 1)
+        terms = [(math.comb(3, h - 1) * vh, math.comb(4, h) * vh, h) for h, vh in v_full]
+        num = sum(c * u ** (2 * h - 2) for c, _, h in terms)
+        den = sum(c * u ** (2 * h) for _, c, h in terms)
+        return num / (den + lam)
 
     reference, _ = quad(integrand, -math.inf, math.inf, limit=400)
     assert abs(value - reference) < 1e-8
@@ -316,9 +301,9 @@ def test_rational_form_against_library_quadrature():
 def test_lambda_equation_formulations_covanish():
     # the two formulations must agree within 10x the quadrature tolerance
     for n in (1, 2):
-        params = derived_params_for(n).params
-        log_gap = lambda_equation_residual(params, 1e-8)
-        rational_gap = rational_form_deviation(params, 1e-8)
+        v, lam = derived_floats_for(n)
+        log_gap = lambda_equation_residual(v, lam, 1e-8)
+        rational_gap = rational_form_deviation(v, lam, quad_tol=1e-8)
         assert abs(log_gap) < 1e-7
         assert abs(rational_gap) < 1e-7
 
@@ -344,12 +329,8 @@ def test_closed_form_x_degenerate_inputs():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_derived_parameters_match_reference(n):
-    derived = derived_params_for(n)
-    v1, v2, v3, lam = REFERENCE_PARAMS[n]
-    assert abs(derived.params.v[0] - v1) < 1e-4
-    assert abs(derived.params.v[1] - v2) < 1e-4
-    assert abs(derived.params.v[2] - v3) < 1e-4
-    assert abs(derived.params.lam - lam) < 1e-4
+    v, lam = derived_floats_for(n)
+    assert all(abs(a - b) < 1e-4 for a, b in zip(v + (lam,), REFERENCE_PARAMS[n], strict=True))
 
 
 def factorization_residuals(derived):
@@ -395,22 +376,22 @@ def test_lambda_exact_equals_sigma4_squared():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_solve_x_agrees_with_closed_form(n):
-    derived = derived_params_for(n)
+    v, lam = derived_floats_for(n)
     ratios = ratio_set_from_values(coefficient_column(n))
-    x = solve_x(derived.params.v, derived.params.lam, ratios.capB, 4, tol=1e-8)
+    x = solve_x(v, lam, ratios.capB, tol=1e-8)
     assert abs(x - float(closed_form_x(*RATIO_INPUTS[n]))) < 1e-7
 
 
 def test_solve_x_one_term_algebra():
     # v = (0,0,0), ratios all 1, lambda = 1: X^l = 2l-1
-    x = solve_x((0.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, 4, tol=1e-10)
+    x = solve_x((0.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, tol=1e-10)
     assert abs(x - 7 ** 0.25) < 1e-9
 
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
 def test_solve_x_rejects_bad_tolerances(bad):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        solve_x((0.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, 4, tol=bad)
+        solve_x((0.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, tol=bad)
 
 
 def test_solvers_stop_at_float_resolution():
@@ -419,8 +400,8 @@ def test_solvers_stop_at_float_resolution():
     probe = (
         "from zgap.bounds import solve_lambda, solve_x\n"
         "for tol in (1e-12, 1e-17):\n"
-        "    print(repr(solve_lambda((0.95297, 1.01903, 1.07681), 4, tol=tol)),\n"
-        "          repr(solve_x((0.0, 0.0, 0.0), 1.0, dict.fromkeys(range(5), 1), 4, tol=tol)))\n"
+        "    print(repr(solve_lambda((0.95297, 1.01903, 1.07681), quad_tol=tol)),\n"
+        "          repr(solve_x((0.0, 0.0, 0.0), 1.0, dict.fromkeys(range(5), 1), tol=tol)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60
@@ -431,11 +412,11 @@ def test_solvers_stop_at_float_resolution():
 
 def test_solve_x_input_validation():
     with pytest.raises(ValueError):
-        solve_x((-1.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)}, 4)
+        solve_x((-1.0, 0.0, 0.0), 1.0, {h: 1 for h in range(5)})
     with pytest.raises(ValueError):
-        solve_x((0.0, 0.0, 0.0), -1.0, {h: 1 for h in range(5)}, 4)
+        solve_x((0.0, 0.0, 0.0), -1.0, {h: 1 for h in range(5)})
     with pytest.raises(ValueError):
-        solve_x((0.0, 0.0, 0.0), 1.0, {h: 0 for h in range(5)}, 4)
+        solve_x((0.0, 0.0, 0.0), 1.0, {h: 0 for h in range(5)})
 
 
 # --------------------------------------------------------------- certificates
@@ -460,7 +441,7 @@ def test_certificates(n, bound_prefix, threshold):
         "x_consistency",
         "bound_above_threshold",
     ]
-    assert certificate.x_exact > certificate.threshold ** 2
+    assert certificate.x_exact > THRESHOLDS[n] ** 2
 
 
 def _assert_checks_meet_stated_tolerances(quad_tol):
@@ -555,18 +536,18 @@ def test_certificate_serialization_is_exact():
 
 def residue_cases():
     for n in (1, 2):
-        params = derived_params_for(n).params
-        perturbed = (params.v[0] * 1.01,) + params.v[1:]
-        for v in (params.v, perturbed):
-            for lam in (params.lam / 2, params.lam, 2 * params.lam):
+        base_v, base_lam = derived_floats_for(n)
+        perturbed = (base_v[0] * 1.01,) + base_v[1:]
+        for v in (base_v, perturbed):
+            for lam in (base_lam / 2, base_lam, 2 * base_lam):
                 yield n, v, lam
 
 
 @pytest.mark.parametrize("n, v, lam", list(residue_cases()))
 def test_residue_residual_matches_quadrature(n, v, lam):
-    coeffs = bounds._weight_coeffs(v, 4)
-    by_residues = bounds._residue_residual(coeffs, lam, 4)
-    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 4, 1e-10), abs=1e-10)
+    coeffs = bounds._weight_coeffs(v)
+    by_residues = bounds._residue_residual(coeffs, lam)
+    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 1e-10), abs=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,26 +556,55 @@ def test_residue_residual_matches_quadrature(n, v, lam):
     log_lam=st.floats(-3.0, 3.0),
 )
 def test_residue_residual_matches_quadrature_near_the_derived_point(scales, log_lam):
-    v = tuple(x * s for x, s in zip(derived_params_for(1).params.v, scales))
-    coeffs, lam = bounds._weight_coeffs(v, 4), 10.0**log_lam
-    by_residues = bounds._residue_residual(coeffs, lam, 4)
-    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 4, 1e-10), abs=1e-10)
+    v = tuple(x * s for x, s in zip(derived_floats_for(1)[0], scales))
+    coeffs, lam = bounds._weight_coeffs(v), 10.0**log_lam
+    by_residues = bounds._residue_residual(coeffs, lam)
+    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 1e-10), abs=1e-10)
 
 
 def test_residue_residual_rejects_what_it_cannot_evaluate():
-    coeffs = bounds._weight_coeffs(derived_params_for(1).params.v, 4)
+    coeffs = bounds._weight_coeffs(derived_floats_for(1)[0])
     with pytest.raises(ValueError):
-        bounds._residue_residual(coeffs, 0.0, 4)
+        bounds._residue_residual(coeffs, 0.0)
     with pytest.raises(ValueError):
-        bounds._residue_residual([-coeffs[0]] + coeffs[1:], 1.0, 4)
+        bounds._residue_residual([-coeffs[0]] + coeffs[1:], 1.0)
 
 
-def test_root_finder_raises_at_its_iteration_cap():
-    coeffs = [1.0] + bounds._weight_coeffs(derived_params_for(1).params.v, 4)
+NAN = math.nan
+ONES = dict.fromkeys(range(5), 1)
+COEFFS = [4.0, 6.0, 4.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [pytest.param("solve_x", ((NAN, 0.0, 0.0), 1.0, ONES), id="solve_x-v"),
+     pytest.param("solve_x", ((0.0, 0.0, 0.0), NAN, ONES), id="solve_x-lambda"),
+     pytest.param("solve_x", ((0.0, 0.0, 0.0), 1.0, {**ONES, 2: NAN}), id="solve_x-ratio"),
+     pytest.param("_log_residual_from_coeffs", (COEFFS, NAN, 1e-8), id="log-lambda"),
+     pytest.param("_log_residual_from_coeffs", ([4.0, NAN, 4.0, 1.0], 1.0, 1e-8),
+                  id="log-coefficient"),
+     pytest.param("_residue_residual", (COEFFS, NAN), id="residue-lambda"),
+     pytest.param("_residue_residual", ([4.0, NAN, 4.0, 1.0], 1.0), id="residue-coefficient")],
+)
+def test_nan_input_is_rejected_before_any_quadrature_or_root_sweep(name, args, monkeypatch):
+    # nan compares false with everything, so a guard written as `x <= 0`
+    # lets it through (and min([1, nan]) is 1); the solvers must refuse it
+    def refuse(*_):
+        raise AssertionError("nan input reached a quadrature or a root sweep")
+
+    monkeypatch.setattr(bounds, "integrate_unit_interval", refuse)
+    monkeypatch.setattr(bounds, "_polynomial_roots", refuse)
+    with pytest.raises(ValueError):
+        getattr(bounds, name)(*args)
+
+
+def test_root_finder_raises_at_its_iteration_cap(monkeypatch):
+    coeffs = [1.0] + bounds._weight_coeffs(derived_floats_for(1)[0])
     roots = bounds._polynomial_roots(coeffs)
     assert all(abs(sum(c * y**k for k, c in enumerate(coeffs))) < 1e-12 for y in roots)
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        bounds._polynomial_roots(coeffs, max_iter=1)
+    monkeypatch.setattr(bounds, "_ROOT_ITERATIONS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 Aberth sweeps"):
+        bounds._polynomial_roots(coeffs)
 
 
 # float.hex of perturbed_x_values(n, rel), recorded when lambda was still

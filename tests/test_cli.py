@@ -144,7 +144,9 @@ def test_invalid_usage_exits_nonzero(capsys):
      (["arithfactor", "--cutoff", "100000001"], None,
       "prime_cutoff must be in [2, 10**8], got 100000001"),
      (["arithfactor", "--l", "17"], None,
-      "the error bound for l=17 at prime_cutoff=100000 is 7.88e-196, not below the value")],
+      "the error bound for l=17 at prime_cutoff=100000 is 7.88e-196, not below the value"),
+     (["hankel", "--l", "1", "--terms", "2", "--output", ""], None,
+      "cannot write '': the --output path is empty")],
 )
 def test_rejected_input_is_a_one_line_error(args, tol_env, message, monkeypatch, capsys):
     if tol_env is not None:
@@ -349,8 +351,21 @@ def test_cross_process_determinism(tmp_path):
 REPORT_DIGESTS = {
     "bounds --n 1 --format json":
         (0, "9265bd626f5190624bbf3237c1e9a9d14edbdb7a9f29143876a9f0adc8b3ef58"),
+    "bounds --n 1 --format csv":
+        (0, "4894da0ef4ac9a012a1eb8a1c93b8de49921e595a62499377e930134f9086bfe"),
+    "bounds --n 1 --format text":
+        (0, "0c7a0a87d09b8dccda85691f3390bcd28e6ad592d14734fc35fb3ba3958bcb8a"),
+    "bounds --n 1 --corrupt --format json":
+        (1, "655fbaf67bef44fde77c20b870e37367e96ebfc201228ed8fafa8914f3463964"),
+    # below PANEL_TOL, so the quadrature threshold is quad_tol itself
+    "bounds --n 1 --tol 1e-13 --format json":
+        (0, "9746c2179db8f194e3b5e2c3c56e2e45cab898a0e566c6176038695af08904a8"),
     "bounds --n 2 --format json":
         (0, "c91eb304705a84cb2d04fea622b0a13b2975db3e248287cd1e5e829316245bf9"),
+    "bounds --n 2 --format csv":
+        (0, "48864009e3f4089797ad0f374b5b5b7587335c71f907cfcdad94cd85d0a3b6a0"),
+    "bounds --n 2 --format text":
+        (0, "38a97f65fc40a36122365ff0ad3b8a84b09ae6e55eaaf5c732bf26c52ed557d1"),
     "arithfactor --l 2 --format json":
         (0, "0fde187a09b408c0440e4e2c334150dead419d1bed7c374ecb52b70ff6d70f4e"),
     "moments --l 4 --format json":
