@@ -322,6 +322,8 @@ def rational_form_deviation(
           / (sum_h C(l,h)   v_h u**(2h) + lambda)  du   -   pi,
 
     evaluated as twice the half-line integral (the integrand is even)."""
+    if not (lam > 0.0 and all(vh >= 0.0 for vh in v)):  # nan fails both
+        raise ValueError("the rational form needs lambda > 0 and every v_h >= 0")
     l = len(v) + 1
     num_coeffs = [math.comb(l - 1, h - 1) * vh for h, vh in enumerate((*v, 1.0), start=1)]
     den_coeffs = _weight_coeffs(v)

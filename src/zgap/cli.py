@@ -8,11 +8,10 @@ moments     joint-moment coefficients, reference values and match flags
 lis         restricted-permutation counts with three-way agreement flags
 hankel      the Bessel Hankel-determinant series, exact coefficients
 identity    the unitary-average vs Hankel-determinant comparison report
-arithfactor truncated Euler-product estimate with error bound
+arithfactor Euler-product estimate with error bound
 
-Defaults: tol=1e-8, cutoff=1e5; terms=12 for hankel, 8 for identity.  The
-default tolerance can be overridden with the ZGAP_TOL environment variable
-(a --tol flag wins).  Identical configurations produce byte-identical
+The default tolerance can be overridden with the ZGAP_TOL environment
+variable (a --tol flag wins).  Identical configurations produce byte-identical
 outputs; the exit status is 0 iff every check in the emitted report passed,
 and 2, with a one-line "zgap: ..." message on stderr, for invalid input, an
 unwritable --output path (checked before any work), a quadrature that
@@ -25,10 +24,10 @@ h = 2 entry of the reference column.  `bounds --n 1` and `moments --l 4`
 detect it; `bounds --n 2` does not, because its (3,2) column is verified
 only at its h = 0 anchor.
 
-`arithfactor` accepts --cutoff in [2, 10**8]; it exits 2 when the Euler
-product underflows a float (l >= 21 at the default cutoff) or its error
-bound is not below its value (l >= 17 at the default cutoff, or a cutoff
-far below l**4).  `identity` accepts l in 1..8.
+`arithfactor` accepts --cutoff in [2, 10**8].  It exits 2 before the sieve
+when its error bound would not be below its value (l**4 >= cutoff * ln 2:
+l >= 17 at the default cutoff), and during it when the Euler product
+underflows a float.  `identity` accepts l in 1..8.
 """
 
 from __future__ import annotations
@@ -215,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", _bounds_report, "certify a zero-gap lower bound")
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument(
-        "--tol", type=float, default=os.environ.get("ZGAP_TOL") or str(bounds.DEFAULT_QUAD_TOL)
-    )
+    p.add_argument("--tol", type=float, help="quadrature tolerance (default: %(default)s)",
+                   default=os.environ.get("ZGAP_TOL") or str(bounds.DEFAULT_QUAD_TOL))
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = command("moments", _moments_report, "joint-moment coefficients and match flags")
@@ -229,17 +227,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=3)
     p.add_argument("--max-n", type=int, default=9, dest="max_n")
 
+    terms_help = "series terms (default: %(default)s)"
     p = command("hankel", _hankel_report, "Hankel determinant series")
     p.add_argument("--l", type=int, default=4)
-    p.add_argument("--terms", type=int, default=series.DEFAULT_TERMS)
+    p.add_argument("--terms", type=int, default=series.DEFAULT_TERMS, help=terms_help)
 
     p = command("identity", _identity_report, "unitary-average identity check")
     p.add_argument("--l", type=int, default=3)
-    p.add_argument("--terms", type=int, default=8)
+    p.add_argument("--terms", type=int, default=8, help=terms_help)
 
     p = command("arithfactor", _arithfactor_report, "Euler-product factor estimate")
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--cutoff", type=int, default=moments.DEFAULT_PRIME_CUTOFF)
+    p.add_argument("--cutoff", type=int, default=moments.DEFAULT_PRIME_CUTOFF,
+                   help="largest prime in the product (default: %(default)s)")
 
     parser.error = _usage_error
     for p in sub.choices.values():

@@ -20,9 +20,10 @@ Contents:
 * ``ratio_set_from_values(b)`` — the scaled ratios B(h) and A(h) feeding the
   zero-gap optimization in `zgap.bounds` (the arithmetic factor cancels in
   them),
-* ``arithmetic_factor(l)`` — a truncated evaluation of the Euler product
-  c_l over primes, with an error estimate.  It is contextual: no bound
-  computation depends on it.
+* ``arithmetic_factor(l)`` — the Euler product c_l over the primes up to a
+  cutoff, each prime's factor in closed form (an l-term polynomial in 1/p,
+  by Euler's transformation of its 2F1), with an error estimate for the
+  omitted primes.  It is contextual: no bound computation depends on it.
 
 All coefficient computations are exact; only ``arithmetic_factor`` is
 floating point.
@@ -43,8 +44,6 @@ from typing import Mapping
 from .arith import FactoredConstant, Rational, multinomial  # noqa: F401
 from .series import IntegerSeries, SeriesMatrix
 
-# Terms of the inner sum over m per prime in `arithmetic_factor`.
-INNER_TERMS = 64
 # Default largest prime of `arithmetic_factor` and of `zgap arithfactor`.
 DEFAULT_PRIME_CUTOFF = 100_000
 
@@ -167,7 +166,8 @@ def ratio_set_from_values(b: Mapping[int, Rational]) -> RatioSet:
 
 @dataclass(frozen=True)
 class ArithmeticFactorEstimate:
-    """Truncated Euler-product value with a conservative error estimate."""
+    """Euler-product value over the primes up to prime_cutoff, with a
+    conservative estimate of the error from the omitted primes."""
 
     l: int
     value: float
@@ -180,7 +180,6 @@ class ArithmeticFactorEstimate:
             "value": repr(self.value),
             "error_bound": repr(self.error_bound),
             "prime_cutoff": self.prime_cutoff,
-            "inner_terms": INNER_TERMS,
         }
 
 
@@ -199,61 +198,52 @@ def _primes_up_to(n: int) -> list[int]:
 def arithmetic_factor(
     l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> ArithmeticFactorEstimate:
-    """Truncated evaluation of the arithmetic factor
+    """The arithmetic factor
 
         c_l = prod_p (1 - 1/p)**(l**2) * sum_m C(m+l-1, m)**2 p**(-m)
 
-    over primes p <= prime_cutoff, inner sum over m < M = INNER_TERMS.
+    over primes p <= prime_cutoff, each factor in closed form.  The inner
+    sum is 2F1(l, l; 1; x) at x = 1/p, and Euler's transformation (DLMF
+    15.8.1) makes it (1 - x)**(1 - 2l) * sum_{k<l} C(l-1, k)**2 x**k, so
+    the factor of p is exactly
 
-    Error estimate combines (a) the inner-sum tail, bounded per prime by the
-    first omitted term times a geometric majorant with ratio
-    ((M+l)/(M+1))**2 / p, and (b) the omitted primes, where each factor's
-    log is O(l**4 / p**2) (the 1/p terms cancel between the two pieces), so
-    the tail is bounded by l**4 * sum_{n > cutoff} 1/n**2 < l**4 / cutoff.
-    Crude but sufficient: nothing downstream consumes this value.
+        f_p = (1 - 1/p)**((l-1)**2) * sum_{k<l} C(l-1, k)**2 p**(-k).
 
-    A prime_cutoff above 10**8 (a 100 MB sieve), a product that underflows a
-    float (l >= 21 at the default cutoff) and an error bound that is not
-    below the value (l >= 17 at the default cutoff, or a cutoff far below
-    l**4) raise ValueError.
+    The error estimate covers the omitted primes alone: |log f_p| <=
+    l**4 / p**2 (the 1/p terms cancel), so the tail of the log-product
+    is below l**4 * sum_{n > cutoff} 1/n**2 < l**4 / cutoff, and
+    error = value * expm1(l**4 / cutoff).  Crude but sufficient: nothing
+    downstream consumes this value.
+
+    A prime_cutoff above 10**8 (a 100 MB sieve), an error bound that is not
+    below the value (l**4 / cutoff >= ln 2: l >= 17 at the default cutoff,
+    l >= 92 at any allowed one), both checked before the sieve, and a
+    product that underflows a float raise ValueError.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 2 <= prime_cutoff <= 10**8:
         raise ValueError(f"prime_cutoff must be in [2, 10**8], got {prime_cutoff}")
-    m_cut = INNER_TERMS
+    # exact int-float comparison: l**4 / prime_cutoff overflows for huge l
+    if not l**4 < prime_cutoff * math.log(2):
+        raise ValueError(
+            f"the error bound for l={l} at prime_cutoff={prime_cutoff} is not below"
+            f" the value, since l**4 >= prime_cutoff * ln 2"
+        )
+    # highest power first, for Horner; C(90, 45)**2 < 2e52 fits a float
+    coeffs = [math.comb(l - 1, k) ** 2 for k in reversed(range(l))]
     value = 1.0
-    inner_tail_rel = 0.0
     for p in _primes_up_to(prime_cutoff):
         inv_p = 1.0 / p
-        inner = 0.0
-        term_weight = 1.0  # C(m+l-1, m)**2 * p**-m at current m
-        for m in range(m_cut):
-            if m > 0:
-                term_weight *= ((m + l - 1) / m) ** 2 * inv_p
-            inner += term_weight
-        first_omitted = term_weight * ((m_cut + l - 1) / m_cut) ** 2 * inv_p
-        ratio = ((m_cut + l) / (m_cut + 1)) ** 2 * inv_p
-        if ratio < 1.0:
-            inner_tail_rel += first_omitted / (1.0 - ratio) / inner
-        else:  # from l = 28 at p = 2; the infinite bound is rejected below
-            inner_tail_rel += float("inf")
-        value *= (1.0 - inv_p) ** (l * l) * inner
+        poly = 0.0
+        for c in coeffs:
+            poly = poly * inv_p + c
+        value *= (1.0 - inv_p) ** ((l - 1) ** 2) * poly
         if value < sys.float_info.min:
             raise ValueError(f"the Euler product for l={l} underflows a float at p={p}")
-    product_tail = l**4 / prime_cutoff
-    try:
-        error = value * math.expm1(inner_tail_rel + product_tail)
-    except OverflowError:
-        error = math.inf
-    if not error < value:  # no correct digit; also an infinite bound
-        raise ValueError(
-            f"the error bound for l={l} at prime_cutoff={prime_cutoff} is {error:.3g},"
-            f" not below the value {value:.3g}"
-        )
     return ArithmeticFactorEstimate(
         l=l,
         value=value,
-        error_bound=error,
+        error_bound=value * math.expm1(l**4 / prime_cutoff),
         prime_cutoff=prime_cutoff,
     )

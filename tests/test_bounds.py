@@ -584,7 +584,11 @@ COEFFS = [4.0, 6.0, 4.0, 1.0]
      pytest.param("_log_residual_from_coeffs", ([4.0, NAN, 4.0, 1.0], 1.0, 1e-8),
                   id="log-coefficient"),
      pytest.param("_residue_residual", (COEFFS, NAN), id="residue-lambda"),
-     pytest.param("_residue_residual", ([4.0, NAN, 4.0, 1.0], 1.0), id="residue-coefficient")],
+     pytest.param("_residue_residual", ([4.0, NAN, 4.0, 1.0], 1.0), id="residue-coefficient"),
+     pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), NAN), id="rational-lambda"),
+     pytest.param("rational_form_deviation", ((NAN, 1.0, 1.1), 1.0), id="rational-v"),
+     pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), -1.0),
+                  id="rational-negative-lambda")],
 )
 def test_nan_input_is_rejected_before_any_quadrature_or_root_sweep(name, args, monkeypatch):
     # nan compares false with everything, so a guard written as `x <= 0`

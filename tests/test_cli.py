@@ -139,14 +139,18 @@ def test_invalid_usage_exits_nonzero(capsys):
      (["moments", "--l", "3", "--pair", "3,2"], None,
       "the (3, 2) pair is tabulated for l = 4 only"),
      (["moments", "--l", "4", "--pair", "4,3"], None, "unsupported derivative pair (4, 3)"),
-     (["arithfactor", "--l", "21"], None, "the Euler product for l=21 underflows a float"),
-     (["arithfactor", "--l", "30"], None, "the Euler product for l=30 underflows a float"),
+     (["arithfactor", "--l", "21"], None,
+      "the error bound for l=21 at prime_cutoff=100000 is not below the value"),
+     (["arithfactor", "--l", "30"], None,
+      "the error bound for l=30 at prime_cutoff=100000 is not below the value"),
      (["arithfactor", "--cutoff", "100000001"], None,
       "prime_cutoff must be in [2, 10**8], got 100000001"),
      (["arithfactor", "--l", "17"], None,
-      "the error bound for l=17 at prime_cutoff=100000 is 7.88e-196, not below the value"),
+      "the error bound for l=17 at prime_cutoff=100000 is not below the value"),
      (["hankel", "--l", "1", "--terms", "2", "--output", ""], None,
-      "cannot write '': the --output path is empty")],
+      "cannot write '': the --output path is empty"),
+     (["arithfactor", "--l", "21", "--cutoff", "300000"], None,
+      "the Euler product for l=21 underflows a float at p=139")],
 )
 def test_rejected_input_is_a_one_line_error(args, tol_env, message, monkeypatch, capsys):
     if tol_env is not None:
@@ -244,6 +248,25 @@ def test_fuzzed_argv_gives_a_report_or_a_one_line_error(argv):
         value, error_bound = float(fields["value"]), float(fields["error_bound"])
         assert math.isfinite(value) and value > 0
         assert math.isfinite(error_bound) and error_bound < value
+
+
+@pytest.mark.parametrize("l", ["17", "1000000"])
+def test_arithfactor_error_bound_is_rejected_before_the_sieve(l, monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("sieve run for an l whose error bound is rejected")
+
+    monkeypatch.setattr(moments, "_primes_up_to", refuse)
+    assert main(["arithfactor", "--l", l]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"zgap: the error bound for l={l} ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_help_shows_the_default_cutoff(capsys):
+    with pytest.raises(SystemExit):
+        main(["arithfactor", "--help"])
+    assert f"(default: {moments.DEFAULT_PRIME_CUTOFF})" in capsys.readouterr().out
 
 
 def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):
@@ -367,7 +390,7 @@ REPORT_DIGESTS = {
     "bounds --n 2 --format text":
         (0, "38a97f65fc40a36122365ff0ad3b8a84b09ae6e55eaaf5c732bf26c52ed557d1"),
     "arithfactor --l 2 --format json":
-        (0, "0fde187a09b408c0440e4e2c334150dead419d1bed7c374ecb52b70ff6d70f4e"),
+        (0, "2feab2b0f211331ca516dbb1eb469be605847b909e68003f194a5defd542381b"),
     "moments --l 4 --format json":
         (0, "8ce69da7807f7c078af7ba87af875f877b95bb46c480c9f28bdb331bd18d1051"),
     "moments --l 4 --format csv":

@@ -227,6 +227,49 @@ def test_arithmetic_factor_rejects_a_cutoff_above_the_ceiling(monkeypatch):
         arithmetic_factor(2, prime_cutoff=10**8 + 1)
 
 
+def truncated_arithmetic_factor(l, prime_cutoff):
+    """The Euler product with each inner sum cut at 64 terms, as
+    `arithmetic_factor` computed it before the closed form."""
+    value = 1.0
+    for p in _primes(prime_cutoff):
+        inner, term_weight = 0.0, 1.0  # C(m+l-1, m)**2 * p**-m at current m
+        for m in range(64):
+            if m > 0:
+                term_weight *= ((m + l - 1) / m) ** 2 / p
+            inner += term_weight
+        value *= (1.0 - 1.0 / p) ** (l * l) * inner
+    return value
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_euler_transformation_is_a_formal_identity(l):
+    # sum_m C(m+l-1, m)**2 x**m == (1-x)**(1-2l) * sum_{k<l} C(l-1, k)**2 x**k,
+    # coefficient by coefficient; (1-x)**(1-2l) = sum_j C(j+2l-2, j) x**j
+    order = 40
+    lhs = [Fraction(math.comb(m + l - 1, m) ** 2) for m in range(order)]
+    poly = [math.comb(l - 1, k) ** 2 for k in range(l)]
+    rhs = [
+        Fraction(sum(poly[k] * math.comb(m - k + 2 * l - 2, m - k) for k in range(min(l, m + 1))))
+        for m in range(order)
+    ]
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_closed_form_matches_the_truncated_sum(l):
+    value = arithmetic_factor(l, prime_cutoff=10_000).value
+    assert value == pytest.approx(truncated_arithmetic_factor(l, 10_000), rel=1e-12)
+
+
+def test_each_euler_factor_meets_the_tail_premise():
+    # the omitted-prime error bound assumes |log f_p| <= l**4 / p**2
+    for l in range(1, 21):
+        for p in _primes(10_000):
+            poly = sum(math.comb(l - 1, k) ** 2 / p**k for k in range(l))
+            log_f = (l - 1) ** 2 * math.log1p(-1 / p) + math.log(poly)
+            assert abs(log_f) <= l**4 / p**2
+
+
 def _primes(n):
     sieve = bytearray(b"\x01") * (n + 1)
     sieve[:2] = b"\x00\x00"
