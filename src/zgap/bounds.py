@@ -4,7 +4,8 @@ hypothesis.
 
 Pipeline (all at l = 4):
 
-1. From the exact coefficient ratios A(1..4) build the closed-form value
+1. From the exact coefficient ratios A(1..4) (`_exact_prelude`) build the
+   closed-form value
 
        X = (A*B*(C-D) + C*(B**2 + C*D - 2*B*D)) / (16*(B-C)*(C-D)),
 
@@ -522,14 +523,20 @@ def _integrity_checks(
 
 def _exact_prelude(
     coefficients: Mapping[int, Rational],
-) -> tuple[moments.RatioSet, Rational, DerivedParams]:
-    """The exact part of a certificate: the ratio data of a coefficient
-    column, the closed-form X built from A(1..4), and the parameters derived
-    from both."""
-    ratios = moments.ratio_set_from_values(coefficients)
-    a, b, c, d = (ratios.A[h] for h in range(1, 5))
-    x_exact = closed_form_x(a, b, c, d)
-    return ratios, x_exact, derive_params(a, b, c, d, x_exact)
+) -> tuple[dict[int, Rational], tuple[Rational, ...], Rational, DerivedParams]:
+    """The exact part of a certificate for the coefficient column b[0..4]:
+
+        B(h) = 4**(h-4) * b[h]/b[4]  (so B(4) = 1),
+        A(h) = |(2h-1)/(2h-3)| * B(h-1)/B(h),
+
+    in which the arithmetic factor multiplying every b cancels; then the
+    inputs (a, b, c, d) = A(1..4), the closed-form X built from them, and
+    the parameters derived from both."""
+    b4 = Fraction(coefficients[4])
+    capB = {h: Fraction(4) ** (h - 4) * Fraction(coefficients[h]) / b4 for h in range(5)}
+    inputs = tuple(abs(Fraction(2 * h - 1, 2 * h - 3)) * capB[h - 1] / capB[h] for h in range(1, 5))
+    x_exact = closed_form_x(*inputs)
+    return capB, inputs, x_exact, derive_params(*inputs, x_exact)
 
 
 def certify_bound(
@@ -555,7 +562,7 @@ def certify_bound(
         coefficients = moments.coefficient_column(n)
     integrity, notes = _integrity_checks(n, coefficients)
 
-    ratios, x_exact, derived = _exact_prelude(coefficients)
+    capB, (a, b, c, d), x_exact, derived = _exact_prelude(coefficients)
     v_positive = all(t > 0 for t in derived.v_exact)
     checks = [
         integrity,
@@ -571,7 +578,7 @@ def certify_bound(
         lam = float(derived.lam_exact)
         lam_gap = abs(solve_lambda(v, quad_tol=quad_tol) - lam)
         pi_gap = rational_form_deviation(v, lam, quad_tol=quad_tol)
-        x_gap = abs(solve_x(v, lam, ratios.capB, tol=quad_tol) - float(x_exact))
+        x_gap = abs(solve_x(v, lam, capB, tol=quad_tol) - float(x_exact))
         checks += [
             CheckResult("lambda_consistency", lam_gap < 1e4 * check_tol, lam_gap),
             CheckResult("pi_integral", abs(pi_gap) < 1e2 * check_tol, pi_gap),
@@ -586,7 +593,6 @@ def certify_bound(
     margin = x_exact - THRESHOLDS[n] ** 2  # exact rational comparison
     checks.append(CheckResult("bound_above_threshold", margin > 0, float(margin)))
 
-    a, b, c, d = (ratios.A[h] for h in range(1, 5))
     return BoundCertificate(
         n=n, a=a, b=b, c=c, d=d, x_exact=x_exact, v_exact=derived.v_exact,
         lam_exact=derived.lam_exact, checks=tuple(checks), quad_tol=quad_tol, notes=notes,
@@ -609,7 +615,7 @@ def perturbed_x_values(
     if not (math.isfinite(rel) and 0.0 < rel < 1.0):
         raise ValueError(f"rel must be finite and in (0, 1), got {rel!r}")
     _check_tolerance("quad_tol", quad_tol)
-    ratios, _, derived = _exact_prelude(moments.coefficient_column(n))
+    capB, _, _, derived = _exact_prelude(moments.coefficient_column(n))
     base_v = tuple(float(t) for t in derived.v_exact)
     out = []
     for h in range(len(base_v)):
@@ -617,5 +623,5 @@ def perturbed_x_values(
             v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
             coeffs = _weight_coeffs(v)
             lam = _root_of_decreasing(lambda lam: _residue_residual(coeffs, lam), quad_tol)
-            out.append(solve_x(v, lam, ratios.capB, tol=quad_tol))
+            out.append(solve_x(v, lam, capB, tol=quad_tol))
     return out

@@ -10,14 +10,13 @@ hankel      the Bessel Hankel-determinant series, exact coefficients
 identity    the unitary-average vs Hankel-determinant comparison report
 arithfactor Euler-product estimate with error bound
 
-The default tolerance can be overridden with the ZGAP_TOL environment
-variable (a --tol flag wins).  Identical configurations produce byte-identical
-outputs; the exit status is 0 iff every check in the emitted report passed,
-and 2, with a one-line "zgap: ..." message on stderr, for invalid input, an
-unwritable --output path (checked before any work), a quadrature that
-does not converge or a computation that runs out of memory.  Rationals
-serialize as "numerator/denominator" strings in lowest terms, reals as
-shortest round-trip decimals.
+Identical configurations produce byte-identical outputs; the exit status
+is 0 iff every check in the emitted report passed, and 2, with a one-line
+"zgap: ..." message on stderr, for invalid input, an unwritable --output
+path (checked before any work), a quadrature that does not converge or a
+computation that runs out of memory.  Rationals serialize as
+"numerator/denominator" strings in lowest terms, reals as shortest
+round-trip decimals.
 
 The --corrupt flag of `moments` and `bounds` is a test hook that raises the
 h = 2 entry of the reference column.  `bounds --n 1` and `moments --l 4`
@@ -214,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", _bounds_report, "certify a zero-gap lower bound")
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tol", type=float, help="quadrature tolerance (default: %(default)s)",
-                   default=os.environ.get("ZGAP_TOL") or str(bounds.DEFAULT_QUAD_TOL))
+    p.add_argument("--tol", type=float, default=bounds.DEFAULT_QUAD_TOL,
+                   help="quadrature tolerance (default: %(default)s)")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = command("moments", _moments_report, "joint-moment coefficients and match flags")

@@ -87,14 +87,6 @@ def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def partitions_max_length(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most max_len parts: the partitions of n,
-    in the order of `partitions_max_part`, filtered by length."""
-    for shape in partitions_max_part(n, n if n > 0 else 1):
-        if len(shape) <= max_len:
-            yield shape
-
-
 def standard_tableaux(shape: Sequence[int]) -> int:
     """Number of standard Young tableaux of the given shape, by the hook
     length formula: weight! / prod(hook lengths).  Always an exact integer.

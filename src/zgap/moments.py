@@ -1,6 +1,5 @@
 """Leading coefficients of joint moments of the characteristic-polynomial
-analogue of Hardy's Z-function over the unitary group, and the exact ratios
-derived from them.
+analogue of Hardy's Z-function over the unitary group.
 
 Contents:
 
@@ -8,18 +7,14 @@ Contents:
   pair (2, 1).  Its partition-sum formula is a double sum over
   compositions weighted by a Vandermonde product; by the Andreief /
   Cauchy-Binet mechanism of Conrey-Rubinstein-Snaith it collapses to one
-  l x l Hankel determinant of two-variable Bessel-type series, expanded
-  with integer coefficients (`zgap.series.IntegerSeries`) by
-  `zgap.series.SeriesMatrix.determinant` (the l = 4 column in tens of
-  milliseconds, l = 6 in under two seconds),
+  l x l Hankel determinant of two-variable Bessel-type series, which
+  `zgap.series.bessel_determinant` computes exactly (the l = 4 column in
+  tens of milliseconds, l = 6 in under two seconds),
 * ``coefficient_column(n)`` — reference constants for l = 4 and
   derivative pairs (2, 1) and (3, 2), stored in factored form; the (2, 1)
   column is independently reproducible via the partition sum, the (3, 2)
   column enters purely as reference data (no printed formula exists for it,
   so nothing is extrapolated),
-* ``ratio_set_from_values(b)`` — the scaled ratios B(h) and A(h) feeding the
-  zero-gap optimization in `zgap.bounds` (the arithmetic factor cancels in
-  them),
 * ``arithmetic_factor(l)`` — the Euler product c_l over the primes up to a
   cutoff, each prime's factor in closed form (an l-term polynomial in 1/p,
   by Euler's transformation of its 2F1), with an error estimate for the
@@ -37,24 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
-from typing import Mapping
 
 # multinomial is no longer called here; it stays bound in this module
 # because perfbench/tracer.py counts its calls where moments binds it.
 from .arith import FactoredConstant, Rational, multinomial  # noqa: F401
-from .series import IntegerSeries, SeriesMatrix
+from .series import bessel_determinant
 
 # Default largest prime of `arithmetic_factor` and of `zgap arithfactor`.
 DEFAULT_PRIME_CUTOFF = 100_000
-
-
-@dataclass(frozen=True)
-class RatioSet:
-    """The scaled ratios B(h) (h = 0..l, with B(l) = 1) and the adjacent
-    ratios A(h) (h = 1..l) consumed by the optimization pipeline."""
-
-    capB: dict[int, Rational]
-    A: dict[int, Rational]
 
 
 @lru_cache(maxsize=None)
@@ -74,52 +59,39 @@ def joint_moment_coefficient(h: int, l: int) -> Rational:
     degree i in a, leaves the determinant unchanged and cancels against
     1/(2l+a)! to give 1/(2l+a-i)!.  The sums over h_j and m_j then enter
     column by column (Andreief / Cauchy-Binet), so the double sum becomes
-    one Hankel determinant of two-variable Bessel-type series
+    one Hankel determinant det[G_{2l-i-j}] (orders 1..2l-1) of the
+    two-variable Bessel-type series
 
-        F_n(s, t) = sum_{a, m >= 0} s**a t**m / (a! m! (2l - n + m + 2a)!)
+        G_n(s, t) = sum_{a, m >= 0} s**a t**m / (a! m! (n + m + 2a)!),
 
-    (2l - n >= 1 for every entry n = i + j), and the m_0 sum is exp(-t/2):
+    and the m_0 sum is exp(-t/2):
 
         S(h, l) = sign * sum_k C(2h, k) k! R_k!
-                  * [s**k t**R_k] exp(-t/2) * det[F_{i+j}].
+                  * [s**k t**R_k] exp(-t/2) * det[G_{2l-i-j}].
 
-    Every coefficient read lies on 2*deg_s + deg_t = 2l + 2h, so the series
-    are truncated there.  Each F_n is scaled by the common denominator
-    Q = (l+h)! (2l+2h)! (4l+2h-1)! to integer coefficients, and the
-    determinant is divided by Q**l once.  The formula is specific to the
-    (2, 1) derivative pair; other pairs are not computed here.
+    Every coefficient read lies on 2*deg_s + deg_t = 2l + 2h, so the
+    determinant comes from `zgap.series.bessel_determinant` truncated there,
+    with s-degree l + h; it is exact, and its common denominator is
+    Q = (2l+2h)! (4l+2h-1)!.  The formula is specific to the (2, 1)
+    derivative pair; other pairs are not computed here.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 0 <= h <= l:
         raise ValueError(f"need 0 <= h <= l, got h={h}, l={l}")
     top = 2 * l + 2 * h
-    scale = factorial(l + h) * factorial(top) * factorial(4 * l + 2 * h - 1)
-    # scaled[n - 1] is Q * F_n, for the entries n = 1..2l-1
-    scaled = [
-        IntegerSeries(
-            [
-                [
-                    scale // (factorial(a) * factorial(m) * factorial(2 * l - n + m + 2 * a))
-                    for m in range(top - 2 * a + 1)
-                ]
-                for a in range(top // 2 + 1)
-            ]
-        )
-        for n in range(1, 2 * l)
-    ]
-    grid = SeriesMatrix(tuple(tuple(scaled[i + j] for j in range(l)) for i in range(l)))
-    det = grid.determinant().rows
+    orders = [[2 * l - i - j for j in range(1, l + 1)] for i in range(l)]
+    det = bessel_determinant(orders, top, l + h)
     total = Fraction(0)
     for k in range(2 * h + 1):
         remaining = top - 2 * k
         inner = sum(
-            Fraction((-1) ** m0 * det[k][remaining - m0], 2**m0 * factorial(m0))
+            det[k][remaining - m0] * Fraction((-1) ** m0, 2**m0 * factorial(m0))
             for m0 in range(remaining + 1)
         )
         total += math.comb(2 * h, k) * factorial(k) * factorial(remaining) * inner
     sign = (-1) ** (l - h + (l * (l - 1)) // 2)
-    return sign * total / scale**l
+    return sign * total
 
 
 # Reference constants for l = 4: leading joint-moment coefficients for
@@ -144,24 +116,6 @@ def coefficient_column(n: int) -> dict[int, Rational]:
     """All five reference coefficients h = 0..4 for derivative pair (n+1, n),
     n in {1, 2}; any other n raises KeyError."""
     return {h: REFERENCE_COEFFICIENTS[h, n].value() for h in range(5)}
-
-
-def ratio_set_from_values(b: Mapping[int, Rational]) -> RatioSet:
-    """Build the B(h) and A(h) ratio maps from coefficient values b[0..l],
-    l = 4.
-
-    B(h) = 4**(h-l) * b[h]/b[l]  (so B(l) = 1);
-    A(h) = |(2h-1)/(2h-3)| * B(h-1)/B(h).
-
-    The arithmetic factor multiplying every b cancels in both.
-    """
-    l = 4
-    capB = {h: Fraction(4) ** (h - l) * Fraction(b[h]) / Fraction(b[l]) for h in range(l + 1)}
-    A = {
-        h: abs(Fraction(2 * h - 1, 2 * h - 3)) * capB[h - 1] / capB[h]
-        for h in range(1, l + 1)
-    }
-    return RatioSet(capB=capB, A=A)
 
 
 @dataclass(frozen=True)

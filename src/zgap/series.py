@@ -21,8 +21,11 @@ and those factors come out of the determinant:
 What remains is a determinant of polynomials.  Its entries, cut at degree
 terms-1 and scaled by one common denominator D to integer coefficients,
 form a grid of `IntegerSeries`; the determinant of that grid, cut at the
-same degree, is exact there, and it is divided by D**l once.  There is no
-rounding anywhere in this module.
+same degree, is exact there, and it is divided by D**l once.
+`bessel_determinant` is that one grid; with a positive s-degree it also
+builds the two-variable series G_n(s, t), with G_n(0, x) = g_n(x), whose
+Hankel determinant is the (2, 1) partition sum of `zgap.moments`.  There is
+no rounding anywhere in this module.
 
 Results are `HalfPowerSeries`: x**offset * (c_0 + c_1*x + ...) with the
 offset a multiple of 1/2.  Reading x as z**2 turns the Toeplitz result into
@@ -172,33 +175,52 @@ class SeriesMatrix:
         return minor(0)
 
 
-def _bessel_determinant(orders: list[list[int]], terms: int) -> tuple[Fraction, ...]:
-    """Coefficients of x**0..x**(terms-1) in det[g_{orders[j][k]}(x)].  Every
-    entry is scaled by D = (terms-1)! * (terms-1+n)!, with n the largest
-    order, to integer coefficients; the determinant is divided by D**l
-    once."""
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    top = terms - 1
+def bessel_determinant(
+    orders: list[list[int]], top: int, s_degree: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """det[G_{orders[j][k]}] for the two-variable Bessel-type series
+
+        G_n(s, t) = sum_{a, m >= 0} s**a * t**m / (a! * m! * (n + m + 2a)!),
+
+    1/(negative)! = 0, truncated at 2a + m <= top with a <= s_degree <=
+    top/2 (so G_n(0, t) = g_n(t)).  Row a of the result holds the exact coefficients
+    of s**a * t**m, m = 0..top-2a.  Every entry is scaled by D = top! *
+    (top + n)!, with n the largest order, to integer coefficients (a + m
+    <= top, so a! * m! divides top!), and the determinant is divided by
+    D**l once."""
     scale = factorial(top) * factorial(top + max(map(max, orders)))
-    g = {
+    grid = {
         n: IntegerSeries(
-            [[scale // (factorial(m) * factorial(m + n)) if m + n >= 0 else 0 for m in range(terms)]]
+            [
+                [
+                    scale // (factorial(a) * factorial(m) * factorial(n + m + 2 * a))
+                    if n + m + 2 * a >= 0 else 0
+                    for m in range(top - 2 * a + 1)
+                ]
+                for a in range(s_degree + 1)
+            ]
         )
         for n in {n for row in orders for n in row}
     }
-    det = SeriesMatrix(tuple(tuple(g[n] for n in row) for row in orders)).determinant()
-    return tuple(Fraction(c, scale ** len(orders)) for c in det.rows[0])
+    det = SeriesMatrix(tuple(tuple(grid[n] for n in row) for row in orders)).determinant()
+    denominator = scale ** len(orders)
+    return tuple(tuple(Fraction(c, denominator) for c in row) for row in det.rows)
+
+
+def _check_size(l: int, terms: int) -> None:
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
 
 
 @lru_cache(maxsize=None)
 def hankel_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """det[ I_{j+k+1}(2*sqrt(x)) ] for j,k = 0..l-1, expanded exactly as
     x**(l**2/2) * det[g_{j+k+1}(x)], with `terms` exact coefficients."""
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    _check_size(l, terms)
     orders = [[j + k + 1 for k in range(l)] for j in range(l)]
-    return HalfPowerSeries(Fraction(l * l, 2), _bessel_determinant(orders, terms))
+    return HalfPowerSeries(Fraction(l * l, 2), bessel_determinant(orders, terms - 1, 0)[0])
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +230,9 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     coefficient of x**n is T_l(n)/(n!)**2 with T_l(n) the number of
     permutations of {1..n} whose longest increasing subsequence has length
     at most l."""
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    _check_size(l, terms)
     orders = [[j - k for k in range(l)] for j in range(l)]
-    return HalfPowerSeries(Fraction(0), _bessel_determinant(orders, terms))
+    return HalfPowerSeries(Fraction(0), bessel_determinant(orders, terms - 1, 0)[0])
 
 
 @lru_cache(maxsize=None)
@@ -227,27 +248,25 @@ def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfP
 
     with q = det_power, f the standard-tableau count, and lam + (q^l) the
     shape obtained by padding lam to l rows and adding q to each row.  The
-    z-exponent 2k + l*q becomes x-exponent k + l*q/2, so the result has
-    offset l*q/2 and integer steps.
+    sum runs over the conjugate shapes mu = lam' instead, the partitions
+    with parts <= l: f is invariant under conjugation, and the conjugate of
+    lam + (q^l) is (l,)*q + mu.  The z-exponent 2k + l*q becomes x-exponent
+    k + l*q/2, so the result has offset l*q/2 and integer steps.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    _check_size(l, terms)
     if det_power < 0:
         raise ValueError(f"det_power must be >= 0, got {det_power}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
     q = det_power
-    coeffs = []
-    for k in range(terms):
-        total = Fraction(0)
-        for shape in lis.partitions_max_length(k, l):
-            padded = tuple(p + q for p in shape) + (q,) * (l - len(shape))
-            padded = tuple(p for p in padded if p > 0)
-            total += Fraction(
-                lis.standard_tableaux(shape) * lis.standard_tableaux(padded),
-                factorial(k) * factorial(k + l * q),
-            )
-        coeffs.append(total)
+    coeffs = [
+        Fraction(
+            sum(
+                lis.standard_tableaux(mu) * lis.standard_tableaux((l,) * q + mu)
+                for mu in lis.partitions_max_part(k, l)
+            ),
+            factorial(k) * factorial(k + l * q),
+        )
+        for k in range(terms)
+    ]
     return HalfPowerSeries(Fraction(l * q, 2), tuple(coeffs))
 
 

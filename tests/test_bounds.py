@@ -28,7 +28,7 @@ from zgap.bounds import (
     _PANEL_BUDGET,
     _log_residual_from_coeffs,
 )
-from zgap.moments import coefficient_column, ratio_set_from_values
+from zgap.moments import coefficient_column
 
 RATIO_INPUTS = {
     1: tuple(hall_ratio(h, 1) for h in (1, 2, 3, 4)),
@@ -377,8 +377,8 @@ def test_lambda_exact_equals_sigma4_squared():
 @pytest.mark.parametrize("n", [1, 2])
 def test_solve_x_agrees_with_closed_form(n):
     v, lam = derived_floats_for(n)
-    ratios = ratio_set_from_values(coefficient_column(n))
-    x = solve_x(v, lam, ratios.capB, tol=1e-8)
+    capB, _, _, _ = bounds._exact_prelude(coefficient_column(n))
+    x = solve_x(v, lam, capB, tol=1e-8)
     assert abs(x - float(closed_form_x(*RATIO_INPUTS[n]))) < 1e-7
 
 

@@ -126,7 +126,7 @@ def test_invalid_usage_exits_nonzero(capsys):
 
 
 @pytest.mark.parametrize(
-    "args, tol_env, message",
+    "args, tol, message",
     [(["hankel", "--l", "abc"], None, "argument --l: invalid int value: 'abc'"),
      (["bounds", "--n", "3"], None, "argument --n: invalid choice: 3"),
      (["lis", "--bogus"], None, "unrecognized arguments: --bogus"),
@@ -152,9 +152,9 @@ def test_invalid_usage_exits_nonzero(capsys):
      (["arithfactor", "--l", "21", "--cutoff", "300000"], None,
       "the Euler product for l=21 underflows a float at p=139")],
 )
-def test_rejected_input_is_a_one_line_error(args, tol_env, message, monkeypatch, capsys):
-    if tol_env is not None:
-        monkeypatch.setenv("ZGAP_TOL", tol_env)
+def test_rejected_input_is_a_one_line_error(args, tol, message, capsys):
+    if tol is not None:
+        args = [*args, "--tol", tol]
     try:
         status = main(args)
     except SystemExit as exc:
@@ -337,12 +337,10 @@ def test_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c", probe], check=True)
 
 
-def test_parse_config_defaults_and_env(monkeypatch):
+def test_parse_config_defaults_and_flag():
     assert build_parser().parse_args(["bounds", "--n", "2"]).tol == 1e-8
-    monkeypatch.setenv("ZGAP_TOL", "1e-6")
-    assert build_parser().parse_args(["bounds", "--n", "2"]).tol == 1e-6
     args = build_parser().parse_args(["bounds", "--n", "2", "--tol", "1e-9"])
-    assert args.tol == 1e-9  # explicit flag wins
+    assert args.tol == 1e-9
 
 
 def test_output_file_determinism(tmp_path, capsys):

@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import cue_moment_coefficient, hall_ratio
-from zgap import moments
+from zgap import bounds, moments
 from zgap.arith import multinomial
 from zgap.moments import (
     arithmetic_factor,
     coefficient_column,
     joint_moment_coefficient,
-    ratio_set_from_values,
 )
 
 G_VALUES = {1: 1, 2: 2, 3: 42, 4: 24024}
@@ -128,9 +127,16 @@ def test_reference_table_out_of_range():
         coefficient_column(3)
 
 
+def ratios(b):
+    """B(0..4) and A(1..4) of the coefficient column b, as the certificate's
+    exact prelude forms them."""
+    capB, inputs, _, _ = bounds._exact_prelude(b)
+    return capB, dict(enumerate(inputs, start=1))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_ratio_normalization_and_positivity(n):
-    capB = ratio_set_from_values(coefficient_column(n)).capB
+    capB, _ = ratios(coefficient_column(n))
     assert sorted(capB) == [0, 1, 2, 3, 4]
     assert all(value > 0 for value in capB.values())
     assert capB[4] == 1
@@ -138,9 +144,9 @@ def test_ratio_normalization_and_positivity(n):
 
 def test_ratio_spot_checks():
     b = coefficient_column(1)
-    assert ratio_set_from_values(b).capB[3] == Fraction(1, 4) * b[3] / b[4]
+    assert ratios(b)[0][3] == Fraction(1, 4) * b[3] / b[4]
     b2 = coefficient_column(2)
-    assert ratio_set_from_values(b2).capB[0] == Fraction(1, 4) ** 4 * b2[0] / b2[4]
+    assert ratios(b2)[0][0] == Fraction(1, 4) ** 4 * b2[0] / b2[4]
 
 
 HALL_RATIOS = {
@@ -157,15 +163,15 @@ HALL_RATIOS = {
 
 @pytest.mark.parametrize("h,n", sorted(HALL_RATIOS))
 def test_hall_ratios_exact(h, n):
-    ratios = ratio_set_from_values(coefficient_column(n))
-    assert ratios.A[h] == hall_ratio(h, n) == HALL_RATIOS[(h, n)]
+    _, A = ratios(coefficient_column(n))
+    assert A[h] == hall_ratio(h, n) == HALL_RATIOS[(h, n)]
 
 
-def test_ratio_set_from_values_matches_the_hall_ratio_oracle():
+def test_exact_prelude_matches_the_hall_ratio_oracle():
     for n in (1, 2):
-        ratios = ratio_set_from_values(coefficient_column(n))
-        assert ratios.capB[4] == 1
-        assert ratios.A == {h: hall_ratio(h, n) for h in range(1, 5)}
+        capB, A = ratios(coefficient_column(n))
+        assert capB[4] == 1
+        assert A == {h: hall_ratio(h, n) for h in range(1, 5)}
 
 
 def test_arithmetic_factor_telescopes_for_l1():
@@ -212,8 +218,13 @@ def test_arithmetic_factor_l16_is_the_last_value_with_a_correct_digit():
         arithmetic_factor(17)
 
 
-def test_arithmetic_factor_rejects_an_infinite_error_bound():
-    # the omitted-prime tail l**4 / cutoff = 5000 overflows expm1
+def test_arithmetic_factor_rejects_a_tail_above_ln2_before_the_sieve(monkeypatch):
+    # l**4 / cutoff = 5000 >= ln 2: rejected before any prime is sieved, so
+    # no error bound, finite or not, is ever formed
+    def refuse(n):
+        raise AssertionError("sieve run for an input the error bound rejects")
+
+    monkeypatch.setattr(moments, "_primes_up_to", refuse)
     with pytest.raises(ValueError, match="error bound"):
         arithmetic_factor(10, prime_cutoff=2)
 

@@ -18,7 +18,7 @@ from zgap.series import (
     HalfPowerSeries,
     IntegerSeries,
     SeriesMatrix,
-    _bessel_determinant,
+    bessel_determinant,
     check_hankel_identity,
     hankel_determinant,
     toeplitz_determinant,
@@ -40,19 +40,45 @@ def bessel(order, terms):
 
 def test_bessel_series_examples():
     # a 1x1 grid is its one entry g_n(x) = sum_m x**m / (m! (m+n)!)
-    assert _bessel_determinant([[0]], 3) == (1, 1, Fraction(1, 4))
-    assert _bessel_determinant([[1]], 2) == (1, HALF)
-    assert _bessel_determinant([[3]], 1) == (Fraction(1, 6),)
+    assert bessel_determinant([[0]], 2, 0) == ((1, 1, Fraction(1, 4)),)
+    assert bessel_determinant([[1]], 1, 0) == ((1, HALF),)
+    assert bessel_determinant([[3]], 0, 0) == ((Fraction(1, 6),),)
     # 1/(negative)! = 0, so g_{-2}(x) = x**2 * g_2(x)
-    assert _bessel_determinant([[-2]], 5) == (0, 0) + _bessel_determinant([[2]], 3)
+    assert bessel_determinant([[-2]], 4, 0)[0] == (0, 0) + bessel_determinant([[2]], 2, 0)[0]
     assert hankel_determinant(1, 2) == HalfPowerSeries(HALF, (1, HALF))
     assert toeplitz_determinant(1, 3) == HalfPowerSeries(0, (1, 1, Fraction(1, 4)))
 
 
 def test_bessel_series_general_term():
-    g = _bessel_determinant([[2]], 6)
+    (g,) = bessel_determinant([[2]], 5, 0)
     for m in range(6):
         assert g[m] == Fraction(1, factorial(m) * factorial(m + 2))
+
+
+def test_two_variable_series_general_term():
+    # a 1x1 grid is its one entry G_n(s, t), rows a = 0..s_degree, 2a + m <= top
+    for n in (-3, 0, 2):
+        rows = bessel_determinant([[n]], 7, 3)
+        assert [len(row) for row in rows] == [8, 6, 4, 2]
+        for a, row in enumerate(rows):
+            for m, c in enumerate(row):
+                k = n + m + 2 * a
+                assert c == (Fraction(1, factorial(a) * factorial(m) * factorial(k)) if k >= 0 else 0)
+
+
+def partition_sum_orders(l):
+    """The (2, 1) partition-sum grid of `moments.joint_moment_coefficient`."""
+    return [[2 * l - i - j for j in range(1, l + 1)] for i in range(l)]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_row_zero_of_the_two_variable_grid_is_the_one_variable_grid(l):
+    # setting s = 0 is a ring map, so it commutes with the determinant
+    hankel_orders = [[j + k + 1 for k in range(l)] for j in range(l)]
+    for orders in (hankel_orders, partition_sum_orders(l)):
+        for h in range(l + 1):
+            top = 2 * l + 2 * h
+            assert bessel_determinant(orders, top, l + h)[0] == bessel_determinant(orders, top, 0)[0]
 
 
 def test_series_validation():

@@ -5,10 +5,12 @@ A use is a name, an attribute, an imported name, or a string constant equal
 to the name (the benchmark tracer wraps functions by attribute name).  Uses
 inside the name's own definition, docstrings, comments, the package's
 `__init__.py` and `tests/` do not count: a helper that only tests call, or
-that the package only re-exports, is dead weight.
+that the package only re-exports, is dead weight.  The layering: only
+`series` names the integer series engine.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +81,14 @@ def test_package_exports_only_its_version():
     names = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in tree.body)
     assert names == ["__version__"]
+
+
+def test_only_series_names_the_integer_series_engine():
+    # one exact series-determinant engine: other modules call
+    # `series.bessel_determinant` and never build a grid themselves
+    engine = re.compile(r"\b(IntegerSeries|SeriesMatrix)\b")
+    outside = [
+        path.name for path in MODULES
+        if path.name != "series.py" and engine.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not outside, f"modules other than series.py that name the engine: {outside}"
