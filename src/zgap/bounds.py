@@ -26,10 +26,14 @@ Pipeline (all at l = 4):
 
    where g(u) = (2l-1) * sum_h C(l,h) v_h u**(2h) must be increasing on the
    positive axis (every exact v_h >= 0 proves it), and the equivalent
-   rational-integrand form whose value must be pi.  Sign conventions: (*) is
-   used verbatim for extraction; the rational integrand carries all-plus
-   signs in its denominator (the two polynomials are related by
-   t**2 <-> -u**2), and the quadrature oracle below confirms that reading.
+   rational-integrand form whose value must be pi.  The log form's residual
+   is strictly decreasing in lambda, so it is checked by a three-quadrature
+   sign bracket, not solved: positive at lambda - delta and negative at
+   lambda + delta puts its root within delta of the exact lambda.  Sign
+   conventions: (*) is used verbatim for extraction; the rational integrand
+   carries all-plus signs in its denominator (the two polynomials are
+   related by t**2 <-> -u**2), and the quadrature oracle below confirms
+   that reading.
 
 4. re-solve for X by bisection on the defining polynomial equation and
    compare with the closed form, check the bound sqrt(X) against the
@@ -179,8 +183,9 @@ def _log_residual_from_coeffs(coeffs: Sequence[float], lam: float, quad_tol: flo
     """integral_0^inf log(1 + P(u**2)/lam) du/u**2  -  l*pi, where
     P(y) = sum_h coeffs[h-1] * y**h and l = len(coeffs) (coeffs[h-1] =
     C(l,h) v_h for the standard weight polynomial).  Strictly decreasing in
-    lam (the integrand is), which is what makes the bisection in
-    `solve_lambda` certified."""
+    lam (the integrand is), which is what makes the sign bracket of the
+    certificate's `lambda_consistency` row (`_lambda_bracket`) and the
+    bisection in `solve_lambda` certified."""
     if not (lam > 0.0 and all(x >= 0.0 for x in coeffs)):
         raise ValueError("the log form needs lambda > 0 and coefficients >= 0")
     c = tuple(float(x) for x in coeffs)
@@ -539,6 +544,26 @@ def _exact_prelude(
     return capB, inputs, x_exact, derive_params(*inputs, x_exact)
 
 
+def _lambda_bracket(
+    coeffs: Sequence[float], lam: float, delta: float, quad_tol: float
+) -> CheckResult:
+    """The `lambda_consistency` row: three quadratures r(lam - delta),
+    r(lam), r(lam + delta) of the log-form residual at quad_tol.  r is
+    strictly decreasing in lambda, so r(lam - delta) > 0 > r(lam + delta)
+    proves its root lies within delta of lam.  The residual is the distance
+    from lam to the root by one secant-slope Newton step,
+    |r(lam)| * 2*delta / (r(lam - delta) - r(lam + delta)).  A window that
+    reaches lambda <= 0 fails with residual inf."""
+    if not lam > delta:
+        return CheckResult("lambda_consistency", False, math.inf)
+    below, at, above = (
+        _log_residual_from_coeffs(coeffs, x, quad_tol) for x in (lam - delta, lam, lam + delta)
+    )
+    slope = below - above
+    gap = abs(at) * 2.0 * delta / slope if slope > 0.0 else math.inf
+    return CheckResult("lambda_consistency", below > 0.0 > above, gap)
+
+
 def certify_bound(
     n: int,
     quad_tol: float = DEFAULT_QUAD_TOL,
@@ -549,11 +574,12 @@ def certify_bound(
 
     The numeric re-verification runs at quad_tol, but its check thresholds
     derive from t = min(quad_tol, DEFAULT_QUAD_TOL), so a loose quad_tol
-    cannot loosen them: the lambda solver must agree within 1e4*t, the
-    rational-form integral must sit within 1e2*t of pi, and the bisection
-    root must agree with the closed form within 10*t.  `coefficients`
-    overrides the reference table (used by corruption tests); overrides are
-    still held to the integrity cross-check.
+    cannot loosen them: the log-form residual must change sign between
+    lambda - 1e4*t and lambda + 1e4*t (three quadratures,
+    `_lambda_bracket`), the rational-form integral must sit within 1e2*t of
+    pi, and the bisection root must agree with the closed form within 10*t.
+    `coefficients` overrides the reference table (used by corruption
+    tests); overrides are still held to the integrity cross-check.
     """
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
@@ -576,11 +602,10 @@ def certify_bound(
     if v_positive:
         v = tuple(float(t) for t in derived.v_exact)
         lam = float(derived.lam_exact)
-        lam_gap = abs(solve_lambda(v, quad_tol=quad_tol) - lam)
         pi_gap = rational_form_deviation(v, lam, quad_tol=quad_tol)
         x_gap = abs(solve_x(v, lam, capB, tol=quad_tol) - float(x_exact))
         checks += [
-            CheckResult("lambda_consistency", lam_gap < 1e4 * check_tol, lam_gap),
+            _lambda_bracket(_weight_coeffs(v), lam, 1e4 * check_tol, quad_tol),
             CheckResult("pi_integral", abs(pi_gap) < 1e2 * check_tol, pi_gap),
             CheckResult("x_consistency", x_gap < 10 * check_tol, x_gap),
         ]

@@ -1,5 +1,6 @@
 """Quadrature engine, lambda equation, closed-form optimizer, certificates."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -12,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from oracles import hall_ratio
-from zgap import bounds, moments
+from zgap import bounds, cli, moments
 from zgap.bounds import (
     THRESHOLDS,
     QuadratureError,
@@ -462,11 +463,79 @@ def test_certificate_checks_meet_stated_tolerances_when_tighter(quad_tol):
     _assert_checks_meet_stated_tolerances(quad_tol)
 
 
+def lambda_row(certificate):
+    return next(c for c in certificate.checks if c.name == "lambda_consistency")
+
+
 def test_loose_tolerance_cannot_loosen_the_checks():
+    # the lambda row has no bisection for a loose tolerance to cut short, and
+    # its quadrature accepts panels at min(tol, 1e-12), so at tol 1.0 its
+    # verdict and residual are those of the default; that a lambda outside
+    # the window fails at tol 1.0 is test_lambda_outside_its_window_fails
     certificate = certify_bound(1, quad_tol=1.0)
     assert certificate.valid is False
     failed = {c.name for c in certificate.checks if not c.passed}
-    assert {"lambda_consistency", "x_consistency"} <= failed
+    assert "x_consistency" in failed
+    assert lambda_row(certificate) == lambda_row(certify_bound(1))
+
+
+def move_lambda(monkeypatch, move):
+    """Make `bounds.derive_params` return lam_exact replaced by
+    move(lam_exact), everything else unchanged."""
+    derive = bounds.derive_params
+
+    def moved(*args):
+        derived = derive(*args)
+        return dataclasses.replace(derived, lam_exact=move(derived.lam_exact))
+
+    monkeypatch.setattr(bounds, "derive_params", moved)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("quad_tol", [1e-13, 1e-8, 1.0])
+def test_lambda_outside_its_window_fails(quad_tol, sign, monkeypatch):
+    # the window is lambda +- delta; moved by 2 delta, the root lies outside
+    # it and the secant step reports about that distance
+    delta = 1e4 * min(quad_tol, bounds.DEFAULT_QUAD_TOL)
+    move_lambda(monkeypatch, lambda lam: lam + sign * 2 * Fraction(delta))
+    row = lambda_row(certify_bound(1, quad_tol=quad_tol))
+    assert not row.passed
+    assert row.residual == pytest.approx(2 * delta, rel=1e-2)
+
+
+def test_lambda_window_reaching_zero_fails_without_raising(monkeypatch, capsys):
+    # lambda - delta <= 0 is no valid lambda: the row fails with residual
+    # inf, and the command exits 1 (a check failed), not 2
+    delta = 1e4 * bounds.DEFAULT_QUAD_TOL
+    move_lambda(monkeypatch, lambda lam: Fraction(delta) / 2)
+    row = lambda_row(certify_bound(1))
+    assert not row.passed
+    assert row.residual == math.inf
+    assert cli.main(["bounds", "--n", "1", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"name": "lambda_consistency", "passed": False, "residual": "inf"} in checks
+
+
+def test_certificate_spends_four_quadratures(monkeypatch):
+    # three for the lambda bracket and one for the pi integral; none when
+    # v_positive fails
+    quadrature = bounds.integrate_unit_interval
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate_unit_interval", counting)
+    for n in (1, 2):
+        calls.clear()
+        assert certify_bound(n).valid
+        assert len(calls) == 4
+    column = coefficient_column(1)
+    column[0] /= 2
+    calls.clear()
+    assert not certify_column(column)[1]["v_positive"].passed
+    assert calls == []
 
 
 def test_certificate_rejects_unknown_order():

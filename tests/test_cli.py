@@ -371,22 +371,22 @@ def test_cross_process_determinism(tmp_path):
 # must be deliberate.
 REPORT_DIGESTS = {
     "bounds --n 1 --format json":
-        (0, "9265bd626f5190624bbf3237c1e9a9d14edbdb7a9f29143876a9f0adc8b3ef58"),
+        (0, "94532ff3f2d1bddd8abdff6a3ba9ce8ea3024c5c335756e0df5019aaac417917"),
     "bounds --n 1 --format csv":
-        (0, "4894da0ef4ac9a012a1eb8a1c93b8de49921e595a62499377e930134f9086bfe"),
+        (0, "b459962903705da2532ef19fefd319406383677555ab89361892aba3f0e6e585"),
     "bounds --n 1 --format text":
-        (0, "0c7a0a87d09b8dccda85691f3390bcd28e6ad592d14734fc35fb3ba3958bcb8a"),
+        (0, "0dffa513306003b19bd7b661be582a5c7651bf53eaad712d8a417a0bb487e19a"),
     "bounds --n 1 --corrupt --format json":
-        (1, "655fbaf67bef44fde77c20b870e37367e96ebfc201228ed8fafa8914f3463964"),
+        (1, "77449b544e646ffaa188bb06cca6072f497f79280a45c7c48463a48c519ff455"),
     # below PANEL_TOL, so the quadrature threshold is quad_tol itself
     "bounds --n 1 --tol 1e-13 --format json":
-        (0, "9746c2179db8f194e3b5e2c3c56e2e45cab898a0e566c6176038695af08904a8"),
+        (0, "ba430e093013559a3daba310ccd50356afc3e4c9c350a036222abbd48837139d"),
     "bounds --n 2 --format json":
-        (0, "c91eb304705a84cb2d04fea622b0a13b2975db3e248287cd1e5e829316245bf9"),
+        (0, "c75823ed93e2c1c86a7c3c68820c2dc4460828a757f7e83f1d7714e877ce0085"),
     "bounds --n 2 --format csv":
-        (0, "48864009e3f4089797ad0f374b5b5b7587335c71f907cfcdad94cd85d0a3b6a0"),
+        (0, "e463d94c747df33c676950af90f39fc4f56620b1d124d6857e9648bb8f668705"),
     "bounds --n 2 --format text":
-        (0, "38a97f65fc40a36122365ff0ad3b8a84b09ae6e55eaaf5c732bf26c52ed557d1"),
+        (0, "5aa2b9ac66390e8803f05111493ebc1c045af56c5c2e89b65842be424f5a19cc"),
     "arithfactor --l 2 --format json":
         (0, "2feab2b0f211331ca516dbb1eb469be605847b909e68003f194a5defd542381b"),
     "moments --l 4 --format json":
