@@ -632,9 +632,10 @@ def perturbed_x_values(
     non-improvement: no perturbation should beat the certified X beyond
     tolerance.
 
-    Each lambda is re-solved by the bracket and bisection of `solve_lambda`
-    to quad_tol, but on the residue residual, which needs no quadrature:
-    the derived v_h are positive, so the perturbed ones are too."""
+    Each lambda is re-solved to quad_tol by `_root_of_decreasing` (bracket
+    by factors of 8, then bisection) on the residue residual, which needs no
+    quadrature: the derived v_h are positive, so the perturbed ones are
+    too."""
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
     if not (math.isfinite(rel) and 0.0 < rel < 1.0):

@@ -3,8 +3,10 @@ against.  The library itself has no use for them, so they live here."""
 
 import math
 from fractions import Fraction
+from math import factorial
 
 from zgap.moments import coefficient_column
+from zgap.series import bessel_determinant
 
 
 def cue_moment_coefficient(l):
@@ -22,3 +24,22 @@ def hall_ratio(h, n):
     B(h-1)/B(h) = b[h-1] / (4*b[h])."""
     b = coefficient_column(n)
     return abs(Fraction(2 * h - 1, 2 * h - 3)) * b[h - 1] / (4 * b[h])
+
+
+def per_h_partition_sum(h, l):
+    """The (2, 1) partition sum S(h, l) read from its own determinant,
+    truncated at top = 2l + 2h with s-degree l + h, instead of from the
+    one top = 4l determinant that the library shares across the column."""
+    top = 2 * l + 2 * h
+    orders = [[2 * l - i - j for j in range(1, l + 1)] for i in range(l)]
+    det = bessel_determinant(orders, top, l + h)
+    total = Fraction(0)
+    for k in range(2 * h + 1):
+        remaining = top - 2 * k
+        inner = sum(
+            det[k][remaining - m0] * Fraction((-1) ** m0, 2**m0 * factorial(m0))
+            for m0 in range(remaining + 1)
+        )
+        total += math.comb(2 * h, k) * factorial(k) * factorial(remaining) * inner
+    sign = (-1) ** (l - h + (l * (l - 1)) // 2)
+    return sign * total

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cue_moment_coefficient, hall_ratio
-from zgap import bounds, moments
+from oracles import cue_moment_coefficient, hall_ratio, per_h_partition_sum
+from zgap import bounds, cli, moments
 from zgap.arith import multinomial
 from zgap.moments import (
     arithmetic_factor,
@@ -89,11 +89,46 @@ def test_partition_sum_matches_term_by_term_oracle(h, l):
     assert joint_moment_coefficient(h, l) == partition_sum_oracle(h, l)
 
 
-def test_partition_sum_rejects_bad_arguments():
+@pytest.mark.parametrize("h,l", [(h, l) for l in range(1, 6) for h in range(l + 1)])
+def test_one_determinant_per_column_matches_one_per_h(h, l):
+    assert joint_moment_coefficient(h, l) == per_h_partition_sum(h, l)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The argument tuples of every determinant `moments` builds, counted
+    from cold caches."""
+    moments._column.cache_clear()
+    moments.joint_moment_coefficient.cache_clear()
+    calls = []
+    build = moments.bessel_determinant
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(moments, "bessel_determinant", counting)
+    return calls
+
+
+def test_moments_command_builds_the_column_once(builds, capsys):
+    assert cli.main(["moments", "--l", "4"]) == 0
+    capsys.readouterr()
+    assert [(top, s_degree) for _, top, s_degree in builds] == [(16, 8)]
+
+
+def test_both_certificates_share_one_column_build(builds):
+    assert bounds.certify_bound(1).valid
+    assert bounds.certify_bound(2).valid
+    assert len(builds) == 1
+
+
+def test_partition_sum_rejects_bad_arguments(builds):
     with pytest.raises(ValueError):
         joint_moment_coefficient(5, 4)
     with pytest.raises(ValueError):
         joint_moment_coefficient(-1, 2)
+    assert builds == []
 
 
 @pytest.mark.parametrize("h", [0, 1, 2, 3, 4])
