@@ -1,6 +1,9 @@
 """Exact rational arithmetic: the `Rational` alias and its serialized
 form, the multinomial coefficient, and reference constants kept in factored
-form.  Factorials and binomials come from `math` directly.
+form.  Factorials and binomials come from `math` directly.  The package's
+shared defaults live here too, because every `zgap` command loads this
+module and the CLI parser shows them without importing the modules that
+use them.
 
 All exact values in this package are `fractions.Fraction` instances, which
 already guarantee the invariants we rely on: lowest terms after every
@@ -14,10 +17,15 @@ from concurrent workers without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
+
+# Default quadrature tolerance of `zgap.bounds` and of `zgap bounds --tol`.
+DEFAULT_QUAD_TOL = 1e-8
+# Default largest prime of `zgap.moments.arithmetic_factor` and of
+# `zgap arithfactor --cutoff`.
+DEFAULT_PRIME_CUTOFF = 100_000
 
 
 def rational_str(q: Rational) -> str:
@@ -42,7 +50,6 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class FactoredConstant:
     """A signed product of integer powers, kept in factored form.
 
@@ -52,17 +59,18 @@ class FactoredConstant:
     no factorization routine exists anywhere in this package).
     """
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("sign", "factors")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        bases = [b for b, _ in self.factors]
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        bases = [b for b, _ in factors]
         if any(b < 2 for b in bases):
             raise ValueError(f"bases must be >= 2, got {bases}")
         if len(set(bases)) != len(bases):
             raise ValueError(f"bases must be pairwise distinct, got {bases}")
+        self.sign = sign
+        self.factors = factors
 
     def value(self) -> Rational:
         out = Fraction(self.sign)

@@ -73,14 +73,11 @@ certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .arith import Rational, rational_str
+from .arith import DEFAULT_QUAD_TOL, Rational, rational_str
 from . import moments
-
-DEFAULT_QUAD_TOL = 1e-8
 
 PANEL_TOL = 1e-12
 _MAX_PANEL_DEPTH = 52
@@ -91,10 +88,11 @@ _ROUNDOFF = 1e-15  # panels cannot beat this relative to their own magnitude
 THRESHOLDS: dict[int, Fraction] = {1: Fraction(198, 100), 2: Fraction(171, 100)}
 
 
-class QuadratureError(Exception):
+class QuadratureError(ValueError):
     """Raised when a panel stays unresolved at the depth limit, or an integral
     exhausts its panel budget; carries that panel's error estimate, or the
-    sum over the panels accepted so far."""
+    sum over the panels accepted so far.  A `ValueError`: the input asked
+    for an integral that the tolerance and budget cannot deliver."""
 
     def __init__(self, message: str, achieved_error: float):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
@@ -359,8 +357,7 @@ def closed_form_x(a: Rational, b: Rational, c: Rational, d: Rational) -> Rationa
     return (a * b * (c - d) + c * (b * b + c * d - 2 * b * d)) / (16 * (b - c) * (c - d))
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Exact parameter set extracted from the quartic factorization (*):
     (v_1, v_2, v_3) and lambda of the l = 4 weight polynomial, and the
     sigma's they come from.  Callers that integrate take `float()` of
@@ -442,8 +439,7 @@ def solve_x(
     return _bisect(lambda xv: lhs(xv) - rhs < 0.0, lo, hi, tol)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float
@@ -452,8 +448,7 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "residual": repr(self.residual)}
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Full audit trail of one certification run.  It stores the exact
     values; every float it reports (X, v, lambda, the bound) is `float()`
     of one of them, and the threshold is THRESHOLDS[n]."""

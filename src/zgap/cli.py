@@ -32,16 +32,17 @@ underflows a float.  `identity` accepts l in 1..8.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from . import bounds, lis, moments, series
-from .arith import rational_str
+from . import lis, series
+from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, rational_str
+
+# What only some commands or formats use (`bounds`, `moments`, `json`,
+# `csv`, `tempfile`) is imported where it is used, so that a process loads
+# no more than its command runs.
 
 
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -52,6 +53,8 @@ def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
 
 
 def _bounds_report(args: argparse.Namespace):
+    from . import bounds, moments
+
     coefficients = _corrupted(moments.coefficient_column(args.n)) if args.corrupt else None
     certificate = bounds.certify_bound(args.n, quad_tol=args.tol, coefficients=coefficients)
     header = ["check", "passed", "residual"]
@@ -64,6 +67,8 @@ def _moments_report(args: argparse.Namespace):
     """For the (2, 1) pair the partition sums, with the reference column
     alongside when l = 4; for the (3, 2) pair (l = 4 only) the reference
     column alone."""
+    from . import moments
+
     l, (n1, n2) = args.l, args.pair
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -142,6 +147,8 @@ def _identity_report(args: argparse.Namespace):
 
 
 def _arithfactor_report(args: argparse.Namespace):
+    from . import moments
+
     payload = moments.arithmetic_factor(args.l, args.cutoff).to_json_dict()
     return payload, ["field", "value"], sorted(payload.items()), True
 
@@ -150,8 +157,13 @@ def _render(fmt: str, payload: dict, header: list, body: list) -> str:
     """The report as JSON (`payload`), or as CSV or text rows (`header`,
     `body`)."""
     if fmt == "json":
+        import json
+
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
@@ -174,7 +186,7 @@ def _check_output(path: str) -> None:
         if not os.access(path, os.W_OK):
             raise ValueError(f"cannot write {path}: permission denied")
         return
-    import tempfile  # only runs with --output; keeps `import zgap.cli` lean
+    import tempfile
 
     try:
         with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", _bounds_report, "certify a zero-gap lower bound")
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tol", type=float, default=bounds.DEFAULT_QUAD_TOL,
+    p.add_argument("--tol", type=float, default=DEFAULT_QUAD_TOL,
                    help="quadrature tolerance (default: %(default)s)")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("arithfactor", _arithfactor_report, "Euler-product factor estimate")
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--cutoff", type=int, default=moments.DEFAULT_PRIME_CUTOFF,
+    p.add_argument("--cutoff", type=int, default=DEFAULT_PRIME_CUTOFF,
                    help="largest prime in the product (default: %(default)s)")
 
     parser.error = _usage_error
@@ -263,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, KeyError, bounds.QuadratureError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # QuadratureError is a ValueError
         print(f"zgap: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

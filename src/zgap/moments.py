@@ -30,18 +30,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
+from typing import NamedTuple
 
 # multinomial is no longer called here; it stays bound in this module
 # because perfbench/tracer.py counts its calls where moments binds it.
-from .arith import FactoredConstant, Rational, multinomial  # noqa: F401
+from .arith import DEFAULT_PRIME_CUTOFF, FactoredConstant, Rational, multinomial  # noqa: F401
 from .series import bessel_determinant
-
-# Default largest prime of `arithmetic_factor` and of `zgap arithfactor`.
-DEFAULT_PRIME_CUTOFF = 100_000
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +125,7 @@ def coefficient_column(n: int) -> dict[int, Rational]:
     return {h: REFERENCE_COEFFICIENTS[h, n].value() for h in range(5)}
 
 
-@dataclass(frozen=True)
-class ArithmeticFactorEstimate:
+class ArithmeticFactorEstimate(NamedTuple):
     """Euler-product value over the primes up to prime_cutoff, with a
     conservative estimate of the error from the omitted primes."""
 

@@ -35,10 +35,10 @@ use exactly that identification (z-degree = 2 * x-degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
+from typing import NamedTuple
 
 from .arith import rational_str
 from . import lis
@@ -46,19 +46,17 @@ from . import lis
 DEFAULT_TERMS = 12
 
 
-@dataclass(frozen=True)
 class HalfPowerSeries:
     """x**offset * (c_0 + c_1*x + ... + c_{K-1}*x**(K-1)), exact through
     x**known_through: the result type of the determinants and averages."""
 
-    offset: Fraction
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("offset", "coeffs")
 
-    def __post_init__(self) -> None:
-        offset = Fraction(self.offset)
+    def __init__(self, offset: Fraction | int, coeffs: tuple) -> None:
+        offset = Fraction(offset)
         if (2 * offset).denominator != 1:
             raise ValueError(f"offset must be a multiple of 1/2, got {offset}")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(Fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least one retained coefficient")
         # normalize: leading coefficient nonzero unless identically zero
@@ -67,8 +65,13 @@ class HalfPowerSeries:
             lead += 1
         if coeffs[lead] == 0:  # identically zero up to truncation
             lead = 0
-        object.__setattr__(self, "offset", offset + lead)
-        object.__setattr__(self, "coeffs", coeffs[lead:])
+        self.offset: Fraction = offset + lead
+        self.coeffs: tuple[Fraction, ...] = coeffs[lead:]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HalfPowerSeries):
+            return NotImplemented
+        return (self.offset, self.coeffs) == (other.offset, other.coeffs)
 
     @property
     def known_through(self) -> Fraction:
@@ -137,17 +140,17 @@ class IntegerSeries:
         return IntegerSeries(out)
 
 
-@dataclass(frozen=True)
 class SeriesMatrix:
     """A nonempty square grid over a commutative ring: entries that support
     ``+``, ``-`` and ``*``, such as `IntegerSeries`, int or Fraction."""
 
-    entries: tuple[tuple, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        l = len(self.entries)
-        if l == 0 or any(len(row) != l for row in self.entries):
+    def __init__(self, entries: tuple[tuple, ...]) -> None:
+        l = len(entries)
+        if l == 0 or any(len(row) != l for row in entries):
             raise ValueError("entries must form a nonempty square grid")
+        self.entries = entries
 
     def determinant(self):
         """Exact determinant by Laplace expansion along the rows, memoised
@@ -270,8 +273,7 @@ def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfP
     return HalfPowerSeries(Fraction(l * q, 2), tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of comparing the unitary average against the signed Hankel
     determinant, coefficient by coefficient."""
 

@@ -1,6 +1,5 @@
 """Quadrature engine, lambda equation, closed-form optimizer, certificates."""
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -201,7 +200,8 @@ def test_lambda_residual_matches_library_quadrature():
 
 def test_lambda_residual_requires_positive_lambda():
     v, _ = derived_floats_for(1)
-    with pytest.raises(ValueError):
+    # match the guard: QuadratureError is a ValueError too
+    with pytest.raises(ValueError, match="the log form needs lambda > 0"):
         lambda_equation_residual(v, -1.0)
 
 
@@ -486,7 +486,7 @@ def move_lambda(monkeypatch, move):
 
     def moved(*args):
         derived = derive(*args)
-        return dataclasses.replace(derived, lam_exact=move(derived.lam_exact))
+        return derived._replace(lam_exact=move(derived.lam_exact))
 
     monkeypatch.setattr(bounds, "derive_params", moved)
 

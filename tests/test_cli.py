@@ -307,10 +307,12 @@ def test_loose_tolerance_is_not_a_valid_certificate(capsys):
 
 
 def test_quadrature_failure_is_a_one_line_error(monkeypatch, capsys):
+    # the cli imports `bounds` inside its report function; patched by name,
+    # the failure rises from the real certificate's first quadrature
     def diverge(*args, **kwargs):
         raise bounds.QuadratureError("no convergence within 4096 panels", 1e-3)
 
-    monkeypatch.setattr(bounds, "certify_bound", diverge)
+    monkeypatch.setattr("zgap.bounds.integrate_unit_interval", diverge)
     assert main(["bounds", "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -329,12 +331,81 @@ def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
     assert captured.err == "zgap: out of memory computing the lis report\n"
 
 
-def test_import_loads_no_numpy():
-    probe = (
-        "import zgap.cli, sys; "
-        "assert not any(m.split('.')[0] == 'numpy' for m in sys.modules)"
+def run_probe(code):
+    """Run `code` in a fresh interpreter; it prints what it finds."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False
     )
-    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+# Modules that no command needs at import: `bounds` and `moments` load with
+# the commands that run them, `json` and `csv` with the formats that write
+# them, no zgap module builds its records with `dataclasses`, and nothing in
+# zgap uses `numpy`.
+NOT_AT_IMPORT = ["csv", "dataclasses", "inspect", "json", "numpy", "zgap.bounds", "zgap.moments"]
+
+
+def test_import_loads_only_what_every_command_needs():
+    probe = (
+        "import sys; before = set(sys.modules); import zgap.cli; "
+        f"print(sorted(set(sys.modules) - before & set({NOT_AT_IMPORT!r})))"
+    )
+    result = run_probe(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_exact_series_commands_never_load_bounds_or_moments():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from zgap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = [main(['hankel', '--l', '2']), main(['identity', '--l', '2']),\n"
+        "              main(['lis', '--l', '2', '--max-n', '3'])]\n"
+        "print(status, sorted(m for m in ('zgap.bounds', 'zgap.moments') if m in sys.modules))\n"
+    )
+    result = run_probe(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0] []\n"
+
+
+@pytest.mark.parametrize("args", [["hankel", "--l", "0"], ["lis", "--max-n", "-1"]])
+def test_rejected_exact_command_is_one_line_without_bounds(args):
+    probe = (
+        "import sys\n"
+        "from zgap.cli import main\n"
+        f"status = main({args!r})\n"
+        "print('zgap.bounds' in sys.modules)\n"
+        "raise SystemExit(status)\n"
+    )
+    result = run_probe(probe)
+    assert result.returncode == 2
+    assert result.stdout == "False\n"
+    assert result.stderr.startswith("zgap: ") and len(result.stderr.splitlines()) == 1
+
+
+# SHA-256 of the --help text of `zgap` and of each command, as Python 3.11's
+# argparse prints it at 80 columns.  The defaults shown there come from
+# `zgap.arith`, and the top-level text is the `zgap.cli` docstring.
+HELP_DIGESTS = {
+    "": "23b5d3836b0616bed4cf423ad23cc51fc7d80dd03d46b2ff93364affa3f9b996",
+    "bounds": "51e5ef56b263373ed205327c3f0e2d6a7181ff57c6b780d3d92a2600d9bd164b",
+    "moments": "b793ed7a62773a0e83475ecdc9f1e11c6d5993db4dc75eb9084ba05e3f220bf7",
+    "lis": "ec9e7d0ef3f39454809013bc11280e15153931247338d39bf1353447fad55cc7",
+    "hankel": "297687f6e4fc766494b37c879d770c1a4f1c32fb20e2d586d6023bc5cd280bf1",
+    "identity": "53d8bdff09212f3c3c44247804136763072996a9cc8798b5a0e5e8ab44c64901",
+    "arithfactor": "f352b6da6eedbf51a8c0de1b8b1e071adc86d7986ef84f65a6225ced6ab6ffc1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_is_byte_identical(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main([*command.split(), "--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
 def test_parse_config_defaults_and_flag():

@@ -6,7 +6,9 @@ to the name (the benchmark tracer wraps functions by attribute name).  Uses
 inside the name's own definition, docstrings, comments, the package's
 `__init__.py` and `tests/` do not count: a helper that only tests call, or
 that the package only re-exports, is dead weight.  The layering: only
-`series` names the integer series engine.
+`series` names the integer series engine.  Records are plain classes: no
+module imports `dataclasses`, whose import and generated methods cost a
+`zgap` process more start-up than most commands spend working.
 """
 
 import ast
@@ -92,3 +94,20 @@ def test_only_series_names_the_integer_series_engine():
         if path.name != "series.py" and engine.search(path.read_text(encoding="utf-8"))
     ]
     assert not outside, f"modules other than series.py that name the engine: {outside}"
+
+
+def _imported_packages(tree: ast.AST):
+    """The top-level package of each absolute import in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_dataclasses():
+    importers = [
+        path.name for path in sorted((ROOT / "src" / "zgap").glob("*.py"))
+        if "dataclasses" in _imported_packages(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not importers, f"modules that import dataclasses: {importers}"
