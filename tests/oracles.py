@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
+from zgap import bounds
 from zgap.moments import coefficient_column
 from zgap.series import bessel_determinant
 
@@ -43,3 +44,21 @@ def per_h_partition_sum(h, l):
         total += math.comb(2 * h, k) * factorial(k) * factorial(remaining) * inner
     sign = (-1) ** (l - h + (l * (l - 1)) // 2)
     return sign * total
+
+
+def perturbed_x_values_by_bisection(n, rel, quad_tol):
+    """`bounds.perturbed_x_values` with each lambda solved by
+    `_root_of_decreasing` on the residue residual itself: every bracket and
+    bisection point is a root sweep, with no Newton step and no enclosure."""
+    capB, _, _, derived = bounds._exact_prelude(coefficient_column(n))
+    base_v = tuple(float(t) for t in derived.v_exact)
+    out = []
+    for h in range(len(base_v)):
+        for direction in (1.0 - rel, 1.0 + rel):
+            v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
+            coeffs = bounds._weight_coeffs(v)
+            lam = bounds._root_of_decreasing(
+                lambda lam: bounds._residue_residual(coeffs, lam), quad_tol
+            )
+            out.append(bounds.solve_x(v, lam, capB, tol=quad_tol))
+    return out

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from oracles import hall_ratio
+from oracles import hall_ratio, perturbed_x_values_by_bisection
 from zgap import bounds, cli, moments
 from zgap.bounds import (
     THRESHOLDS,
@@ -654,6 +654,14 @@ COEFFS = [4.0, 6.0, 4.0, 1.0]
                   id="log-coefficient"),
      pytest.param("_residue_residual", (COEFFS, NAN), id="residue-lambda"),
      pytest.param("_residue_residual", ([4.0, NAN, 4.0, 1.0], 1.0), id="residue-coefficient"),
+     pytest.param("_residue_newton_step", (COEFFS, NAN), id="newton-lambda"),
+     pytest.param("_residue_newton_step", (COEFFS, 0.0), id="newton-zero-lambda"),
+     pytest.param("_residue_newton_step", (COEFFS, -1.0), id="newton-negative-lambda"),
+     pytest.param("_residue_newton_step", ([4.0, NAN, 4.0, 1.0], 1.0), id="newton-coefficient"),
+     pytest.param("_residue_newton_step", ([4.0, 0.0, 4.0, 1.0], 1.0),
+                  id="newton-zero-coefficient"),
+     pytest.param("_residue_newton_step", ([-4.0, 6.0, 4.0, 1.0], 1.0),
+                  id="newton-negative-coefficient"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), NAN), id="rational-lambda"),
      pytest.param("rational_form_deviation", ((NAN, 1.0, 1.1), 1.0), id="rational-v"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), -1.0),
@@ -680,6 +688,21 @@ def test_root_finder_raises_at_its_iteration_cap(monkeypatch):
         bounds._polynomial_roots(coeffs)
 
 
+def test_root_finder_stops_once_rounding_holds_its_step_above_the_step_test():
+    # lambda = 0.91796875 of perturbed_x_values(2, rel=0.0195722328034246,
+    # quad_tol=3.536405280521409e-05): the roots are exact to working
+    # precision within 7 sweeps, but rounding keeps the largest step at
+    # 1.183e-14, above 1e-14 * max|y| = 1.161e-14, in every sweep after
+    coeffs = [0.91796875, 3.479488459098232, 5.227298454479252, 3.6686192784666583, 1.0]
+    roots = bounds._polynomial_roots(coeffs)
+    assert len(roots) == 4
+    for y in roots:
+        size = sum(abs(c) * abs(y) ** k for k, c in enumerate(coeffs))
+        assert abs(sum(c * y**k for k, c in enumerate(coeffs))) <= 1e-15 * size
+    assert len(bounds.perturbed_x_values(2, rel=0.0195722328034246,
+                                         quad_tol=3.536405280521409e-05)) == 6
+
+
 # float.hex of perturbed_x_values(n, rel), recorded when lambda was still
 # solved by quadrature
 PERTURBED_X_HEX = {
@@ -697,6 +720,46 @@ PERTURBED_X_HEX = {
 @pytest.mark.parametrize("n, rel", sorted(PERTURBED_X_HEX))
 def test_perturbed_x_values_are_bit_identical_to_the_quadrature_solve(n, rel):
     assert [x.hex() for x in bounds.perturbed_x_values(n, rel)] == PERTURBED_X_HEX[n, rel]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((1, 2)),
+    rel=st.floats(1e-4, 0.9),
+    log_tol=st.floats(-12.0, -4.0),
+)
+def test_perturbed_x_values_equal_the_bisection_that_evaluates_every_point(n, rel, log_tol):
+    quad_tol = 10.0**log_tol
+    expected = perturbed_x_values_by_bisection(n, rel, quad_tol)
+    assert bounds.perturbed_x_values(n, rel, quad_tol) == expected
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [pytest.param(lambda coeffs, lam: 2.0 * lam, id="enclosure-misses"),
+     pytest.param(lambda coeffs, lam: -lam, id="leaves-positive-lambda"),
+     pytest.param(lambda coeffs, lam: math.nan, id="nan")],
+)
+def test_perturbed_x_values_fall_back_to_every_point_when_newton_fails(broken, monkeypatch):
+    expected = perturbed_x_values_by_bisection(2, 0.1, 1e-8)
+    monkeypatch.setattr(bounds, "_residue_newton_step", broken)
+    assert bounds.perturbed_x_values(2, 0.1, 1e-8) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_perturbed_x_values_sweep_roots_only_near_each_root(n, monkeypatch):
+    # 6 lambdas: a few Newton steps and two enclosure ends each, against 29
+    # points of a full bracket and bisection
+    roots = bounds._polynomial_roots
+    calls = []
+
+    def counting(coeffs):
+        calls.append(None)
+        return roots(coeffs)
+
+    monkeypatch.setattr(bounds, "_polynomial_roots", counting)
+    bounds.perturbed_x_values(n)
+    assert len(calls) <= 48
 
 
 def test_only_the_certificate_uses_quadrature(monkeypatch):
