@@ -45,27 +45,30 @@ detect a corrupted coefficient table; the certificate therefore also
 cross-checks the table against the independently computed partition sums
 (`data_integrity` check).
 
-Residue route for the sensitivity check: with Q(y) = lambda +
-sum_h C(l,h) v_h y**h, integrating the log form by parts gives
+Factor rule for the sensitivity check (l = 4 only): with Q(y) = lambda +
+sum_h C(4,h) v_h y**h, Q(-t**2) = F(t)*F(-t) as in (*), where
+F(t) = t**4 + s1*t**3 + s2*t**2 + s3*t + s4 is the Hurwitz factor (every
+root t_k in Re t < 0).  By residues over the roots of F the log form equals
+pi * sum_k 1/(-t_k) = pi*s3/s4, so the lambda equation says s3 = 4*s4.
+`_factor_residual` fixes s4 = sqrt(lambda) and s3 = 4*s4, reads s2 and s1
+off the t**2 and t**6 coefficients of (*), and compares the t**4
+coefficient with 6*v2.  In exact arithmetic its sign is that of the
+log-form residual R at every lambda > 0:
 
-    integral_0^inf log(1 + P(u**2)/lambda) du/u**2
-        = integral_R Q'(u**2)/Q(u**2) du = pi * sum_k (-y_k)**(-1/2)
+- at a Hurwitz point, F is the Hurwitz factor of the weight (v1, v2', v3)
+  whose root is lambda, where 6*v2' = s2**2 + 2*s4 - 2*s1*s3;
+- R rises with v2 and falls with lambda, so 6*v2 - 6*v2' has the sign of
+  lambda* - lambda, for lambda* the root at v;
+- F stays Hurwitz for every lambda >= lambda*: for a root to reach the
+  imaginary axis at i*omega, Q'(omega**2) would have to be 0, where Q' is Q
+  with v2' in place of v2, and Q' > 0 on [0, inf) while v2' > v2 > 0;
+- so a point that is not Hurwitz, or has no real s1 (2*s2 + 4*v3 <= 0),
+  lies below lambda*, and the rule returns +1 there.
 
-over the l roots y_k of Q, principal branch.  It holds when lambda > 0 and
-every C(l,h) v_h > 0, because Q then has no root on [0, inf).  Only
+It needs only +, -, *, / and sqrt, all correctly rounded.  Only
 `perturbed_x_values` solves lambda this way; the certificate's
 `lambda_consistency` and `pi_integral` checks stay on quadrature, so they
-remain independent of the residue route.  The bisection asks only for the
-sign of the residual R, and answers most of those questions without a root
-sweep (`_residue_signs`): Newton's method, with R' read off the same roots,
-locates the root; R(lo) > 0 > R(hi) certifies it in an enclosure (lo, hi)
-of relative half-width 1e-10; and since R is strictly decreasing, the side
-of the enclosure decides the sign at every point outside it.  Points inside
-are evaluated.  So every bisection decision, and the lambda and X it
-returns, is the one that evaluating R at every point would give: outside
-the enclosure |R| is at least about 1e-10 * lambda * |R'|, far above the
-1e-15 rounding of a computed R.  A Newton step that leaves lambda > 0, or
-an enclosure that fails, falls back to evaluating every point.
+remain independent of the factor rule.
 
 Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s), whose 4
 equal panels are integrated once by the Gauss-Kronrod 7/15 rule (QUADPACK
@@ -221,91 +224,24 @@ def _weight_coeffs(v: Sequence[float]) -> list[float]:
     return [math.comb(len(v_full), h) * float(vh) for h, vh in enumerate(v_full, start=1)]
 
 
-_ROOT_ITERATIONS = 64  # Aberth sweeps; perturbed_x_values takes at most 14 (rel up to 0.9)
-
-
-def _polynomial_roots(coeffs: Sequence[float]) -> list[complex]:
-    """All roots of sum_k coeffs[k] * y**k (coeffs[-1] != 0) by Aberth-Ehrlich
-    iteration from points on the circle of radius |coeffs[0]/coeffs[-1]|**(1/deg).
-    Stops after a sweep in which every correction is at most 1e-14 times the
-    largest root magnitude, or which started from points that are roots to
-    working precision: |p(z_i)| <= 4*deg*eps * sum_k |a_k| |z_i|**k for the
-    monic p = sum_k a_k y**k, a bound on Horner's rounding error at z_i.
-    Without that backward-error test a correction that rounding holds just
-    above 1e-14 never stops the iteration.  Raises `ArithmeticError` if none
-    of the first `_ROOT_ITERATIONS` sweeps (read at call time) stops it."""
-    deg = len(coeffs) - 1
-    monic = [c / coeffs[-1] for c in coeffs[:-1]]
-    sizes = [abs(c) for c in monic]
-    rounding = 4 * deg * math.ulp(1.0)
-    radius = sizes[0] ** (1.0 / deg)
-    z = [
-        radius * complex(math.cos(t), math.sin(t))
-        for t in (2.0 * math.pi * k / deg + 0.4 for k in range(deg))
-    ]
-    for _ in range(_ROOT_ITERATIONS):
-        largest_step = 0.0
-        settled = True
-        for i, zi in enumerate(z):
-            p, dp = 1.0, 0.0
-            for c in reversed(monic):
-                dp = dp * zi + p
-                p = p * zi + c
-            if p == 0.0:
-                continue
-            if settled:
-                r, size = abs(zi), 1.0
-                for c in reversed(sizes):
-                    size = size * r + c
-                settled = abs(p) <= rounding * size
-            ratio = p / dp
-            repulsion = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
-            step = ratio / (1.0 - ratio * repulsion)
-            z[i] = zi - step
-            largest_step = max(largest_step, abs(step))
-        if settled or largest_step <= 1e-14 * max(abs(t) for t in z):
-            return z
-    raise ArithmeticError(
-        f"polynomial roots did not converge in {_ROOT_ITERATIONS} Aberth sweeps"
-    )
-
-
-def _residue_roots(coeffs: Sequence[float], lam: float) -> list[complex]:
-    """The l = len(coeffs) roots y_k of Q(y) = lam + sum_h coeffs[h-1] * y**h,
-    once lam > 0 and every coefficient > 0, the conditions under which the
-    residue form holds (module docstring)."""
-    if not (lam > 0.0 and all(c > 0.0 for c in coeffs)):
-        raise ValueError("the residue form needs lambda > 0 and positive coefficients")
-    return _polynomial_roots([lam, *coeffs])
-
-
-def _residue_value(roots: Sequence[complex]) -> float:
-    """pi * sum_k (-y_k)**(-1/2) - l*pi over the l roots y_k of Q."""
-    return math.pi * sum((-y) ** -0.5 for y in roots).real - len(roots) * math.pi
-
-
-def _residue_residual(coeffs: Sequence[float], lam: float) -> float:
-    """The residual of `_log_residual_from_coeffs` without quadrature:
-    pi * sum_k (-y_k)**(-1/2) - l*pi over the l = len(coeffs) roots y_k of
-    Q(y) = lam + sum_h coeffs[h-1] * y**h (module docstring).  Valid only
-    for lam > 0 and every coefficient > 0."""
-    return _residue_value(_residue_roots(coeffs, lam))
-
-
-def _residue_newton_step(coeffs: Sequence[float], lam: float) -> float:
-    """lam - R(lam)/R'(lam) for R = `_residue_residual(coeffs, .)`, from one
-    root sweep.  With Q = lam + P, each root moves by dy_k/dlam = -1/P'(y_k),
-    so R'(lam) = -(pi/2) * Re sum_k (-y_k)**(-3/2) / P'(y_k).  nan if that
-    slope is not negative, as it is for the exact R."""
-    roots = _residue_roots(coeffs, lam)
-    total = 0j
-    for y in roots:
-        dp = 0.0
-        for h in range(len(coeffs), 0, -1):
-            dp = dp * y + h * coeffs[h - 1]
-        total += (-y) ** -1.5 / dp
-    slope = -0.5 * math.pi * total.real
-    return lam - _residue_value(roots) / slope if slope < 0.0 else math.nan
+def _factor_residual(v: Sequence[float], lam: float) -> float:
+    """A residual with the sign of the l = 4 log-form residual at (v, lam),
+    by the factor rule (module docstring): 6*v2 - 6*v2', where v2' is the
+    v2 whose root is lam, or +1 where no Hurwitz factor with s3 = 4*s4
+    exists.  Needs lam > 0 and every v_h > 0."""
+    if not (lam > 0.0 and all(x > 0.0 for x in v)):  # nan fails both
+        raise ValueError("the factor rule needs lambda > 0 and every v_h > 0")
+    v1, v2, v3 = v
+    s4 = math.sqrt(lam)
+    s3 = 4.0 * s4
+    s2 = 8.0 * s4 - 2.0 * v1 / s4
+    q = 2.0 * s2 + 4.0 * v3
+    if not q > 0.0:
+        return 1.0
+    s1 = math.sqrt(q)
+    if not (s2 > 0.0 and s1 * s2 > s3 and s1 * s2 * s3 > s3 * s3 + s1 * s1 * s4):
+        return 1.0
+    return 6.0 * v2 - (s2 * s2 + 2.0 * s4 - 2.0 * s1 * s3)
 
 
 def _check_tolerance(name: str, tol: float) -> None:
@@ -668,46 +604,6 @@ def certify_bound(
     )
 
 
-_NEWTON_STEPS = 8
-_ENCLOSURE = 1e-10  # half-width of the certified root enclosure, relative to its centre
-
-
-def _residue_signs(coeffs: Sequence[float], guess: float) -> Callable[[float], float]:
-    """A stand-in for R = `_residue_residual(coeffs, .)` with its sign at
-    every lambda, which sweeps polynomial roots only near the root of R.
-    Newton's method from guess locates the root at lam; two residuals
-    certify that it lies in (lo, hi) = lam * (1 -+ `_ENCLOSURE`), by
-    R(lo) > 0 > R(hi); and as R is strictly decreasing, a lambda <= lo has
-    R > 0 and one >= hi has R < 0.  Only a lambda inside (lo, hi) is
-    evaluated.  If a Newton step leaves the half-line lambda > 0, or the
-    enclosure fails, R itself is returned."""
-
-    def residual(lam: float) -> float:
-        return _residue_residual(coeffs, lam)
-
-    lam = guess
-    for _ in range(_NEWTON_STEPS):
-        new = _residue_newton_step(coeffs, lam)
-        if not new > 0.0:  # nan fails too
-            return residual
-        close = abs(new - lam) <= 1e-6 * new  # the next error is ~ step**2
-        lam = new
-        if close:
-            break
-    lo, hi = lam * (1.0 - _ENCLOSURE), lam * (1.0 + _ENCLOSURE)
-    if not residual(lo) > 0.0 > residual(hi):
-        return residual
-
-    def decided(x: float) -> float:
-        if x <= lo:
-            return 1.0
-        if x >= hi:
-            return -1.0
-        return residual(x)
-
-    return decided
-
-
 def perturbed_x_values(
     n: int, rel: float = 0.01, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> list[float]:
@@ -716,15 +612,9 @@ def perturbed_x_values(
     non-improvement: no perturbation should beat the certified X beyond
     tolerance.
 
-    Each lambda is re-solved to quad_tol by `_root_of_decreasing` (bracket
-    by factors of 8, then bisection) on the residue residual, which needs no
-    quadrature: the derived v_h are positive, so the perturbed ones are
-    too.  Newton's method from the unperturbed lambda locates each root, two
-    residuals certify a 1e-10-relative enclosure of it, and the strict
-    decrease of the residual decides every bracket and bisection point
-    outside that enclosure (`_residue_signs`): about 5 root sweeps per
-    lambda instead of 29, and the same decisions, so the same floats, as
-    evaluating every point."""
+    Each lambda is re-solved to quad_tol by `_root_of_decreasing` on the
+    sign of `_factor_residual`, with no quadrature: the derived v_h are
+    positive, so the perturbed ones are too."""
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
     if not (math.isfinite(rel) and 0.0 < rel < 1.0):
@@ -732,12 +622,10 @@ def perturbed_x_values(
     _check_tolerance("quad_tol", quad_tol)
     capB, _, _, derived = _exact_prelude(moments.coefficient_column(n))
     base_v = tuple(float(t) for t in derived.v_exact)
-    base_lam = float(derived.lam_exact)
     out = []
     for h in range(len(base_v)):
         for direction in (1.0 - rel, 1.0 + rel):
             v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
-            coeffs = _weight_coeffs(v)
-            lam = _root_of_decreasing(_residue_signs(coeffs, base_lam), quad_tol)
+            lam = _root_of_decreasing(lambda lam: _factor_residual(v, lam), quad_tol)
             out.append(solve_x(v, lam, capB, tol=quad_tol))
     return out

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import numpy
+
 from zgap import bounds
 from zgap.moments import coefficient_column
 from zgap.series import bessel_determinant
@@ -46,19 +48,12 @@ def per_h_partition_sum(h, l):
     return sign * total
 
 
-def perturbed_x_values_by_bisection(n, rel, quad_tol):
-    """`bounds.perturbed_x_values` with each lambda solved by
-    `_root_of_decreasing` on the residue residual itself: every bracket and
-    bisection point is a root sweep, with no Newton step and no enclosure."""
-    capB, _, _, derived = bounds._exact_prelude(coefficient_column(n))
-    base_v = tuple(float(t) for t in derived.v_exact)
-    out = []
-    for h in range(len(base_v)):
-        for direction in (1.0 - rel, 1.0 + rel):
-            v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
-            coeffs = bounds._weight_coeffs(v)
-            lam = bounds._root_of_decreasing(
-                lambda lam: bounds._residue_residual(coeffs, lam), quad_tol
-            )
-            out.append(bounds.solve_x(v, lam, capB, tol=quad_tol))
-    return out
+def residue_residual(v, lam):
+    """The log-form lambda residual by residues: pi * sum_k (-y_k)**(-1/2)
+    - l*pi over the l roots y_k of Q(y) = lam + sum_h C(l,h) v_h y**h
+    (v_l = 1), principal branch, from numpy's companion-matrix roots.  It
+    holds when lam > 0 and every v_h > 0, since Q then has no root on
+    [0, inf)."""
+    coeffs = bounds._weight_coeffs(v)
+    roots = numpy.roots([*reversed(coeffs), lam]).astype(complex)
+    return math.pi * sum((-y) ** -0.5 for y in roots).real - len(coeffs) * math.pi

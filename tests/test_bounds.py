@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from oracles import hall_ratio, perturbed_x_values_by_bisection
+from oracles import hall_ratio, residue_residual
 from zgap import bounds, cli, moments
 from zgap.bounds import (
     THRESHOLDS,
@@ -372,6 +372,18 @@ def test_lambda_exact_equals_sigma4_squared():
     assert derived.lam_exact == derived.sigma[3] ** 2
 
 
+@pytest.mark.parametrize("n, minors", [(1, (20.36447, 64.61992)), (2, (18.35513, 55.14009))])
+def test_derived_factor_is_hurwitz_with_s3_four_times_s4(n, minors):
+    # the premise of the factor rule: F = t**4 + s1 t**3 + s2 t**2 + s3 t + s4
+    # is Hurwitz (Routh-Hurwitz, exactly) and solves the lambda equation,
+    # s3 = 4 s4
+    s1, s2, s3, s4 = derived_params_for(n).sigma
+    assert s3 == 4 * s4
+    assert min(s1, s2, s3, s4) > 0
+    exact = (s1 * s2 - s3, s1 * s2 * s3 - s3 * s3 - s1 * s1 * s4)
+    assert [float(m) for m in exact] == pytest.approx(minors, abs=1e-5)
+
+
 # ------------------------------------------------------------------ root of X
 
 
@@ -612,11 +624,19 @@ def residue_cases():
                 yield n, v, lam
 
 
+def assert_factor_sign(v, lam, by_quadrature):
+    """The factor rule gives the quadrature residual's sign wherever that
+    residual is clear of its 1e-10 quadrature error."""
+    if abs(by_quadrature) > 1e-9:
+        assert (bounds._factor_residual(v, lam) > 0.0) == (by_quadrature > 0.0)
+
+
 @pytest.mark.parametrize("n, v, lam", list(residue_cases()))
 def test_residue_residual_matches_quadrature(n, v, lam):
-    coeffs = bounds._weight_coeffs(v)
-    by_residues = bounds._residue_residual(coeffs, lam)
-    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 1e-10), abs=1e-10)
+    # the residue form is the identity the factor rule rests on
+    by_quadrature = lambda_equation_residual(v, lam, 1e-10)
+    assert residue_residual(v, lam) == pytest.approx(by_quadrature, abs=1e-10)
+    assert_factor_sign(v, lam, by_quadrature)
 
 
 @settings(max_examples=60, deadline=None)
@@ -626,17 +646,37 @@ def test_residue_residual_matches_quadrature(n, v, lam):
 )
 def test_residue_residual_matches_quadrature_near_the_derived_point(scales, log_lam):
     v = tuple(x * s for x, s in zip(derived_floats_for(1)[0], scales))
-    coeffs, lam = bounds._weight_coeffs(v), 10.0**log_lam
-    by_residues = bounds._residue_residual(coeffs, lam)
-    assert by_residues == pytest.approx(_log_residual_from_coeffs(coeffs, lam, 1e-10), abs=1e-10)
+    lam = 10.0**log_lam
+    by_quadrature = lambda_equation_residual(v, lam, 1e-10)
+    assert residue_residual(v, lam) == pytest.approx(by_quadrature, abs=1e-10)
+    assert_factor_sign(v, lam, by_quadrature)
 
 
-def test_residue_residual_rejects_what_it_cannot_evaluate():
-    coeffs = bounds._weight_coeffs(derived_floats_for(1)[0])
-    with pytest.raises(ValueError):
-        bounds._residue_residual(coeffs, 0.0)
-    with pytest.raises(ValueError):
-        bounds._residue_residual([-coeffs[0]] + coeffs[1:], 1.0)
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from((1, 2)),
+    scales=st.tuples(*[st.floats(0.01, 2.0)] * 3),
+    log_lam=st.floats(-3.0, 3.0),
+)
+def test_factor_residual_has_the_sign_of_the_quadrature_residual(n, scales, log_lam):
+    # far from the derived point too, where the factor is often not Hurwitz
+    v = tuple(x * s for x, s in zip(derived_floats_for(n)[0], scales))
+    lam = 10.0**log_lam
+    assert_factor_sign(v, lam, lambda_equation_residual(v, lam, 1e-10))
+
+
+@pytest.mark.parametrize(
+    "v, lam",
+    [pytest.param((2.0, 1.0, 0.1), 0.1, id="no-real-s1"),
+     pytest.param((2.22, 0.3, 2.86), 0.23, id="s2-negative"),
+     pytest.param((2.796, 0.003, 0.003), 0.699, id="s1-s2-below-s3")],
+)
+def test_factor_residual_is_positive_where_no_hurwitz_factor_exists(v, lam):
+    # lambda lies below the root at each of these points; without the
+    # Routh-Hurwitz test, 6 v2 - (s2**2 + 2 s4 - 2 s1 s3) would read -25.6
+    # and -0.92 at the last two
+    assert bounds._factor_residual(v, lam) == 1.0
+    assert lambda_equation_residual(v, lam, 1e-10) > 1.0
 
 
 NAN = math.nan
@@ -652,16 +692,11 @@ COEFFS = [4.0, 6.0, 4.0, 1.0]
      pytest.param("_log_residual_from_coeffs", (COEFFS, NAN, 1e-8), id="log-lambda"),
      pytest.param("_log_residual_from_coeffs", ([4.0, NAN, 4.0, 1.0], 1.0, 1e-8),
                   id="log-coefficient"),
-     pytest.param("_residue_residual", (COEFFS, NAN), id="residue-lambda"),
-     pytest.param("_residue_residual", ([4.0, NAN, 4.0, 1.0], 1.0), id="residue-coefficient"),
-     pytest.param("_residue_newton_step", (COEFFS, NAN), id="newton-lambda"),
-     pytest.param("_residue_newton_step", (COEFFS, 0.0), id="newton-zero-lambda"),
-     pytest.param("_residue_newton_step", (COEFFS, -1.0), id="newton-negative-lambda"),
-     pytest.param("_residue_newton_step", ([4.0, NAN, 4.0, 1.0], 1.0), id="newton-coefficient"),
-     pytest.param("_residue_newton_step", ([4.0, 0.0, 4.0, 1.0], 1.0),
-                  id="newton-zero-coefficient"),
-     pytest.param("_residue_newton_step", ([-4.0, 6.0, 4.0, 1.0], 1.0),
-                  id="newton-negative-coefficient"),
+     pytest.param("_factor_residual", ((0.9, 1.0, 1.1), NAN), id="factor-lambda"),
+     pytest.param("_factor_residual", ((0.9, NAN, 1.1), 1.0), id="factor-v"),
+     pytest.param("_factor_residual", ((0.9, 1.0, 1.1), 0.0), id="factor-zero-lambda"),
+     pytest.param("_factor_residual", ((0.9, 0.0, 1.1), 1.0), id="factor-zero-v"),
+     pytest.param("_factor_residual", ((-0.9, 1.0, 1.1), 1.0), id="factor-negative-v"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), NAN), id="rational-lambda"),
      pytest.param("rational_form_deviation", ((NAN, 1.0, 1.1), 1.0), id="rational-v"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), -1.0),
@@ -671,36 +706,11 @@ def test_nan_input_is_rejected_before_any_quadrature_or_root_sweep(name, args, m
     # nan compares false with everything, so a guard written as `x <= 0`
     # lets it through (and min([1, nan]) is 1); the solvers must refuse it
     def refuse(*_):
-        raise AssertionError("nan input reached a quadrature or a root sweep")
+        raise AssertionError("nan input reached a quadrature")
 
     monkeypatch.setattr(bounds, "integrate_unit_interval", refuse)
-    monkeypatch.setattr(bounds, "_polynomial_roots", refuse)
     with pytest.raises(ValueError):
         getattr(bounds, name)(*args)
-
-
-def test_root_finder_raises_at_its_iteration_cap(monkeypatch):
-    coeffs = [1.0] + bounds._weight_coeffs(derived_floats_for(1)[0])
-    roots = bounds._polynomial_roots(coeffs)
-    assert all(abs(sum(c * y**k for k, c in enumerate(coeffs))) < 1e-12 for y in roots)
-    monkeypatch.setattr(bounds, "_ROOT_ITERATIONS", 1)
-    with pytest.raises(ArithmeticError, match="did not converge in 1 Aberth sweeps"):
-        bounds._polynomial_roots(coeffs)
-
-
-def test_root_finder_stops_once_rounding_holds_its_step_above_the_step_test():
-    # lambda = 0.91796875 of perturbed_x_values(2, rel=0.0195722328034246,
-    # quad_tol=3.536405280521409e-05): the roots are exact to working
-    # precision within 7 sweeps, but rounding keeps the largest step at
-    # 1.183e-14, above 1e-14 * max|y| = 1.161e-14, in every sweep after
-    coeffs = [0.91796875, 3.479488459098232, 5.227298454479252, 3.6686192784666583, 1.0]
-    roots = bounds._polynomial_roots(coeffs)
-    assert len(roots) == 4
-    for y in roots:
-        size = sum(abs(c) * abs(y) ** k for k, c in enumerate(coeffs))
-        assert abs(sum(c * y**k for k, c in enumerate(coeffs))) <= 1e-15 * size
-    assert len(bounds.perturbed_x_values(2, rel=0.0195722328034246,
-                                         quad_tol=3.536405280521409e-05)) == 6
 
 
 # float.hex of perturbed_x_values(n, rel), recorded when lambda was still
@@ -722,44 +732,40 @@ def test_perturbed_x_values_are_bit_identical_to_the_quadrature_solve(n, rel):
     assert [x.hex() for x in bounds.perturbed_x_values(n, rel)] == PERTURBED_X_HEX[n, rel]
 
 
-@settings(max_examples=40, deadline=None)
+def test_perturbed_x_values_regression_case():
+    # a coarse quad_tol with a small rel
+    xs = bounds.perturbed_x_values(2, rel=0.0195722328034246, quad_tol=3.536405280521409e-05)
+    assert [x.hex() for x in xs] == [
+        "0x1.7950800000000p+1", "0x1.7951800000000p+1", "0x1.7951800000000p+1",
+        "0x1.7952800000000p+1", "0x1.7952800000000p+1", "0x1.7951800000000p+1",
+    ]
+
+
+@settings(max_examples=30, deadline=None)
 @given(
     n=st.sampled_from((1, 2)),
-    rel=st.floats(1e-4, 0.9),
-    log_tol=st.floats(-12.0, -4.0),
+    rel=st.floats(1e-4, 0.999),
+    log_tol=st.floats(-9.0, -4.0),
 )
-def test_perturbed_x_values_equal_the_bisection_that_evaluates_every_point(n, rel, log_tol):
+def test_perturbed_lambdas_are_bracketed_by_the_quadrature_residual(n, rel, log_tol):
+    # every lambda the factor rule finds lies within quad_tol of the root of
+    # the quadrature residual, an independent evaluation of the equation
     quad_tol = 10.0**log_tol
-    expected = perturbed_x_values_by_bisection(n, rel, quad_tol)
-    assert bounds.perturbed_x_values(n, rel, quad_tol) == expected
+    solved = []
+    solve_x = bounds.solve_x
 
+    def recording(v, lam, *args, **kwargs):
+        solved.append((v, lam))
+        return solve_x(v, lam, *args, **kwargs)
 
-@pytest.mark.parametrize(
-    "broken",
-    [pytest.param(lambda coeffs, lam: 2.0 * lam, id="enclosure-misses"),
-     pytest.param(lambda coeffs, lam: -lam, id="leaves-positive-lambda"),
-     pytest.param(lambda coeffs, lam: math.nan, id="nan")],
-)
-def test_perturbed_x_values_fall_back_to_every_point_when_newton_fails(broken, monkeypatch):
-    expected = perturbed_x_values_by_bisection(2, 0.1, 1e-8)
-    monkeypatch.setattr(bounds, "_residue_newton_step", broken)
-    assert bounds.perturbed_x_values(2, 0.1, 1e-8) == expected
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_perturbed_x_values_sweep_roots_only_near_each_root(n, monkeypatch):
-    # 6 lambdas: a few Newton steps and two enclosure ends each, against 29
-    # points of a full bracket and bisection
-    roots = bounds._polynomial_roots
-    calls = []
-
-    def counting(coeffs):
-        calls.append(None)
-        return roots(coeffs)
-
-    monkeypatch.setattr(bounds, "_polynomial_roots", counting)
-    bounds.perturbed_x_values(n)
-    assert len(calls) <= 48
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "solve_x", recording)
+        bounds.perturbed_x_values(n, rel, quad_tol)
+    assert len(solved) == 6
+    for v, lam in solved:
+        window = (lam - quad_tol, lam + quad_tol)
+        below, above = (lambda_equation_residual(v, x, 1e-12) for x in window)
+        assert below > 0.0 > above
 
 
 def test_only_the_certificate_uses_quadrature(monkeypatch):

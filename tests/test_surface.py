@@ -8,7 +8,8 @@ inside the name's own definition, docstrings, comments, the package's
 that the package only re-exports, is dead weight.  The layering: only
 `series` names the integer series engine.  Records are plain classes: no
 module imports `dataclasses`, whose import and generated methods cost a
-`zgap` process more start-up than most commands spend working.
+`zgap` process more start-up than most commands spend working.  And no
+module uses complex arithmetic or `math.sin`/`math.cos`.
 """
 
 import ast
@@ -111,3 +112,35 @@ def test_no_module_imports_dataclasses():
         if "dataclasses" in _imported_packages(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not importers, f"modules that import dataclasses: {importers}"
+
+
+def _complex_or_trigonometric(tree: ast.AST):
+    """Each import of `cmath`, call of `complex`, complex literal and use of
+    `math.sin` or `math.cos` in `tree`."""
+    trig = {"sin", "cos"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name == "cmath")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("cmath", "math"):
+            if node.module == "cmath":
+                yield "cmath"
+            yield from (f"math.{alias.name}" for alias in node.names if alias.name in trig)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "complex":
+                yield "complex()"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            yield repr(node.value)
+        elif (isinstance(node, ast.Attribute) and node.attr in trig
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            yield f"math.{node.attr}"
+
+
+def test_no_module_uses_complex_arithmetic_or_sin_cos():
+    # real +, -, *, / and sqrt are correctly rounded on every IEEE platform;
+    # complex powers and libm's sin and cos are not, so bits built from them
+    # can differ between C libraries
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "zgap").glob("*.py"))}
+    users = {name: uses for name, tree in trees.items()
+             if (uses := sorted(set(_complex_or_trigonometric(tree))))}
+    assert not users, f"modules with complex arithmetic, sin or cos: {users}"
