@@ -45,7 +45,7 @@ detect a corrupted coefficient table; the certificate therefore also
 cross-checks the table against the independently computed partition sums
 (`data_integrity` check).
 
-Factor rule for the sensitivity check (l = 4 only): with Q(y) = lambda +
+Factor rule of `solve_lambda` (l = 4 only): with Q(y) = lambda +
 sum_h C(4,h) v_h y**h, Q(-t**2) = F(t)*F(-t) as in (*), where
 F(t) = t**4 + s1*t**3 + s2*t**2 + s3*t + s4 is the Hurwitz factor (every
 root t_k in Re t < 0).  By residues over the roots of F the log form equals
@@ -65,10 +65,10 @@ log-form residual R at every lambda > 0:
 - so a point that is not Hurwitz, or has no real s1 (2*s2 + 4*v3 <= 0),
   lies below lambda*, and the rule returns +1 there.
 
-It needs only +, -, *, / and sqrt, all correctly rounded.  Only
-`perturbed_x_values` solves lambda this way; the certificate's
+It needs only +, -, *, / and sqrt, all correctly rounded.  `solve_lambda`
+is the one lambda solver and uses this rule; the certificate's
 `lambda_consistency` and `pi_integral` checks stay on quadrature, so they
-remain independent of the factor rule.
+remain independent of it.
 
 Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s), whose 4
 equal panels are integrated once by the Gauss-Kronrod 7/15 rule (QUADPACK
@@ -195,8 +195,7 @@ def _log_residual_from_coeffs(coeffs: Sequence[float], lam: float, quad_tol: flo
     P(y) = sum_h coeffs[h-1] * y**h and l = len(coeffs) (coeffs[h-1] =
     C(l,h) v_h for the standard weight polynomial).  Strictly decreasing in
     lam (the integrand is), which is what makes the sign bracket of the
-    certificate's `lambda_consistency` row (`_lambda_bracket`) and the
-    bisection in `solve_lambda` certified."""
+    certificate's `lambda_consistency` row (`_lambda_bracket`) certified."""
     if not (lam > 0.0 and all(x >= 0.0 for x in coeffs)):
         raise ValueError("the log form needs lambda > 0 and coefficients >= 0")
     c = tuple(float(x) for x in coeffs)
@@ -267,37 +266,29 @@ def _bisect(above: Callable[[float], bool], lo: float, hi: float, tol: float) ->
     return 0.5 * (lo + hi)
 
 
-def _root_of_decreasing(residual: Callable[[float], float], tol: float) -> float:
-    """The root of a residual decreasing in lambda: bracket it by factors of
-    8 from lambda = 1 within [1e-6, 1e6], then `_bisect` to tol."""
+def solve_lambda(v: Sequence[float], *, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+    """The root of the l = 4 lambda equation for v = (v1, v2, v3), v4 = 1
+    implicit, every v_h > 0: bracket the sign of `_factor_residual`, which
+    falls with lambda, by factors of 8 from lambda = 1 within [1e-6, 1e6],
+    then `_bisect` until the bracket is no wider than quad_tol."""
+    _check_tolerance("quad_tol", quad_tol)
+    if len(v) != 3:
+        raise ValueError(f"solve_lambda needs v = (v1, v2, v3), got {len(v)} entries")
     lo = hi = 1.0
-    r = residual(1.0)
+    r = _factor_residual(v, 1.0)
     if r > 0.0:  # residual decreasing: root above
         while r > 0.0:
             hi *= 8.0
             if hi > 1e6:
                 raise ValueError("no sign change for lambda in (1, 1e6]")
-            r = residual(hi)
+            r = _factor_residual(v, hi)
     else:
         while r < 0.0:
             lo /= 8.0
             if lo < 1e-6:
                 raise ValueError("no sign change for lambda in [1e-6, 1)")
-            r = residual(lo)
-    return _bisect(lambda lam: residual(lam) > 0.0, lo, hi, tol)
-
-
-def solve_lambda(v: Sequence[float], *, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """The unique root of the lambda equation for the weight polynomial with
-    parameters v = (v_1 .. v_{l-1}), v_l = 1 implicit, by bracket expansion
-    and bisection on the monotone residual.  Each residual is a quadrature
-    at quad_tol, and the bisection stops once the bracket is no wider than
-    quad_tol."""
-    _check_tolerance("quad_tol", quad_tol)
-    coeffs = _weight_coeffs(v)
-    return _root_of_decreasing(
-        lambda lam: _log_residual_from_coeffs(coeffs, lam, quad_tol), quad_tol
-    )
+            r = _factor_residual(v, lo)
+    return _bisect(lambda lam: _factor_residual(v, lam) > 0.0, lo, hi, quad_tol)
 
 
 def rational_form_deviation(
@@ -409,12 +400,16 @@ def solve_x(
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     rhs = (2 * l - 1) * lam * capB[0]
+    coeffs = [
+        (2 * l - 1) / (2 * h - 1) * math.comb(l, h) * capB[h] * v_full[h - 1]
+        for h in range(l, 0, -1)
+    ]
 
     def lhs(xv: float) -> float:
-        return sum(
-            (2 * l - 1) / (2 * h - 1) * math.comb(l, h) * capB[h] * v_full[h - 1] * xv**h
-            for h in range(1, l + 1)
-        )
+        out = 0.0
+        for c in coeffs:  # Horner, highest h first
+            out = (out + c) * xv
+        return out
 
     lo, hi = 0.0, 1.0
     while lhs(hi) - rhs < 0.0:
@@ -612,9 +607,9 @@ def perturbed_x_values(
     non-improvement: no perturbation should beat the certified X beyond
     tolerance.
 
-    Each lambda is re-solved to quad_tol by `_root_of_decreasing` on the
-    sign of `_factor_residual`, with no quadrature: the derived v_h are
-    positive, so the perturbed ones are too."""
+    Each lambda is re-solved to quad_tol by `solve_lambda`, with no
+    quadrature: the derived v_h are positive, so the perturbed ones are
+    too."""
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
     if not (math.isfinite(rel) and 0.0 < rel < 1.0):
@@ -626,6 +621,6 @@ def perturbed_x_values(
     for h in range(len(base_v)):
         for direction in (1.0 - rel, 1.0 + rel):
             v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
-            lam = _root_of_decreasing(lambda lam: _factor_residual(v, lam), quad_tol)
+            lam = solve_lambda(v, quad_tol=quad_tol)
             out.append(solve_x(v, lam, capB, tol=quad_tol))
     return out

@@ -144,8 +144,7 @@ class ArithmeticFactorEstimate(NamedTuple):
 
 
 def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
+    """The primes p <= n, for n >= 2 (`arithmetic_factor` checks that)."""
     sieve = bytearray(b"\x01") * (n + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, int(n**0.5) + 1):

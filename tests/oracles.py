@@ -1,8 +1,10 @@
-"""Closed forms that the tests and the acceptance suite check the library
-against.  The library itself has no use for them, so they live here."""
+"""Closed forms, reference solvers and exact polynomial helpers that the
+tests and the acceptance suite check the library against.  The library
+itself has no use for them, so they live here."""
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 
 import numpy
@@ -57,3 +59,99 @@ def residue_residual(v, lam):
     coeffs = bounds._weight_coeffs(v)
     roots = numpy.roots([*reversed(coeffs), lam]).astype(complex)
     return math.pi * sum((-y) ** -0.5 for y in roots).real - len(coeffs) * math.pi
+
+
+def solve_lambda_by_quadrature(v, *, quad_tol):
+    """The root of the log-form lambda equation for v = (v_1 .. v_{l-1}),
+    v_l = 1 implicit, any l and every v_h >= 0: bracket the sign of the
+    quadrature residual, which falls with lambda, by factors of 8 from
+    lambda = 1 within [1e-6, 1e6], then bisect to quad_tol.  Independent
+    of the factor rule that `bounds.solve_lambda` uses."""
+    coeffs = bounds._weight_coeffs(v)
+
+    def residual(lam):
+        return bounds._log_residual_from_coeffs(coeffs, lam, quad_tol)
+
+    lo = hi = 1.0
+    r = residual(1.0)
+    if r > 0.0:  # residual decreasing: root above
+        while r > 0.0:
+            hi *= 8.0
+            if hi > 1e6:
+                raise ValueError("no sign change for lambda in (1, 1e6]")
+            r = residual(hi)
+    else:
+        while r < 0.0:
+            lo /= 8.0
+            if lo < 1e-6:
+                raise ValueError("no sign change for lambda in [1e-6, 1)")
+            r = residual(lo)
+    return bounds._bisect(lambda lam: residual(lam) > 0.0, lo, hi, quad_tol)
+
+
+# Exact univariate polynomials over Fraction: coefficient lists, lowest
+# degree first, with no trailing zeros except the zero polynomial [0].
+
+
+def _trim(p):
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def poly_divmod(p, q):
+    """(quotient, remainder) of p by q, for q != 0."""
+    p, q = _trim(p), _trim(q)
+    if len(p) < len(q):
+        return [Fraction(0)], p
+    quotient = [Fraction(0)] * (len(p) - len(q) + 1)
+    for k in reversed(range(len(quotient))):
+        c = Fraction(p[k + len(q) - 1]) / q[-1]
+        quotient[k] = c
+        for j, b in enumerate(q):
+            p[k + j] -= c * b
+    return _trim(quotient), _trim(p[: len(q) - 1] or [Fraction(0)])
+
+
+def poly_sub(p, q):
+    return _trim(a - b for a, b in zip_longest(p, q, fillvalue=Fraction(0)))
+
+
+def poly_inverse_mod(p, f):
+    """p**-1 modulo f, by the extended Euclidean algorithm on (f, p), each
+    step keeping s*p = r (mod f)."""
+    r0, r1 = f, poly_divmod(p, f)[1]
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+    if r1[0] == 0:
+        raise ValueError("p and f have a common factor")
+    return [c / r1[0] for c in poly_divmod(s1, f)[1]]
+
+
+def half_line_moments(sigma, count):
+    """J_m / pi for m < count, where J_m = integral_0^inf u**(2m)/Q(u**2) du,
+    exactly, for Q(-t**2) = F(t)*F(-t) with F(t) = t**4 + s1*t**3 + s2*t**2
+    + s3*t + s4 Hurwitz and sigma = (s1, s2, s3, s4).  By residues at the
+    roots t_k of F, J_m/pi = (-1)**m * sum_k t_k**(2m)/(F'(t_k)*F(-t_k)),
+    and by Euler-Jacobi that sum is the t**3 coefficient of
+    t**(2m) * F(-t)**-1 mod F."""
+    s1, s2, s3, s4 = sigma
+    f = [s4, s3, s2, s1, Fraction(1)]
+    inverse = poly_inverse_mod([c if k % 2 == 0 else -c for k, c in enumerate(f)], f)
+    out = []
+    for m in range(count):
+        reduced = poly_divmod([Fraction(0)] * (2 * m) + inverse, f)[1]
+        out.append((-1) ** m * (reduced[3] if len(reduced) > 3 else Fraction(0)))
+    return out

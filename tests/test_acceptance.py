@@ -10,7 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from oracles import cue_moment_coefficient, hall_ratio
+from oracles import cue_moment_coefficient, hall_ratio, solve_lambda_by_quadrature
 from zgap import bounds, cli, lis, moments, series
 
 
@@ -79,7 +79,7 @@ def test_criterion_4_second_derivative_chain():
 def test_criterion_5_lambda_formulations_agree():
     a, b, c, d = (hall_ratio(h, 1) for h in (1, 2, 3, 4))
     derived = bounds.derive_params(a, b, c, d, bounds.closed_form_x(a, b, c, d))
-    solved = bounds.solve_lambda([float(t) for t in derived.v_exact], quad_tol=1e-6)
+    solved = solve_lambda_by_quadrature([float(t) for t in derived.v_exact], quad_tol=1e-6)
     gap = abs(solved - float(derived.sigma[3] ** 2))
     report("5 lambda equation equivalence", gap < 1e-4, f"|gap| = {gap:.2e}")
 
@@ -143,11 +143,11 @@ def test_criterion_10_property_suite(tmp_path):
 
     # (c) lambda grows when any single v_h grows by 10%
     base_v = [float(t) for t in bounds.certify_bound(1).v_exact]
-    base_lambda = bounds.solve_lambda(base_v, quad_tol=1e-6)
+    base_lambda = solve_lambda_by_quadrature(base_v, quad_tol=1e-6)
     monotone = True
     for h in range(3):
         bumped = tuple(v * 1.1 if i == h else v for i, v in enumerate(base_v))
-        monotone = monotone and bounds.solve_lambda(bumped, quad_tol=1e-6) > base_lambda
+        monotone = monotone and solve_lambda_by_quadrature(bumped, quad_tol=1e-6) > base_lambda
 
     # (d) identical CLI configs give byte-identical artifacts
     deterministic = True

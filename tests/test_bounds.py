@@ -11,7 +11,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from oracles import hall_ratio, residue_residual
+from oracles import (
+    half_line_moments,
+    hall_ratio,
+    poly_divmod,
+    poly_inverse_mod,
+    poly_mul,
+    poly_sub,
+    residue_residual,
+    solve_lambda_by_quadrature,
+)
 from zgap import bounds, cli, moments
 from zgap.bounds import (
     THRESHOLDS,
@@ -207,9 +216,10 @@ def test_lambda_residual_requires_positive_lambda():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_solve_lambda_matches_reference(n):
+    # the factor rule and the quadrature bisection both land on the print
     v1, v2, v3, lam = REFERENCE_PARAMS[n]
-    solved = solve_lambda((v1, v2, v3), quad_tol=1e-6)
-    assert abs(solved - lam) < 1e-4
+    for solver in (solve_lambda, solve_lambda_by_quadrature):
+        assert abs(solver((v1, v2, v3), quad_tol=1e-6) - lam) < 1e-4
 
 
 def test_solve_lambda_scales_with_weight_polynomial():
@@ -245,16 +255,23 @@ def test_solve_lambda_bracket_failure():
 def test_solve_lambda_evaluates_no_lambda_twice(v, monkeypatch):
     # the first v has its root below lambda = 1, the second above it
     seen = []
-    residual = bounds._log_residual_from_coeffs
+    residual = bounds._factor_residual
 
-    def recording(coeffs, lam, *args):
+    def recording(v, lam):
         seen.append(lam)
-        return residual(coeffs, lam, *args)
+        return residual(v, lam)
 
-    monkeypatch.setattr(bounds, "_log_residual_from_coeffs", recording)
+    monkeypatch.setattr(bounds, "_factor_residual", recording)
     solve_lambda(v)
     assert seen[0] == 1.0
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("v", [(0.9, 1.0), (0.9, 1.0, 1.1, 1.0)], ids=["two", "four"])
+def test_solve_lambda_rejects_v_without_three_entries(v, monkeypatch):
+    monkeypatch.setattr(bounds, "_factor_residual", None)
+    with pytest.raises(ValueError, match=r"needs v = \(v1, v2, v3\), got \d entries"):
+        solve_lambda(v)
 
 
 BAD_TOLERANCES = [math.nan, math.inf, 0.0, -1.0]
@@ -612,6 +629,71 @@ def test_certificate_serialization_is_exact():
     assert {c["name"] for c in payload["checks"]} == {c.name for c in certificate.checks}
 
 
+# ------------------------------------------------------ exact stationarity
+
+
+def stationarity_residuals(capB, x, derived):
+    """G_vj * L_lambda - G_lambda * L_vj for j = 1, 2, 3, exactly: zero
+    exactly when dX/dv_j = 0 along the lambda equation L = 0 and the X
+    equation G = 0, where
+
+        L_vj = C(4,j) * J_{j-1},  L_lambda = -(1/lambda) * sum_h C(4,h) v_h J_{h-1},
+        G_vj = 7/(2j-1) * C(4,j) * B(j) * X**j,  G_lambda = -7 * B(0),
+
+    with v4 = 1 and every J_m / pi from `half_line_moments`; the common
+    factor pi drops out."""
+    moments_over_pi = half_line_moments(derived.sigma, 4)
+    v = (*derived.v_exact, 1)
+    l_v = [math.comb(4, j) * moments_over_pi[j - 1] for j in (1, 2, 3)]
+    l_lam = -sum(
+        math.comb(4, h) * v[h - 1] * moments_over_pi[h - 1] for h in range(1, 5)
+    ) / derived.lam_exact
+    g_v = [Fraction(7, 2 * j - 1) * math.comb(4, j) * capB[j] * x**j for j in (1, 2, 3)]
+    g_lam = -7 * capB[0]
+    return [g * l_lam - g_lam * lv for g, lv in zip(g_v, l_v)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certified_x_is_an_exact_stationary_point(n):
+    capB, _, x, derived = bounds._exact_prelude(coefficient_column(n))
+    assert stationarity_residuals(capB, x, derived) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_moved_x_is_not_stationary(n):
+    capB, inputs, x, _ = bounds._exact_prelude(coefficient_column(n))
+    moved = x * Fraction(1001, 1000)
+    residuals = stationarity_residuals(capB, moved, derive_params(*inputs, moved))
+    assert all(r != 0 for r in residuals)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_half_line_moments_match_quadrature(n):
+    # the Euler-Jacobi sums are the integrals the stationarity test reads
+    derived = derived_params_for(n)
+    v, lam = derived_floats_for(n)
+    coeffs = bounds._weight_coeffs(v)
+    for m, exact in enumerate(half_line_moments(derived.sigma, 4)):
+        by_quadrature = integrate_half_line(
+            lambda u: u ** (2 * m) / (lam + sum(c * u ** (2 * k) for k, c in enumerate(coeffs, 1))),
+            1e-12,
+        )
+        assert float(exact) * math.pi == pytest.approx(by_quadrature, rel=1e-12)
+
+
+def test_poly_inverse_mod_inverts():
+    f = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2), Fraction(1)]
+    p = [Fraction(1), Fraction(5, 3), Fraction(-2)]
+    product = poly_mul(p, poly_inverse_mod(p, f))
+    quotient, remainder = poly_divmod(product, f)
+    assert remainder == [1]
+    assert poly_sub(product, poly_mul(quotient, f)) == remainder
+    common = [Fraction(1), Fraction(1)]
+    with pytest.raises(ValueError, match="common factor"):
+        poly_inverse_mod(poly_mul(common, [Fraction(2), Fraction(1)]),
+                         poly_mul(common, [Fraction(-3), Fraction(1)]))
+
+
 # ------------------------------------------------------- sensitivity check
 
 
@@ -697,6 +779,8 @@ COEFFS = [4.0, 6.0, 4.0, 1.0]
      pytest.param("_factor_residual", ((0.9, 1.0, 1.1), 0.0), id="factor-zero-lambda"),
      pytest.param("_factor_residual", ((0.9, 0.0, 1.1), 1.0), id="factor-zero-v"),
      pytest.param("_factor_residual", ((-0.9, 1.0, 1.1), 1.0), id="factor-negative-v"),
+     pytest.param("solve_lambda", ((0.9, NAN, 1.1),), id="solve_lambda-v"),
+     pytest.param("solve_lambda", ((0.9, 0.0, 1.1),), id="solve_lambda-zero-v"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), NAN), id="rational-lambda"),
      pytest.param("rational_form_deviation", ((NAN, 1.0, 1.1), 1.0), id="rational-v"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), -1.0),
@@ -744,28 +828,37 @@ def test_perturbed_x_values_regression_case():
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.sampled_from((1, 2)),
+    h=st.sampled_from((0, 1, 2)),
     rel=st.floats(1e-4, 0.999),
     log_tol=st.floats(-9.0, -4.0),
 )
-def test_perturbed_lambdas_are_bracketed_by_the_quadrature_residual(n, rel, log_tol):
-    # every lambda the factor rule finds lies within quad_tol of the root of
-    # the quadrature residual, an independent evaluation of the equation
+def test_perturbed_lambdas_are_bracketed_by_the_quadrature_residual(n, h, rel, log_tol):
+    # each lambda the factor rule finds for a v that `perturbed_x_values`
+    # can draw lies within quad_tol of the root of the quadrature residual,
+    # an independent evaluation of the equation
     quad_tol = 10.0**log_tol
-    solved = []
-    solve_x = bounds.solve_x
-
-    def recording(v, lam, *args, **kwargs):
-        solved.append((v, lam))
-        return solve_x(v, lam, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bounds, "solve_x", recording)
-        bounds.perturbed_x_values(n, rel, quad_tol)
-    assert len(solved) == 6
-    for v, lam in solved:
+    base_v, _ = derived_floats_for(n)
+    for direction in (1.0 - rel, 1.0 + rel):
+        v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
+        lam = solve_lambda(v, quad_tol=quad_tol)
         window = (lam - quad_tol, lam + quad_tol)
         below, above = (lambda_equation_residual(v, x, 1e-12) for x in window)
         assert below > 0.0 > above
+
+
+def test_perturbed_x_values_solves_each_lambda_with_solve_lambda(monkeypatch):
+    # by its module-global name, so a wrapper installed on `bounds` sees
+    # every solve
+    calls = []
+    solve = bounds.solve_lambda
+
+    def recording(v, **kwargs):
+        calls.append(v)
+        return solve(v, **kwargs)
+
+    monkeypatch.setattr(bounds, "solve_lambda", recording)
+    bounds.perturbed_x_values(1)
+    assert len(calls) == 6
 
 
 def test_only_the_certificate_uses_quadrature(monkeypatch):

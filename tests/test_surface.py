@@ -8,8 +8,9 @@ inside the name's own definition, docstrings, comments, the package's
 that the package only re-exports, is dead weight.  The layering: only
 `series` names the integer series engine.  Records are plain classes: no
 module imports `dataclasses`, whose import and generated methods cost a
-`zgap` process more start-up than most commands spend working.  And no
-module uses complex arithmetic or `math.sin`/`math.cos`.
+`zgap` process more start-up than most commands spend working.  No
+module uses complex arithmetic or `math.sin`/`math.cos`, and the lambda and
+X solvers use no `**`, `pow` or libm routine besides `math.sqrt`.
 """
 
 import ast
@@ -144,3 +145,32 @@ def test_no_module_uses_complex_arithmetic_or_sin_cos():
     users = {name: uses for name, tree in trees.items()
              if (uses := sorted(set(_complex_or_trigonometric(tree))))}
     assert not users, f"modules with complex arithmetic, sin or cos: {users}"
+
+
+# the lambda and X solvers of `bounds`, and the math names they may use:
+# sqrt is correctly rounded, comb and isfinite are exact
+SOLVERS = ("_factor_residual", "solve_lambda", "_bisect", "solve_x")
+ROUNDED_MATH = {"sqrt", "comb", "isfinite"}
+
+
+def _not_correctly_rounded(node: ast.AST):
+    """Each `**`, call of `pow` and `math` name outside ROUNDED_MATH in
+    `node`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Pow):
+            yield "**"
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "pow":
+            yield "pow()"
+        elif (isinstance(sub, ast.Attribute) and sub.attr not in ROUNDED_MATH
+              and isinstance(sub.value, ast.Name) and sub.value.id == "math"):
+            yield f"math.{sub.attr}"
+
+
+def test_solvers_use_only_correctly_rounded_operations():
+    # float `**` is C pow, which is not correctly rounded, so the digits of
+    # a root found through it can differ between C libraries
+    tree = ast.parse((ROOT / "src" / "zgap" / "bounds.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    users = {name: uses for name in SOLVERS
+             if (uses := sorted(set(_not_correctly_rounded(functions[name]))))}
+    assert not users, f"solvers with **, pow or a libm routine: {users}"
