@@ -18,10 +18,10 @@ computation that runs out of memory.  Rationals serialize as
 "numerator/denominator" strings in lowest terms, reals as shortest
 round-trip decimals.
 
-The --corrupt flag of `moments` and `bounds` is a test hook that raises the
-h = 2 entry of the reference column.  `bounds --n 1` and `moments --l 4`
-detect it; `bounds --n 2` does not, because its (3,2) column is verified
-only at its h = 0 anchor.
+The hidden --corrupt flag of `bounds` is a test hook, kept because the
+benchmark's tests run it: it raises the h = 2 entry of the reference
+column.  `bounds --n 1` detects it; `bounds --n 2` does not, because its
+(3,2) column is verified only at its h = 0 anchor.
 
 `arithfactor` accepts --cutoff in [2, 10**8].  It exits 2 before the sieve
 when its error bound would not be below its value (l**4 >= cutoff * ln 2:
@@ -46,8 +46,8 @@ from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, rational_str
 
 
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The --corrupt test hook: `column` with the numerator of its h = 2
-    entry raised by one."""
+    """The `bounds --corrupt` test hook: `column` with the numerator of its
+    h = 2 entry raised by one."""
     bad = column[2]
     return {**column, 2: Fraction(bad.numerator + 1, bad.denominator)}
 
@@ -81,8 +81,6 @@ def _moments_report(args: argparse.Namespace):
         computed, reference = {}, moments.coefficient_column(2)
     else:
         raise ValueError(f"unsupported derivative pair {args.pair}")
-    if args.corrupt and reference:
-        reference = _corrupted(reference)
 
     entries = []
     ok = True
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("moments", _moments_report, "joint-moment coefficients and match flags")
     p.add_argument("--l", type=int, default=4)
     p.add_argument("--pair", type=_pair, default="2,1", help="derivative orders, e.g. 2,1")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = command("lis", _lis_report, "restricted permutation counts")
     p.add_argument("--l", type=int, default=3)

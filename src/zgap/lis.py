@@ -22,7 +22,6 @@ unitary-group averages in `zgap.series`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import Iterator, Sequence
@@ -122,8 +121,9 @@ def count_by_tableaux(l: int, n: int) -> int:
 
 def count_by_series(l: int, n: int) -> int:
     """T(n) read off the Toeplitz determinant generating function:
-    (n!)^2 times the degree-n coefficient.  A non-integral product signals a
-    series bug and raises.
+    (n!)^2 times coeffs[n] of `series.toeplitz_determinant` with n + 1
+    terms, whose series starts at x**0, so coeffs[n] is the coefficient of
+    x**n.  A non-integral product signals a series bug and raises.
 
     For l >= n every permutation of 1..n counts, T_l(n) = T_n(n) = n!, so the
     degree-n coefficient of the l x l determinant equals that of the
@@ -137,8 +137,7 @@ def count_by_series(l: int, n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     det = series.toeplitz_determinant(max(1, min(l, n)), n + 1)
-    coeff = det.coefficient(Fraction(n))
-    value = coeff * factorial(n) ** 2
+    value = det.coeffs[n] * factorial(n) ** 2
     if value.denominator != 1:
         raise ArithmeticError(
             f"series count for l={l}, n={n} is non-integral: {value}"

@@ -28,9 +28,11 @@ Hankel determinant is the (2, 1) partition sum of `zgap.moments`.  There is
 no rounding anywhere in this module.
 
 Results are `HalfPowerSeries`: x**offset * (c_0 + c_1*x + ...) with the
-offset a multiple of 1/2.  Reading x as z**2 turns the Toeplitz result into
-the even series of det[I_{j-k}(2z)]; the unitary-average comparisons below
-use exactly that identification (z-degree = 2 * x-degree).
+offset a multiple of 1/2 and `terms` exact coefficients: Toeplitz from
+x**0, Hankel from x**(l**2/2).  Reading x as z**2 turns the Toeplitz
+result into the even series of det[I_{j-k}(2z)]; the unitary-average
+comparisons below use exactly that identification (z-degree = 2 *
+x-degree).
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ DEFAULT_TERMS = 12
 
 
 class HalfPowerSeries:
-    """x**offset * (c_0 + c_1*x + ... + c_{K-1}*x**(K-1)), exact through
-    x**known_through: the result type of the determinants and averages."""
+    """x**offset * (c_0 + c_1*x + ... + c_{K-1}*x**(K-1)), K >= 1, offset a
+    multiple of 1/2: a plain record, the determinants' and averages' result."""
 
     __slots__ = ("offset", "coeffs")
 
@@ -59,38 +61,13 @@ class HalfPowerSeries:
         coeffs = tuple(Fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least one retained coefficient")
-        # normalize: leading coefficient nonzero unless identically zero
-        lead = 0
-        while lead < len(coeffs) - 1 and coeffs[lead] == 0:
-            lead += 1
-        if coeffs[lead] == 0:  # identically zero up to truncation
-            lead = 0
-        self.offset: Fraction = offset + lead
-        self.coeffs: tuple[Fraction, ...] = coeffs[lead:]
+        self.offset: Fraction = offset
+        self.coeffs: tuple[Fraction, ...] = coeffs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfPowerSeries):
             return NotImplemented
         return (self.offset, self.coeffs) == (other.offset, other.coeffs)
-
-    @property
-    def known_through(self) -> Fraction:
-        """Largest exponent whose coefficient is guaranteed exact."""
-        return self.offset + len(self.coeffs) - 1
-
-    def coefficient(self, exponent: Fraction | int) -> Fraction:
-        """Exact coefficient of x**exponent; raises beyond the truncation
-        horizon, returns 0 for exponents below the offset or off the parity
-        grid."""
-        e = Fraction(exponent)
-        if e > self.known_through:
-            raise ValueError(
-                f"coefficient of x**{e} is beyond the horizon {self.known_through}"
-            )
-        step = e - self.offset
-        if step < 0 or step.denominator != 1:
-            return Fraction(0)
-        return self.coeffs[int(step)]
 
     def __mul__(self, scalar) -> "HalfPowerSeries":
         """The series times a rational scalar."""
@@ -299,45 +276,31 @@ class IdentityReport(NamedTuple):
         return out
 
 
-def check_hankel_identity(
-    l: int,
-    terms: int = 8,
-    lhs: HalfPowerSeries | None = None,
-    rhs: HalfPowerSeries | None = None,
-) -> IdentityReport:
+def check_hankel_identity(l: int, terms: int = 8) -> IdentityReport:
     """Verify that the U(l) average of (det U)^l exp(z Tr(U + U^dagger))
-    equals (-1)**(l(l-1)/2) * det[I_{j+k+1}(2z)] coefficientwise through the
-    common truncation horizon.
-
-    `lhs`/`rhs` exist so tests can inject corrupted series; by default both
-    sides are computed fresh.  l is capped at 8, which bounds the 2**l
-    column subsets that the Laplace expansion of the Hankel side memoises.
+    equals (-1)**(l(l-1)/2) * det[I_{j+k+1}(2z)] coefficientwise.  Both
+    sides are x**(l**2/2) times `terms` coefficients, compared index by
+    index (a mismatch at k is at exponent offset + k); sides with different
+    offsets or lengths raise, so they can never read as a match.  l is
+    capped at 8, which bounds the 2**l column subsets that the Laplace
+    expansion of the Hankel side memoises.
     """
     if not 1 <= l <= 8:
         raise ValueError(f"identity check supports l in 1..8, got {l}")
     sign = -1 if (l * (l - 1) // 2) % 2 else 1
-    if lhs is None:
-        lhs = unitary_average(l, l, terms)
-    if rhs is None:
-        rhs = sign * hankel_determinant(l, terms)
-    else:
-        rhs = sign * rhs
-    horizon = min(lhs.known_through, rhs.known_through)
-    exponent = min(lhs.offset, rhs.offset)
-    compared = 0
-    while exponent <= horizon:
-        a = lhs.coefficient(exponent)
-        b = rhs.coefficient(exponent)
+    lhs = unitary_average(l, l, terms)
+    rhs = sign * hankel_determinant(l, terms)
+    if (lhs.offset, len(lhs.coeffs)) != (rhs.offset, len(rhs.coeffs)):
+        raise ArithmeticError(f"the identity sides for l={l} are misaligned")
+    for k, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
         if a != b:
             return IdentityReport(
                 l=l,
                 sign=sign,
-                terms_compared=compared,
+                terms_compared=k,
                 matched=False,
-                mismatch_exponent=exponent,
+                mismatch_exponent=lhs.offset + k,
                 lhs_coefficient=a,
                 rhs_coefficient=b,
             )
-        compared += 1
-        exponent += 1
-    return IdentityReport(l=l, sign=sign, terms_compared=compared, matched=True)
+    return IdentityReport(l=l, sign=sign, terms_compared=len(lhs.coeffs), matched=True)

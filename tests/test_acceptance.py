@@ -128,7 +128,7 @@ def test_criterion_9_unitary_identity():
     report("9 unitary-average identity, 8 coefficients", not bad, f"failures: {bad}")
 
 
-def test_criterion_10_property_suite(tmp_path):
+def test_criterion_10_property_suite(tmp_path, monkeypatch):
     # (a) corrupting one table constant invalidates the certificate
     column = moments.coefficient_column(1)
     column[2] = Fraction(column[2].numerator + 1, column[2].denominator)
@@ -139,7 +139,9 @@ def test_criterion_10_property_suite(tmp_path):
     corrupted = series.HalfPowerSeries(
         det.offset, det.coeffs[:2] + (det.coeffs[2] + Fraction(1, 7),) + det.coeffs[3:]
     )
-    series_mutation_caught = not series.check_hankel_identity(2, 6, rhs=corrupted).matched
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "hankel_determinant", lambda l, terms: corrupted)
+        series_mutation_caught = not series.check_hankel_identity(2, 6).matched
 
     # (c) lambda grows when any single v_h grows by 10%
     base_v = [float(t) for t in bounds.certify_bound(1).v_exact]

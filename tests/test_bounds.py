@@ -607,6 +607,45 @@ def test_certificate_without_positive_v_skips_the_numeric_checks():
     assert not certificate.valid
 
 
+def column_with_x(n, x):
+    """Reference column n with b[1..4] kept and b[0] chosen so that the
+    closed-form X is exactly `x`: X is linear in a = B(0)/B(1) =
+    b[0]/(4 b[1]), the only input that b[0] moves."""
+    column = coefficient_column(n)
+    _, (_, b, c, d), _, _ = bounds._exact_prelude(column)
+    x0, x1 = closed_form_x(0, b, c, d), closed_form_x(1, b, c, d)
+    column[0] = 4 * column[1] * (x - x0) / (x1 - x0)
+    assert bounds._exact_prelude(column)[2] == x
+    return column
+
+
+def test_bound_exactly_at_the_threshold_fails():
+    # the claim is sqrt(X) > 1.98, strictly
+    certificate, checks = certify_column(column_with_x(1, THRESHOLDS[1] ** 2))
+    assert certificate.x_exact == Fraction(9801, 2500)
+    assert checks["v_positive"].passed
+    assert not checks["bound_above_threshold"].passed
+    assert checks["bound_above_threshold"].residual == 0.0
+    assert not certificate.valid
+
+
+def test_a_zero_v_fails_v_positive_but_keeps_g_increasing():
+    # v3 = (s1**2 - 2 s2)/4 with s1 = tau1 X, s2 = tau2 X is exactly 0 at
+    # X = 2 tau2/tau1**2; the taus do not depend on a, and X = 1 gives
+    # sigma = (tau1, tau2, ...)
+    _, (a, b, c, d), _, _ = bounds._exact_prelude(coefficient_column(2))
+    tau1, tau2, _, _ = derive_params(a, b, c, d, 1).sigma
+    certificate = certify_bound(2, coefficients=column_with_x(2, 2 * tau2 / tau1**2))
+    checks = {c.name: c for c in certificate.checks}
+    v1, v2, v3 = certificate.v_exact
+    assert v3 == 0
+    assert (float(v1), float(v2)) == pytest.approx((0.00687, 1.17966), abs=1e-5)
+    assert not checks["v_positive"].passed
+    assert checks["v_positive"].residual == 0.0
+    assert checks["g_increasing"].passed
+    assert not certificate.valid
+
+
 def test_certificate_detects_corrupted_anchor_n2():
     column = coefficient_column(2)
     column[0] = Fraction(column[0].numerator + 1, column[0].denominator)

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,19 @@ def run_cli(args, capsys):
     status = main(args)
     out = capsys.readouterr().out
     return status, out
+
+
+def raise_reference_h2(monkeypatch):
+    """Make every reference column the library reads carry the numerator of
+    its h = 2 entry raised by one, the entry `bounds --corrupt` raises."""
+    column = moments.coefficient_column
+
+    def raised(n):
+        out = column(n)
+        out[2] = Fraction(out[2].numerator + 1, out[2].denominator)
+        return out
+
+    monkeypatch.setattr(moments, "coefficient_column", raised)
 
 
 def test_bounds_command_json(capsys):
@@ -56,8 +70,9 @@ def test_moments_command(capsys):
     assert all(r["match"] for r in payload["records"])
 
 
-def test_moments_command_corrupted_table(capsys):
-    status, out = run_cli(["moments", "--l", "4", "--pair", "2,1", "--corrupt"], capsys)
+def test_moments_command_corrupted_table(capsys, monkeypatch):
+    raise_reference_h2(monkeypatch)
+    status, out = run_cli(["moments", "--l", "4", "--pair", "2,1"], capsys)
     assert status == 1
     payload = json.loads(out)
     assert payload["all_match"] is False
@@ -109,6 +124,23 @@ def test_identity_command(capsys):
     assert payload["sign"] == -1
 
 
+def test_identity_command_mismatch_exits_1(capsys, monkeypatch):
+    det = series.hankel_determinant(2, 6)
+    corrupted = series.HalfPowerSeries(
+        det.offset, det.coeffs[:3] + (det.coeffs[3] + 1,) + det.coeffs[4:]
+    )
+    monkeypatch.setattr(series, "hankel_determinant", lambda l, terms: corrupted)
+    status, out = run_cli(["identity", "--l", "2", "--terms", "6"], capsys)
+    assert status == 1
+    payload = json.loads(out)
+    assert payload["matched"] is False
+    assert payload["terms_compared"] == 3
+    # the sign for l = 2 is -1; x**5 is coefficient 3 after the offset 2
+    assert payload["mismatch_exponent"] == "5/1"
+    assert Fraction(payload["lhs_coefficient"]) == -det.coeffs[3]
+    assert Fraction(payload["rhs_coefficient"]) == -(det.coeffs[3] + 1)
+
+
 def test_arithfactor_command(capsys):
     status, out = run_cli(["arithfactor", "--l", "2", "--cutoff", "1000"], capsys)
     assert status == 0
@@ -150,7 +182,11 @@ def test_invalid_usage_exits_nonzero(capsys):
      (["hankel", "--l", "1", "--terms", "2", "--output", ""], None,
       "cannot write '': the --output path is empty"),
      (["arithfactor", "--l", "21", "--cutoff", "300000"], None,
-      "the Euler product for l=21 underflows a float at p=139")],
+      "the Euler product for l=21 underflows a float at p=139"),
+     # the top cutoff is in range, and 92**4 >= 10**8 * ln 2
+     (["arithfactor", "--l", "92", "--cutoff", "100000000"], None,
+      "the error bound for l=92 at prime_cutoff=100000000 is not below the value"),
+     (["moments", "--l", "4", "--corrupt"], None, "unrecognized arguments: --corrupt")],
 )
 def test_rejected_input_is_a_one_line_error(args, tol, message, capsys):
     if tol is not None:
@@ -388,7 +424,7 @@ def test_rejected_exact_command_is_one_line_without_bounds(args):
 # argparse prints it at 80 columns.  The defaults shown there come from
 # `zgap.arith`, and the top-level text is the `zgap.cli` docstring.
 HELP_DIGESTS = {
-    "": "23b5d3836b0616bed4cf423ad23cc51fc7d80dd03d46b2ff93364affa3f9b996",
+    "": "1498b442d6cdde7e9994be3aa58b5b72be05acd0f3b807998b317f9bc0609788",
     "bounds": "51e5ef56b263373ed205327c3f0e2d6a7181ff57c6b780d3d92a2600d9bd164b",
     "moments": "b793ed7a62773a0e83475ecdc9f1e11c6d5993db4dc75eb9084ba05e3f220bf7",
     "lis": "ec9e7d0ef3f39454809013bc11280e15153931247338d39bf1353447fad55cc7",
@@ -518,8 +554,14 @@ REPORT_DIGESTS = {
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
-def test_exact_report_is_byte_identical(command, capsys):
-    status, out = run_cli(command.split(), capsys)
+def test_exact_report_is_byte_identical(command, capsys, monkeypatch):
+    argv = command.split()
+    if argv[0] == "moments" and "--corrupt" in argv:
+        # `moments` has no --corrupt flag: in these keys the word marks a
+        # report run with the h = 2 reference entry raised
+        argv.remove("--corrupt")
+        raise_reference_h2(monkeypatch)
+    status, out = run_cli(argv, capsys)
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == REPORT_DIGESTS[command]
 
 

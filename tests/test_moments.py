@@ -262,6 +262,9 @@ def test_arithmetic_factor_rejects_a_tail_above_ln2_before_the_sieve(monkeypatch
     monkeypatch.setattr(moments, "_primes_up_to", refuse)
     with pytest.raises(ValueError, match="error bound"):
         arithmetic_factor(10, prime_cutoff=2)
+    # the top cutoff passes the range check: 92**4 = 71639296 >= 10**8 * ln 2
+    with pytest.raises(ValueError, match=r"^the error bound for l=92 at prime_cutoff=100000000 "):
+        arithmetic_factor(92, prime_cutoff=10**8)
 
 
 def test_arithmetic_factor_rejects_a_cutoff_above_the_ceiling(monkeypatch):

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from oracles import cue_moment_coefficient
+from zgap import series
 from zgap.cli import main
 from zgap.series import (
     HalfPowerSeries,
@@ -100,30 +101,14 @@ def test_series_validation():
         HalfPowerSeries(Fraction(1, 3), (Fraction(1),))
     with pytest.raises(ValueError):
         HalfPowerSeries(Fraction(0), ())
+    # a plain record: leading zeros and the offset stay as given
+    s = HalfPowerSeries(1, (0, 0, 3))
+    assert (s.offset, s.coeffs) == (1, (0, 0, 3))
     for determinant in (hankel_determinant, toeplitz_determinant):
         with pytest.raises(ValueError, match="l must be >= 1"):
             determinant(0, 3)
         with pytest.raises(ValueError, match="terms must be >= 1"):
             determinant(2, 0)
-
-
-def test_series_normalization_strips_leading_zeros():
-    s = HalfPowerSeries(Fraction(1), (Fraction(0), Fraction(0), Fraction(3), Fraction(1)))
-    assert s.offset == 3
-    assert s.coeffs == (Fraction(3), Fraction(1))
-    zero = HalfPowerSeries(Fraction(2), (Fraction(0), Fraction(0)))
-    assert zero.coeffs == (0, 0)
-    assert zero.offset == 2  # identically-zero series keeps its window
-
-
-def test_coefficient_access():
-    s = hankel_determinant(1, 3)  # I_1(2 sqrt x): offset 1/2, known through 5/2
-    assert s.coefficient(HALF) == 1
-    assert s.coefficient(Fraction(5, 2)) == Fraction(1, 12)
-    assert s.coefficient(0) == 0  # below the offset
-    assert s.coefficient(1) == 0  # off the parity grid
-    with pytest.raises(ValueError):
-        s.coefficient(Fraction(7, 2))
 
 
 def test_hankel_l1_equals_first_order_bessel():
@@ -231,10 +216,13 @@ def test_determinant_matches_permutation_expansion(l, terms):
     ]
     for det, order in cases:
         expected, horizon = permutation_determinant(bessel_grid(l, terms, order))
-        assert det.known_through == horizon
-        start = min(expected)
-        for i in range(int(horizon - start) + 1):
-            assert det.coefficient(start + i) == expected.get(start + i, 0)
+        assert len(det.coeffs) == terms
+        assert det.offset + len(det.coeffs) - 1 == horizon
+        exponents = [det.offset + k for k in range(len(det.coeffs))]
+        # every nonzero term of the expansion sits on the series' own grid
+        assert {e: c for e, c in expected.items() if c} == {
+            e: c for e, c in zip(exponents, det.coeffs) if c
+        }
 
 
 def test_determinant_matches_permutation_expansion_when_minors_cancel():
@@ -297,8 +285,7 @@ def test_hankel_l8_is_in_reach(capsys):
 def test_toeplitz_l1_is_zeroth_order_bessel():
     det = toeplitz_determinant(1, 6)
     assert det.offset == 0
-    for n in range(6):
-        assert det.coefficient(n) == Fraction(1, factorial(n) ** 2)
+    assert det.coeffs == tuple(Fraction(1, factorial(n) ** 2) for n in range(6))
 
 
 def test_toeplitz_l2_degree_three_coefficient():
@@ -307,11 +294,14 @@ def test_toeplitz_l2_degree_three_coefficient():
 
     assert count_by_enumeration(2, 3) == 5
     det = toeplitz_determinant(2, 5)
-    assert det.coefficient(3) == Fraction(5, 36)
+    assert det.offset == 0
+    assert det.coeffs[3] == Fraction(5, 36)
 
 
 def test_toeplitz_l3_constant_term():
-    assert toeplitz_determinant(3, 4).coefficient(0) == 1
+    det = toeplitz_determinant(3, 4)
+    assert det.offset == 0
+    assert det.coeffs[0] == 1
 
 
 def test_unitary_average_one_dimensional():
@@ -340,13 +330,15 @@ def test_unitary_average_matches_toeplitz(l):
     avg = unitary_average(l, 0, 8)
     det = toeplitz_determinant(l, 8)
     assert avg.offset == det.offset == 0
-    for n in range(8):
-        assert avg.coefficient(n) == det.coefficient(n)
+    assert len(avg.coeffs) == len(det.coeffs) == 8
+    assert avg.coeffs == det.coeffs
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_unitary_average_normalization(l):
-    assert unitary_average(l, 0, 3).coefficient(0) == 1
+    avg = unitary_average(l, 0, 3)
+    assert avg.offset == 0
+    assert avg.coeffs[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -367,16 +359,32 @@ def test_hankel_identity_range_guard():
             check_hankel_identity(l, 4)
 
 
-def test_hankel_identity_detects_corruption():
+def test_hankel_identity_detects_corruption(monkeypatch):
     det = hankel_determinant(2, 6)
     corrupted = HalfPowerSeries(
         det.offset,
         det.coeffs[:3] + (det.coeffs[3] + 1,) + det.coeffs[4:],
     )
-    report = check_hankel_identity(2, 6, rhs=corrupted)
+    monkeypatch.setattr(series, "hankel_determinant", lambda l, terms: corrupted)
+    report = check_hankel_identity(2, 6)
     assert not report.matched
+    assert report.terms_compared == 3
     assert report.mismatch_exponent == det.offset + 3
-    assert report.lhs_coefficient != report.rhs_coefficient
+    assert report.lhs_coefficient == -det.coeffs[3]  # the sign for l = 2 is -1
+    assert report.rhs_coefficient == -(det.coeffs[3] + 1)
+
+
+@pytest.mark.parametrize(
+    "offset_shift, terms_shift", [(1, 0), (HALF, 0), (0, -1), (0, 1)]
+)
+def test_hankel_identity_refuses_misaligned_sides(offset_shift, terms_shift, monkeypatch):
+    # a shifted or resized side must raise, never be compared index by index
+    det = hankel_determinant(2, 6)
+    coeffs = (det.coeffs + (Fraction(0),))[: len(det.coeffs) + terms_shift]
+    shifted = HalfPowerSeries(det.offset + offset_shift, coeffs)
+    monkeypatch.setattr(series, "hankel_determinant", lambda l, terms: shifted)
+    with pytest.raises(ArithmeticError, match="misaligned"):
+        check_hankel_identity(2, 6)
 
 
 def test_json_serialization_round_trip():

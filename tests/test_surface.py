@@ -1,5 +1,7 @@
 """The public surface: every public top-level name that a module of
-`src/zgap/` defines has a caller in `src/zgap/` or `perfbench/`.
+`src/zgap/` defines, and every public method and property of its classes,
+has a caller in `src/zgap/` or `perfbench/`.  (NamedTuple fields are
+data, not methods, and are not checked.)
 
 A use is a name, an attribute, an imported name, or a string constant equal
 to the name (the benchmark tracer wraps functions by attribute name).  Uses
@@ -78,6 +80,37 @@ def test_every_public_name_has_a_caller():
         if not any(name in used for node, used in statements if node is not definition)
     ]
     assert not uncalled, f"public names with no caller outside tests: {uncalled}"
+
+
+def _units(tree: ast.Module):
+    """The top-level statements of `tree`, each class split into the
+    statements of its body."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from node.body
+        else:
+            yield node
+
+
+def test_every_public_method_has_a_caller():
+    # a method counts as called when its name is used outside its own
+    # definition, another method of its class included
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    units = [
+        (node, _used_names(node, skip))
+        for tree, skip in ((tree, _docstrings(tree)) for tree in trees.values())
+        for node in _units(tree)
+    ]
+    uncalled = [
+        f"{path.stem}.{cls.name}.{method.name}"
+        for path in MODULES
+        for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not method.name.startswith("_")
+        and not any(method.name in used for node, used in units if node is not method)
+    ]
+    assert not uncalled, f"public methods with no caller outside tests: {uncalled}"
 
 
 def test_package_exports_only_its_version():
