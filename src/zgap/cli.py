@@ -103,27 +103,19 @@ def _moments_report(args: argparse.Namespace):
 
 
 def _lis_report(args: argparse.Namespace):
-    if args.max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {args.max_n}")
+    counts = lis.count_by_tableaux(args.l, args.max_n)
+    by_series = lis.count_by_series(args.l, args.max_n)
+    by_enum = lis.count_by_enumeration(args.l, min(args.max_n, lis.ENUMERATION_LIMIT))
     entries = []
-    ok = True
-    for n in range(args.max_n + 1):
-        count = lis.count_by_tableaux(args.l, n)
-        by_series = lis.count_by_series(args.l, n)
-        entry = {"l": args.l, "n": n, "count": count, "series": by_series}
-        agree = count == by_series
-        if n <= lis.ENUMERATION_LIMIT:
-            by_enum = lis.count_by_enumeration(args.l, n)
-            entry["enumeration"] = by_enum
-            agree = agree and count == by_enum
-        entry["agree"] = agree
-        ok = ok and agree
+    for n, (count, series_count) in enumerate(zip(counts, by_series)):
+        entry = {"l": args.l, "n": n, "count": count, "series": series_count}
+        if n < len(by_enum):
+            entry["enumeration"] = by_enum[n]
+        entry["agree"] = count == series_count == entry.get("enumeration", count)
         entries.append(entry)
+    ok = all(e["agree"] for e in entries)
     header = ["l", "n", "count", "enumeration", "series", "agree"]
-    body = [
-        [e["l"], e["n"], e["count"], e.get("enumeration", ""), e["series"], e["agree"]]
-        for e in entries
-    ]
+    body = [[e.get(key, "") for key in header] for e in entries]
     return {"table": entries, "all_agree": ok}, header, body, ok
 
 

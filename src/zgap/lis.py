@@ -1,19 +1,20 @@
 """Counting permutations by the length of their longest increasing
 subsequence (LIS).
 
-The number of permutations of {1..n} whose LIS has length at most l is
-computed by three independent routes so each can serve as an oracle for the
-others:
+The number T_l(n) of permutations of {1..n} whose LIS has length at most l
+is computed by three independent routes so each can serve as an oracle for
+the others.  Each route returns the whole column T_l(0), ..., T_l(max_n)
+from one computation:
 
-* ``count_by_enumeration(l, n)`` — patience sorting of every permutation,
-  counted by a transfer over the pile tops instead of listing the n!
-  permutations one by one (n <= 9),
-* ``count_by_tableaux(l, n)`` — a sum of squared standard-tableau counts
-  over partitions with first part at most l (Robinson-Schensted: the LIS
-  length of a permutation equals the first-row length of its insertion
-  tableau),
-* ``count_by_series(l, n)`` — the Toeplitz determinant generating function
-  from `zgap.series`.
+* ``count_by_enumeration(l, max_n)`` — patience sorting of every
+  permutation, counted by one transfer over the pile tops instead of
+  listing the n! permutations one by one (max_n <= 9),
+* ``count_by_tableaux(l, max_n)`` — for each n, a sum of squared
+  standard-tableau counts over partitions with first part at most l
+  (Robinson-Schensted: the LIS length of a permutation equals the
+  first-row length of its insertion tableau),
+* ``count_by_series(l, max_n)`` — the coefficients of one Toeplitz
+  determinant generating function from `zgap.series`.
 
 The partition and hook-length helpers here are also consumed by the
 unitary-group averages in `zgap.series`.
@@ -22,7 +23,6 @@ unitary-group averages in `zgap.series`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import Iterator, Sequence
 
@@ -32,19 +32,29 @@ from typing import Iterator, Sequence
 ENUMERATION_LIMIT = 9
 
 
-@lru_cache(maxsize=None)
-def _lis_length_counts(n: int) -> tuple[int, ...]:
-    """counts[k] = number of permutations of 1..n with LIS length exactly k
-    (index 0 unused), by patience sorting every permutation at once.
+def _check_column(l: int, max_n: int) -> None:
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+
+
+def count_by_enumeration(l: int, max_n: int) -> list[int]:
+    """T_l(0..max_n) by patience sorting every permutation at once.
 
     Deal the values left to right.  After k values the state is the sorted
     tuple of the ranks of the pile tops among those k values, weighted by
-    the number of permutations of k that reach it.  The next value takes
-    each relative rank r in 0..k once: the ranks >= r shift up by one, and
-    r replaces the first top >= r or opens a new pile.  There are at most
-    2**(n-1) states, against n! permutations."""
+    the number of permutations of k that reach it; T_l(k) is the weight of
+    the states with at most l piles.  The next value takes each relative
+    rank r in 0..k once: the ranks >= r shift up by one, and r replaces the
+    first top >= r or opens a new pile.  There are at most 2**(k-1) states,
+    against k! permutations."""
+    _check_column(l, max_n)
+    if max_n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration capped at max_n <= {ENUMERATION_LIMIT}, got {max_n}")
     states = {(): 1}
-    for k in range(n):
+    column = [1]
+    for k in range(max_n):
         dealt: dict[tuple[int, ...], int] = {}
         for tops, weight in states.items():
             for r in range(k + 1):
@@ -52,38 +62,31 @@ def _lis_length_counts(n: int) -> tuple[int, ...]:
                 key = tops[:i] + (r,) + tuple(t + 1 for t in tops[i + 1 :])
                 dealt[key] = dealt.get(key, 0) + weight
         states = dealt
-    counts = [0] * (n + 1)
-    for tops, weight in states.items():
-        counts[len(tops)] += weight
-    return tuple(counts)
-
-
-def count_by_enumeration(l: int, n: int) -> int:
-    """T(n) for LIS length <= l, by patience sorting every permutation of
-    1..n through the pile-top transfer of `_lis_length_counts`."""
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration capped at n <= {ENUMERATION_LIMIT}, got {n}"
-        )
-    if n == 0:
-        return 1
-    counts = _lis_length_counts(n)
-    return sum(counts[1 : min(l, n) + 1])
+        column.append(sum(weight for tops, weight in states.items() if len(tops) <= l))
+    return column
 
 
 def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n with every part <= max_part, parts weakly decreasing,
-    generated in lexicographically decreasing order."""
-    if n == 0:
-        yield ()
+    generated in lexicographically decreasing order: fill the rest of n
+    greedily with the largest parts allowed, then drop the trailing 1s and
+    lower the last part left.  No recursion, so there is no limit on the
+    number of parts."""
+    if n < 0 or (n > 0 and max_part < 1):
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_max_part(n - first, first):
-            yield (first,) + rest
+    parts: list[int] = []
+    rest = n
+    while True:
+        while rest:
+            parts.append(min(rest, parts[-1] if parts else max_part))
+            rest -= parts[-1]
+        yield tuple(parts)
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        rest += 1
 
 
 def standard_tableaux(shape: Sequence[int]) -> int:
@@ -109,37 +112,36 @@ def standard_tableaux(shape: Sequence[int]) -> int:
     return count
 
 
-def count_by_tableaux(l: int, n: int) -> int:
-    """T(n) for LIS length <= l as sum over partitions of n with first part
-    <= l of the squared standard-tableau count."""
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return sum(standard_tableaux(shape) ** 2 for shape in partitions_max_part(n, l))
+def count_by_tableaux(l: int, max_n: int) -> list[int]:
+    """T_l(0..max_n), each T_l(n) the sum over partitions of n with first
+    part <= l of the squared standard-tableau count."""
+    _check_column(l, max_n)
+    return [
+        sum(standard_tableaux(shape) ** 2 for shape in partitions_max_part(n, l))
+        for n in range(max_n + 1)
+    ]
 
 
-def count_by_series(l: int, n: int) -> int:
-    """T(n) read off the Toeplitz determinant generating function:
-    (n!)^2 times coeffs[n] of `series.toeplitz_determinant` with n + 1
-    terms, whose series starts at x**0, so coeffs[n] is the coefficient of
-    x**n.  A non-integral product signals a series bug and raises.
+def count_by_series(l: int, max_n: int) -> list[int]:
+    """T_l(0..max_n) read off one Toeplitz determinant generating function:
+    T_l(n) is (n!)^2 times coeffs[n] of `series.toeplitz_determinant` with
+    max_n + 1 terms, whose series starts at x**0, so coeffs[n] is the
+    coefficient of x**n.  A non-integral product signals a series bug and
+    raises.
 
-    For l >= n every permutation of 1..n counts, T_l(n) = T_n(n) = n!, so the
-    degree-n coefficient of the l x l determinant equals that of the
-    min(l, n) x min(l, n) one, which is still a determinant route.  Building
-    the smaller one keeps the cost at min(l, n): the Laplace expansion
-    memoises every column subset, 2**l entries."""
+    For l >= max_n every permutation of 1..n, n <= max_n, counts, T_l(n) =
+    n!, so the column of the l x l determinant equals that of the
+    min(l, max_n) x min(l, max_n) one, which is still a determinant route.
+    Building the smaller one keeps the cost at min(l, max_n): the Laplace
+    expansion memoises every column subset, 2**l entries."""
     from . import series  # deferred; series imports this module at top level
 
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    det = series.toeplitz_determinant(max(1, min(l, n)), n + 1)
-    value = det.coeffs[n] * factorial(n) ** 2
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"series count for l={l}, n={n} is non-integral: {value}"
-        )
-    return value.numerator
+    _check_column(l, max_n)
+    det = series.toeplitz_determinant(max(1, min(l, max_n)), max_n + 1)
+    column = []
+    for n, coefficient in enumerate(det.coeffs):
+        value = coefficient * factorial(n) ** 2
+        if value.denominator != 1:
+            raise ArithmeticError(f"series count for l={l}, n={n} is non-integral: {value}")
+        column.append(value.numerator)
+    return column

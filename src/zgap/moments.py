@@ -147,7 +147,7 @@ def _primes_up_to(n: int) -> list[int]:
     """The primes p <= n, for n >= 2 (`arithmetic_factor` checks that)."""
     sieve = bytearray(b"\x01") * (n + 1)
     sieve[:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)

@@ -194,7 +194,6 @@ def _check_size(l: int, terms: int) -> None:
         raise ValueError(f"terms must be >= 1, got {terms}")
 
 
-@lru_cache(maxsize=None)
 def hankel_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """det[ I_{j+k+1}(2*sqrt(x)) ] for j,k = 0..l-1, expanded exactly as
     x**(l**2/2) * det[g_{j+k+1}(x)], with `terms` exact coefficients."""
@@ -203,7 +202,6 @@ def hankel_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     return HalfPowerSeries(Fraction(l * l, 2), bessel_determinant(orders, terms - 1, 0)[0])
 
 
-@lru_cache(maxsize=None)
 def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """det[ I_{j-k}(2z) ] for j,k = 0..l-1 as an even series in z, returned
     on the x = z**2 grading as det[g_{j-k}(x)] through x**(terms-1): the
@@ -215,7 +213,6 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     return HalfPowerSeries(Fraction(0), bessel_determinant(orders, terms - 1, 0)[0])
 
 
-@lru_cache(maxsize=None)
 def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """Haar average over the unitary group U(l) of
     (det U)**det_power * exp(z * Tr(U + U^dagger)), as a series on the

@@ -50,6 +50,19 @@ def per_h_partition_sum(h, l):
     return sign * total
 
 
+def partitions_by_recursion(n, max_part):
+    """Partitions of n with every part <= max_part in lexicographically
+    decreasing order, by recursion on the first part: the order oracle for
+    `lis.partitions_max_part`.  One level per part, so it stops at the
+    interpreter's recursion limit."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in partitions_by_recursion(n - first, first):
+            yield (first,) + rest
+
+
 def residue_residual(v, lam):
     """The log-form lambda residual by residues: pi * sum_k (-y_k)**(-1/2)
     - l*pi over the l roots y_k of Q(y) = lam + sum_h C(l,h) v_h y**h

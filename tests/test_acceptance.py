@@ -106,14 +106,13 @@ def test_criterion_7_hankel_structure():
 def test_criterion_8_three_way_counting_agreement():
     failures = []
     for l in range(1, 6):
-        for n in range(1, 10):
-            rsk = lis.count_by_tableaux(l, n)
-            if rsk != lis.count_by_enumeration(l, n) or rsk != lis.count_by_series(l, n):
-                failures.append((l, n))
+        rsk = lis.count_by_tableaux(l, 9)
+        by_enum, by_series = lis.count_by_enumeration(l, 9), lis.count_by_series(l, 9)
+        failures += [(l, n) for n in range(1, 10) if not rsk[n] == by_enum[n] == by_series[n]]
     catalan = [1]
     for m in range(14):
         catalan.append(sum(catalan[i] * catalan[m - i] for i in range(m + 1)))
-    catalan_ok = all(lis.count_by_tableaux(2, n) == catalan[n] for n in range(15))
+    catalan_ok = lis.count_by_tableaux(2, 14) == catalan
     report(
         "8 three-way count agreement",
         not failures and catalan_ok,

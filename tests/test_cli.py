@@ -367,6 +367,20 @@ def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
     assert captured.err == "zgap: out of memory computing the lis report\n"
 
 
+def test_lis_report_builds_one_toeplitz_determinant(monkeypatch, capsys):
+    calls = []
+    build = series.toeplitz_determinant
+
+    def counting(l, terms):
+        calls.append((l, terms))
+        return build(l, terms)
+
+    monkeypatch.setattr(series, "toeplitz_determinant", counting)
+    assert main(["lis", "--l", "4", "--max-n", "14"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_agree"] is True
+    assert calls == [(4, 15)]
+
+
 def run_probe(code):
     """Run `code` in a fresh interpreter; it prints what it finds."""
     return subprocess.run(

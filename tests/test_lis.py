@@ -7,8 +7,10 @@ from math import factorial
 
 import pytest
 
+from oracles import partitions_by_recursion
+from zgap import lis
 from zgap.lis import (
-    _lis_length_counts,
+    ENUMERATION_LIMIT,
     count_by_enumeration,
     count_by_series,
     count_by_tableaux,
@@ -19,9 +21,9 @@ from zgap.series import toeplitz_determinant
 
 
 def test_enumeration_examples():
-    assert count_by_enumeration(2, 3) == 5
-    assert count_by_enumeration(1, 4) == 1
-    assert count_by_enumeration(5, 4) == 24
+    assert count_by_enumeration(2, 3) == [1, 1, 2, 5]
+    assert count_by_enumeration(1, 4) == [1, 1, 1, 1, 1]
+    assert count_by_enumeration(5, 4) == [1, 1, 2, 6, 24]
 
 
 def patience_piles(perm):
@@ -48,19 +50,38 @@ def lis_length_counts_oracle(n):
 
 @pytest.mark.parametrize("n", range(10))
 def test_pile_transfer_matches_listing_every_permutation(n):
-    assert _lis_length_counts(n) == lis_length_counts_oracle(n)
+    counts = lis_length_counts_oracle(n)
+    for l in range(1, 11):
+        assert count_by_enumeration(l, 9)[n] == sum(counts[: l + 1])
 
 
-def test_pile_transfer_matches_tableaux_through_fourteen():
-    for n in range(1, 15):
-        counts = _lis_length_counts(n)
-        for l in range(1, n + 1):
-            assert sum(counts[1 : l + 1]) == count_by_tableaux(l, n)
+def test_pile_transfer_matches_tableaux_through_fourteen(monkeypatch):
+    monkeypatch.setattr(lis, "ENUMERATION_LIMIT", 14)
+    for l in range(1, 15):
+        assert count_by_enumeration(l, 14) == count_by_tableaux(l, 14)
 
 
 def test_enumeration_cost_guard():
-    with pytest.raises(ValueError):
-        count_by_enumeration(2, 10)
+    assert len(count_by_enumeration(2, ENUMERATION_LIMIT)) == ENUMERATION_LIMIT + 1
+    with pytest.raises(ValueError, match="enumeration capped"):
+        count_by_enumeration(2, ENUMERATION_LIMIT + 1)
+
+
+@pytest.mark.parametrize("route", [count_by_enumeration, count_by_tableaux, count_by_series])
+def test_every_route_counts_at_most_l_piles(route):
+    # only the identity permutation has an increasing subsequence of length n
+    for n in range(2, ENUMERATION_LIMIT + 1):
+        assert route(n - 1, n)[n] == factorial(n) - 1
+        assert route(n, n)[n] == factorial(n)
+
+
+@pytest.mark.parametrize("route", [count_by_enumeration, count_by_tableaux, count_by_series])
+def test_every_route_checks_its_range(route):
+    assert route(1, 0) == [1]
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        route(1, -1)
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        route(0, 0)
 
 
 def test_partition_validation():
@@ -123,6 +144,22 @@ def conjugate(shape):
         i += 1
 
 
+def test_partitions_follow_the_recursive_order():
+    for n in range(-1, 23):
+        for max_part in range(-1, n + 2):
+            assert list(partitions_max_part(n, max_part)) == list(
+                partitions_by_recursion(n, max_part)
+            )
+
+
+def test_partitions_need_no_recursion_per_part():
+    # both exceed the interpreter's recursion limit on a recursive generator
+    assert list(partitions_max_part(5000, 1)) == [(1,) * 5000]
+    twos = list(partitions_max_part(2000, 2))
+    assert len(twos) == 1001
+    assert twos[0] == (2,) * 1000 and twos[-1] == (1,) * 2000
+
+
 def test_partition_generators_agree():
     # conjugation swaps the max-part-bounded and max-length-bounded families
     for n in range(9):
@@ -139,49 +176,61 @@ def catalan(n):
 
 
 def test_tableaux_count_examples():
-    assert count_by_tableaux(2, 6) == catalan(6) == 132
-    assert count_by_tableaux(3, 4) == count_by_enumeration(3, 4) == 23
+    assert count_by_tableaux(2, 6)[6] == catalan(6) == 132
+    assert count_by_tableaux(3, 4)[4] == count_by_enumeration(3, 4)[4] == 23
     for l in (1, 2, 5):
-        assert count_by_tableaux(l, 0) == 1
+        assert count_by_tableaux(l, 0) == [1]
 
 
 def test_series_count_examples():
-    assert count_by_series(2, 3) == 5
-    assert count_by_series(4, 4) == 24
+    assert count_by_series(2, 3)[3] == 5
+    assert count_by_series(4, 4)[4] == 24
     assert count_by_series(3, 8) == count_by_tableaux(3, 8)
 
 
 def test_series_count_far_above_n_is_fast():
     start = time.perf_counter()
-    assert count_by_series(20, 2) == 2
+    assert count_by_series(20, 2) == [1, 1, 2]
     assert time.perf_counter() - start < 1.0
 
 
 def test_series_count_matches_the_full_determinant_above_n():
-    # for l > n the count reads a min(l, n) determinant; the l x l one must agree
+    # for l > max_n the column reads a min(l, max_n) determinant; the l x l
+    # one must agree
     for l in range(2, 9):
-        for n in range(1, l):
-            full = toeplitz_determinant(l, n + 1).coeffs[n]
-            assert count_by_series(l, n) == full * factorial(n) ** 2 == factorial(n)
+        for max_n in range(1, l):
+            full = toeplitz_determinant(l, max_n + 1).coeffs
+            assert count_by_series(l, max_n) == [
+                c * factorial(n) ** 2 for n, c in enumerate(full)
+            ] == [factorial(n) for n in range(max_n + 1)]
+
+
+def test_series_column_at_and_above_l():
+    # l = max_n and l = max_n + 1 read the same max_n x max_n determinant,
+    # and max_n = 0 reads the 1 x 1 one
+    for max_n in range(1, 7):
+        every = [factorial(n) for n in range(max_n + 1)]
+        assert count_by_series(max_n, max_n) == count_by_series(max_n + 1, max_n) == every
+    for l in (1, 2, 5):
+        assert count_by_series(l, 0) == [1]
 
 
 def test_three_way_agreement_sample():
     for l in (1, 2, 3):
-        for n in range(8):
-            rsk = count_by_tableaux(l, n)
-            assert rsk == count_by_enumeration(l, n)
-            assert rsk == count_by_series(l, n)
+        rsk = count_by_tableaux(l, 7)
+        assert rsk == count_by_enumeration(l, 7)
+        assert rsk == count_by_series(l, 7)
 
 
 def test_catalan_through_fourteen():
-    for n in range(15):
-        assert count_by_tableaux(2, n) == catalan(n)
+    assert count_by_tableaux(2, 14) == [catalan(n) for n in range(15)]
 
 
 def test_monotonicity_in_l():
-    for n in range(1, 8):
-        for l in range(1, 8):
-            smaller, larger = count_by_tableaux(l, n), count_by_tableaux(l + 1, n)
+    for l in range(1, 8):
+        column, next_column = count_by_tableaux(l, 7), count_by_tableaux(l + 1, 7)
+        for n in range(1, 8):
+            smaller, larger = column[n], next_column[n]
             assert smaller <= larger
             if l >= n:
                 assert smaller == larger == factorial(n)

@@ -267,10 +267,59 @@ def test_determinant_product_count(monkeypatch):
     counts = []
     for l in range(1, 7):
         products = 0
-        hankel_determinant.__wrapped__(l, 4)  # past the cache
+        hankel_determinant(l, 4)
         counts.append(products)
     assert counts == [l * 2 ** (l - 1) - l for l in range(1, 7)]
     assert counts[-1] == 186
+
+
+# Toda cross-check: exact series products on the determinants' coefficients,
+# sharing no code with the Laplace expansion that computed them.  Each side
+# is exact through x**11: the determinants carry 14 coefficients and the
+# second derivative costs two.
+TODA_DEGREE = 12
+
+
+def series_product(p, q):
+    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(TODA_DEGREE)]
+
+
+def series_derivative(p):
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def times_x(p):
+    return [Fraction(0), *p]
+
+
+def toda_chain(determinant):
+    """[1, det(1), ..., det(6)] as coefficient lists from x**0, 14 each."""
+    return [[Fraction(1)] + [Fraction(0)] * 13] + [
+        list(determinant(l, 14).coeffs) for l in range(1, 7)
+    ]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_hankel_chain_satisfies_the_toda_equation(l):
+    # H_l = det[g_{j+k+1}] and g_n' = g_{n+1}, so Desnanot-Jacobi gives
+    # H_{l+1} H_{l-1} = H_l H_l'' - (H_l')**2
+    chain = toda_chain(hankel_determinant)
+    h, h1 = chain[l], series_derivative(chain[l])
+    h2 = series_derivative(h1)
+    rhs = [a - b for a, b in zip(series_product(h, h2), series_product(h1, h1))]
+    assert series_product(chain[l + 1], chain[l - 1]) == rhs
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_toeplitz_chain_satisfies_the_toda_equation(l):
+    # the 2D Toda lattice on the symbol exp(t z + s/z), in x = t s:
+    # D_{l+1} D_{l-1} = D_l (D_l' + x D_l'') - x (D_l')**2
+    chain = toda_chain(toeplitz_determinant)
+    d, d1 = chain[l], series_derivative(chain[l])
+    d2 = series_derivative(d1)
+    inner = [a + b for a, b in zip(d1, times_x(d2))]
+    rhs = [a - b for a, b in zip(series_product(d, inner), times_x(series_product(d1, d1)))]
+    assert series_product(chain[l + 1], chain[l - 1]) == rhs
 
 
 def test_hankel_l8_is_in_reach(capsys):
@@ -292,7 +341,7 @@ def test_toeplitz_l2_degree_three_coefficient():
     # T_2(3) = 5 by brute force, so the x^3 (z^6) coefficient is 5/36
     from zgap.lis import count_by_enumeration
 
-    assert count_by_enumeration(2, 3) == 5
+    assert count_by_enumeration(2, 3)[3] == 5
     det = toeplitz_determinant(2, 5)
     assert det.offset == 0
     assert det.coeffs[3] == Fraction(5, 36)

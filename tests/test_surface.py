@@ -11,8 +11,10 @@ that the package only re-exports, is dead weight.  The layering: only
 `series` names the integer series engine.  Records are plain classes: no
 module imports `dataclasses`, whose import and generated methods cost a
 `zgap` process more start-up than most commands spend working.  No
-module uses complex arithmetic or `math.sin`/`math.cos`, and the lambda and
-X solvers use no `**`, `pow` or libm routine besides `math.sqrt`.
+module uses complex arithmetic or `math.sin`/`math.cos`, the lambda and X
+solvers and the prime sieve use no `**`, `pow` or libm routine besides
+`math.sqrt`, and every `lru_cache` is listed with the traffic that re-reads
+it.
 """
 
 import ast
@@ -180,10 +182,14 @@ def test_no_module_uses_complex_arithmetic_or_sin_cos():
     assert not users, f"modules with complex arithmetic, sin or cos: {users}"
 
 
-# the lambda and X solvers of `bounds`, and the math names they may use:
-# sqrt is correctly rounded, comb and isfinite are exact
-SOLVERS = ("_factor_residual", "solve_lambda", "_bisect", "solve_x")
-ROUNDED_MATH = {"sqrt", "comb", "isfinite"}
+# the lambda and X solvers of `bounds` and the prime sieve of `moments`, and
+# the math names they may use: sqrt is correctly rounded, isqrt, comb and
+# isfinite are exact
+CORRECTLY_ROUNDED = {
+    "bounds.py": ("_factor_residual", "solve_lambda", "_bisect", "solve_x"),
+    "moments.py": ("_primes_up_to",),
+}
+ROUNDED_MATH = {"sqrt", "isqrt", "comb", "isfinite"}
 
 
 def _not_correctly_rounded(node: ast.AST):
@@ -201,9 +207,44 @@ def _not_correctly_rounded(node: ast.AST):
 
 def test_solvers_use_only_correctly_rounded_operations():
     # float `**` is C pow, which is not correctly rounded, so the digits of
-    # a root found through it can differ between C libraries
-    tree = ast.parse((ROOT / "src" / "zgap" / "bounds.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    users = {name: uses for name in SOLVERS
-             if (uses := sorted(set(_not_correctly_rounded(functions[name]))))}
+    # a root found through it can differ between C libraries, and a sieve
+    # bound int(n**0.5) that rounds down at a perfect square keeps p**2 prime
+    users = {}
+    for module, names in CORRECTLY_ROUNDED.items():
+        tree = ast.parse((ROOT / "src" / "zgap" / module).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        users.update({f"{module}:{name}": uses for name in names
+                      if (uses := sorted(set(_not_correctly_rounded(functions[name]))))})
     assert not users, f"solvers with **, pow or a libm routine: {users}"
+
+
+# The memoised functions of `src/zgap`, each with the traffic that re-reads
+# its cache within one process.  A new cache fails here until it is listed.
+CACHES = {
+    "moments._column": "every h of a (2, 1) column reads the one determinant",
+    "moments.joint_moment_coefficient": "the library workload repeats its certificates",
+    "series.SeriesMatrix.determinant.minor": "each Laplace minor is reached from every order of its columns",
+}
+
+
+def _cached_functions(node: ast.AST, prefix: str):
+    """The dotted name of each function under `node` that an `lru_cache`
+    or `cache` decorator wraps."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            for decorator in child.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
+                    yield name
+            yield from _cached_functions(child, name)
+        else:
+            yield from _cached_functions(child, prefix)
+
+
+def test_every_cache_has_a_stated_reader():
+    cached = {
+        name for path in MODULES
+        for name in _cached_functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert sorted(cached) == sorted(CACHES)
