@@ -9,22 +9,19 @@ from one computation:
 * ``count_by_enumeration(l, max_n)`` — patience sorting of every
   permutation, counted by one transfer over the pile tops instead of
   listing the n! permutations one by one (max_n <= 9),
-* ``count_by_tableaux(l, max_n)`` — for each n, a sum of squared
-  standard-tableau counts over partitions with first part at most l
-  (Robinson-Schensted: the LIS length of a permutation equals the
-  first-row length of its insertion tableau),
+* ``count_by_tableaux(l, max_n)`` — squared standard-tableau counts over
+  partitions with first part at most l (Robinson-Schensted), read off the
+  U(l) average ``series.unitary_average(l, 0)`` (Gessel's identity),
 * ``count_by_series(l, max_n)`` — the coefficients of one Toeplitz
   determinant generating function from `zgap.series`.
-
-The partition and hook-length helpers here are also consumed by the
-unitary-group averages in `zgap.series`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
-from typing import Iterator, Sequence
+
+from . import series
 
 # Largest n with an `enumeration` entry in the `lis` table.  It pins the
 # table's columns, not the cost: the transfer is cheap well past n = 9, but
@@ -66,82 +63,30 @@ def count_by_enumeration(l: int, max_n: int) -> list[int]:
     return column
 
 
-def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with every part <= max_part, parts weakly decreasing,
-    generated in lexicographically decreasing order: fill the rest of n
-    greedily with the largest parts allowed, then drop the trailing 1s and
-    lower the last part left.  No recursion, so there is no limit on the
-    number of parts."""
-    if n < 0 or (n > 0 and max_part < 1):
-        return
-    parts: list[int] = []
-    rest = n
-    while True:
-        while rest:
-            parts.append(min(rest, parts[-1] if parts else max_part))
-            rest -= parts[-1]
-        yield tuple(parts)
-        while parts and parts[-1] == 1:
-            rest += parts.pop()
-        if not parts:
-            return
-        parts[-1] -= 1
-        rest += 1
-
-
-def standard_tableaux(shape: Sequence[int]) -> int:
-    """Number of standard Young tableaux of the given shape, by the hook
-    length formula: weight! / prod(hook lengths).  Always an exact integer.
-    The shape must be a partition: positive, weakly decreasing parts.
-    """
-    parts = tuple(shape)
-    if any(p <= 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
-        raise ValueError(f"a shape needs positive, weakly decreasing parts, got {parts}")
-    n = sum(parts)
-    if n == 0:
-        return 1
-    hook_product = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            arm = row - j - 1
-            leg = sum(1 for r in parts[i + 1 :] if r > j)
-            hook_product *= arm + leg + 1
-    count, rem = divmod(factorial(n), hook_product)
-    if rem:
-        raise ArithmeticError(f"hook product does not divide {n}! for {parts}")
-    return count
+def _integer_column(l: int, generating: series.HalfPowerSeries) -> list[int]:
+    """(n!)**2 times coefficient n of a series from x**0; a non-integral
+    product signals a series bug and raises."""
+    column = []
+    for n, coefficient in enumerate(generating.coeffs):
+        value = coefficient * factorial(n) ** 2
+        if value.denominator != 1:
+            raise ArithmeticError(f"count for l={l}, n={n} is non-integral: {value}")
+        column.append(value.numerator)
+    return column
 
 
 def count_by_tableaux(l: int, max_n: int) -> list[int]:
-    """T_l(0..max_n), each T_l(n) the sum over partitions of n with first
-    part <= l of the squared standard-tableau count."""
+    """T_l(0..max_n) read off the U(l) average of exp(z * Tr(U + U^dagger))
+    with max_n + 1 terms, whose character sum gives T_l(n)/(n!)**2."""
     _check_column(l, max_n)
-    return [
-        sum(standard_tableaux(shape) ** 2 for shape in partitions_max_part(n, l))
-        for n in range(max_n + 1)
-    ]
+    return _integer_column(l, series.unitary_average(l, 0, max_n + 1))
 
 
 def count_by_series(l: int, max_n: int) -> list[int]:
-    """T_l(0..max_n) read off one Toeplitz determinant generating function:
-    T_l(n) is (n!)^2 times coeffs[n] of `series.toeplitz_determinant` with
-    max_n + 1 terms, whose series starts at x**0, so coeffs[n] is the
-    coefficient of x**n.  A non-integral product signals a series bug and
-    raises.
-
-    For l >= max_n every permutation of 1..n, n <= max_n, counts, T_l(n) =
-    n!, so the column of the l x l determinant equals that of the
-    min(l, max_n) x min(l, max_n) one, which is still a determinant route.
-    Building the smaller one keeps the cost at min(l, max_n): the Laplace
-    expansion memoises every column subset, 2**l entries."""
-    from . import series  # deferred; series imports this module at top level
-
+    """T_l(0..max_n) read off one Toeplitz determinant generating function
+    with max_n + 1 terms.  For l >= max_n, T_l(n) = n! for every n <= max_n,
+    so the min(l, max_n) x min(l, max_n) determinant gives the column of
+    the l x l one at a cost in min(l, max_n): the Laplace expansion
+    memoises every column subset, 2**l entries."""
     _check_column(l, max_n)
-    det = series.toeplitz_determinant(max(1, min(l, max_n)), max_n + 1)
-    column = []
-    for n, coefficient in enumerate(det.coeffs):
-        value = coefficient * factorial(n) ** 2
-        if value.denominator != 1:
-            raise ArithmeticError(f"series count for l={l}, n={n} is non-integral: {value}")
-        column.append(value.numerator)
-    return column
+    return _integer_column(l, series.toeplitz_determinant(max(1, min(l, max_n)), max_n + 1))

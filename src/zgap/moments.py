@@ -154,6 +154,17 @@ def _primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def _below_ln2(x: Fraction) -> bool:
+    """Whether x < ln 2, exactly: the partial sums s_K of ln 2 = sum_{k>=1}
+    1/(k * 2**k) bracket it, s_K < ln 2 < s_K + 1/((K+1) * 2**K), and ln 2
+    is irrational, so a long enough sum puts any rational x outside."""
+    partial, power, k = Fraction(0), Fraction(1), 0
+    while partial <= x < partial + power / (k + 1):
+        k, power = k + 1, power / 2
+        partial += power / k
+    return x < partial
+
+
 def arithmetic_factor(
     l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> ArithmeticFactorEstimate:
@@ -183,8 +194,7 @@ def arithmetic_factor(
         raise ValueError(f"l must be >= 1, got {l}")
     if not 2 <= prime_cutoff <= 10**8:
         raise ValueError(f"prime_cutoff must be in [2, 10**8], got {prime_cutoff}")
-    # exact int-float comparison: l**4 / prime_cutoff overflows for huge l
-    if not l**4 < prime_cutoff * math.log(2):
+    if not _below_ln2(Fraction(l * l * l * l, prime_cutoff)):
         raise ValueError(
             f"the error bound for l={l} at prime_cutoff={prime_cutoff} is not below"
             f" the value, since l**4 >= prime_cutoff * ln 2"

@@ -32,7 +32,8 @@ offset a multiple of 1/2 and `terms` exact coefficients: Toeplitz from
 x**0, Hankel from x**(l**2/2).  Reading x as z**2 turns the Toeplitz
 result into the even series of det[I_{j-k}(2z)]; the unitary-average
 comparisons below use exactly that identification (z-degree = 2 *
-x-degree).
+x-degree).  `unitary_average` is the one character sum (partitions, hook
+lengths): `zgap.lis` reads q = 0, `check_hankel_identity` q = l.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import rational_str
-from . import lis
 
 DEFAULT_TERMS = 12
 
@@ -213,6 +213,48 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     return HalfPowerSeries(Fraction(0), bessel_determinant(orders, terms - 1, 0)[0])
 
 
+def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with every part <= max_part, parts weakly decreasing,
+    generated in lexicographically decreasing order: fill the rest of n
+    greedily with the largest parts allowed, then drop the trailing 1s and
+    lower the last part left.  No recursion, so there is no limit on the
+    number of parts."""
+    if n < 0 or (n > 0 and max_part < 1):
+        return
+    parts: list[int] = []
+    rest = n
+    while True:
+        while rest:
+            parts.append(min(rest, parts[-1] if parts else max_part))
+            rest -= parts[-1]
+        yield tuple(parts)
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        rest += 1
+
+
+def standard_tableaux(shape: Sequence[int]) -> int:
+    """Number of standard Young tableaux of the given shape, by the hook
+    length formula: weight! / prod(hook lengths).  Always an exact integer.
+    The shape must be a partition: positive, weakly decreasing parts.  Cell
+    (i, j) has hook row_i + height_j - i - j - 1; going up from the bottom
+    row, the columns that row i adds to the heights have height i + 1."""
+    parts = tuple(shape)
+    if any(p <= 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"a shape needs positive, weakly decreasing parts, got {parts}")
+    heights: list[int] = []
+    for i in range(len(parts), 0, -1):
+        heights += [i] * (parts[i - 1] - len(heights))
+    hook_product = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            hook_product *= row + heights[j] - i - j - 1
+    return factorial(sum(parts)) // hook_product
+
+
 def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """Haar average over the unitary group U(l) of
     (det U)**det_power * exp(z * Tr(U + U^dagger)), as a series on the
@@ -237,8 +279,8 @@ def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfP
     coeffs = [
         Fraction(
             sum(
-                lis.standard_tableaux(mu) * lis.standard_tableaux((l,) * q + mu)
-                for mu in lis.partitions_max_part(k, l)
+                standard_tableaux(mu) * standard_tableaux((l,) * q + mu)
+                for mu in partitions_max_part(k, l)
             ),
             factorial(k) * factorial(k + l * q),
         )

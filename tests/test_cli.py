@@ -552,6 +552,12 @@ REPORT_DIGESTS = {
         (0, "fa669c3910dda76eb3c20c4d321ecb0ac81c2dd1641ad566a859af851b9791c8"),
     "lis --l 10 --max-n 6 --format text":
         (0, "dc4973bae990f37028621e595c80d3de4524e736bfb6715bfe18d6df97705700"),
+    # one-part shapes only
+    "lis --l 1 --max-n 12 --format csv":
+        (0, "426e69562b65259344fd987bf35956b882d623e39a2fa8bcddcad95edbed77bb"),
+    # the series route reads a 2 x 2 determinant in place of the 20 x 20 one
+    "lis --l 20 --max-n 2 --format json":
+        (0, "b139d9129ec3c262b4012af4fa390e4b11cd097bea7597850c86952e998b2179"),
     "hankel --l 3 --format json":
         (0, "d4afaaaf2824c6b6d2f7d4e5586e72edf5fd59d66c7647b232d04603c7b7dd4a"),
     "hankel --l 3 --format csv":
@@ -564,6 +570,12 @@ REPORT_DIGESTS = {
         (0, "802a2475cec089fc8da1f1080429b0a3801af28053730fa696a49d447a870bc6"),
     "identity --l 3 --format text":
         (0, "674c597435b7045a97c20502b2ba661b385aacde2977562709d885b38c22ffaa"),
+    # the determinants benchmark's identity command
+    "identity --l 4 --terms 12 --format json":
+        (0, "092c919a7a8d3aed4bb351930acf135dfd698df7ab40f750e5c5b511f4f15f56"),
+    # long one-column shapes, (1,) * k + mu
+    "identity --l 1 --terms 200 --format json":
+        (0, "b1163293b8e19991e01ad55359441e65c9998e4f88c6501ba8a99d929bab65ba"),
 }
 
 

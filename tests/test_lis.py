@@ -7,17 +7,20 @@ from math import factorial
 
 import pytest
 
-from oracles import partitions_by_recursion
-from zgap import lis
+from oracles import hook_product_by_leg_scan, partitions_by_recursion
+from zgap import lis, series
 from zgap.lis import (
     ENUMERATION_LIMIT,
     count_by_enumeration,
     count_by_series,
     count_by_tableaux,
+)
+from zgap.series import (
+    HalfPowerSeries,
     partitions_max_part,
     standard_tableaux,
+    toeplitz_determinant,
 )
-from zgap.series import toeplitz_determinant
 
 
 def test_enumeration_examples():
@@ -117,6 +120,12 @@ def test_hook_length_examples():
     assert standard_tableaux([]) == 1
 
 
+def test_hook_rule_matches_the_leg_scan():
+    for n in range(21):
+        for shape in partitions_max_part(n, n):
+            assert standard_tableaux(shape) * hook_product_by_leg_scan(shape) == factorial(n)
+
+
 def test_hook_length_matches_enumeration_for_small_shapes():
     for n in range(1, 7):
         for shape in partitions_max_part(n, n):
@@ -192,6 +201,28 @@ def test_series_count_far_above_n_is_fast():
     start = time.perf_counter()
     assert count_by_series(20, 2) == [1, 1, 2]
     assert time.perf_counter() - start < 1.0
+
+
+def test_long_one_row_and_one_column_shapes_are_fast():
+    # a leg scan over every row below each cell takes k**2/2 steps here
+    for shape in ((1,) * 10000, (10000,)):
+        start = time.perf_counter()
+        assert standard_tableaux(shape) == 1
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("route, source", [
+    (count_by_tableaux, "unitary_average"),
+    (count_by_series, "toeplitz_determinant"),
+])
+def test_every_series_route_rejects_a_non_integral_count(route, source, monkeypatch):
+    # the last argument of either source is its number of terms
+    monkeypatch.setattr(
+        series, source, lambda l, *args: HalfPowerSeries(0, (1, 1, "1/3")[: args[-1]])
+    )
+    assert route(3, 1) == [1, 1]
+    with pytest.raises(ArithmeticError, match="l=3, n=2 is non-integral: 4/3"):
+        route(3, 2)
 
 
 def test_series_count_matches_the_full_determinant_above_n():

@@ -1,6 +1,7 @@
 """Joint-moment coefficients, reference constants, and derived ratios."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,26 @@ def test_arithmetic_factor_rejects_a_tail_above_ln2_before_the_sieve(monkeypatch
     # the top cutoff passes the range check: 92**4 = 71639296 >= 10**8 * ln 2
     with pytest.raises(ValueError, match=r"^the error bound for l=92 at prime_cutoff=100000000 "):
         arithmetic_factor(92, prime_cutoff=10**8)
+
+
+def test_ln2_decision_is_exact_at_every_boundary_cutoff():
+    # l is accepted iff cutoff > l**4 / ln 2, so the decision for l flips
+    # only between floor(l**4 / ln 2) and the next cutoff; from l = 92 on,
+    # every cutoff up to 10**8 rejects
+    with localcontext() as context:
+        context.prec = 60
+        ln2 = Fraction(Decimal(2).ln())
+    checked = 0
+    for l in range(1, 93):
+        edge = math.floor(l**4 / ln2)
+        for cutoff in (edge, edge + 1):
+            if 2 <= cutoff <= 10**8:
+                exact = l**4 < cutoff * ln2
+                assert moments._below_ln2(Fraction(l**4, cutoff)) == exact
+                assert (l**4 < cutoff * math.log(2)) == exact
+                assert exact == (cutoff == edge + 1)
+                checked += 1
+    assert checked == 2 * 91 - 1
 
 
 def test_arithmetic_factor_rejects_a_cutoff_above_the_ceiling(monkeypatch):

@@ -12,13 +12,15 @@ that the package only re-exports, is dead weight.  The layering: only
 module imports `dataclasses`, whose import and generated methods cost a
 `zgap` process more start-up than most commands spend working.  No
 module uses complex arithmetic or `math.sin`/`math.cos`, the lambda and X
-solvers and the prime sieve use no `**`, `pow` or libm routine besides
-`math.sqrt`, and every `lru_cache` is listed with the traffic that re-reads
-it.
+solvers, the prime sieve and the ln 2 test use no `**`, `pow` or libm
+routine besides `math.sqrt`, and every `lru_cache` is listed with the
+traffic that re-reads it.  Imports between the modules run one way: there
+is no cycle, whether an import sits at module level or inside a function.
 """
 
 import ast
 import re
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,6 +144,36 @@ def _imported_packages(tree: ast.AST):
             yield node.module.split(".")[0]
 
 
+def _zgap_modules_imported(tree: ast.AST):
+    """The name of each `zgap` module that `tree` imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("zgap."))
+        elif isinstance(node, ast.ImportFrom):
+            dotted = (["zgap"] if node.level else []) + (node.module.split(".") if node.module else [])
+            if dotted == ["zgap"]:
+                yield from (alias.name for alias in node.names)
+            elif dotted[:1] == ["zgap"]:
+                yield dotted[1]
+
+
+def test_module_imports_form_no_cycle():
+    # a module that imports its importer, even inside a function, has to
+    # defer one side and hides the layering
+    stems = {path.stem for path in MODULES}
+    graph = {
+        path.stem: set(_zgap_modules_imported(ast.parse(path.read_text(encoding="utf-8")))) & stems
+        for path in MODULES
+    }
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as error:
+        raise AssertionError(f"import cycle between modules: {error.args[1]}") from None
+    # `cli` imports these two inside its report functions only
+    assert graph["cli"] >= {"bounds", "moments"}
+
+
 def test_no_module_imports_dataclasses():
     importers = [
         path.name for path in sorted((ROOT / "src" / "zgap").glob("*.py"))
@@ -182,12 +214,12 @@ def test_no_module_uses_complex_arithmetic_or_sin_cos():
     assert not users, f"modules with complex arithmetic, sin or cos: {users}"
 
 
-# the lambda and X solvers of `bounds` and the prime sieve of `moments`, and
-# the math names they may use: sqrt is correctly rounded, isqrt, comb and
-# isfinite are exact
+# the lambda and X solvers of `bounds`, and the prime sieve and the ln 2
+# test of `moments`, and the math names they may use: sqrt is correctly
+# rounded, isqrt, comb and isfinite are exact
 CORRECTLY_ROUNDED = {
     "bounds.py": ("_factor_residual", "solve_lambda", "_bisect", "solve_x"),
-    "moments.py": ("_primes_up_to",),
+    "moments.py": ("_primes_up_to", "_below_ln2"),
 }
 ROUNDED_MATH = {"sqrt", "isqrt", "comb", "isfinite"}
 
