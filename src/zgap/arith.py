@@ -1,9 +1,8 @@
-"""Exact rational arithmetic: the `Rational` alias and its serialized
-form, the multinomial coefficient, and reference constants kept in factored
-form.  Factorials and binomials come from `math` directly.  The package's
-shared defaults live here too, because every `zgap` command loads this
-module and the CLI parser shows them without importing the modules that
-use them.
+"""Exact rational arithmetic: the `Rational` alias, the multinomial
+coefficient, and reference constants kept in factored form.  Factorials
+and binomials come from `math` directly.  The package's shared defaults
+live here too, because every `zgap` command loads this module and the CLI
+parser shows them without importing the modules that use them.
 
 All exact values in this package are `fractions.Fraction` instances, which
 already guarantee the invariants we rely on: lowest terms after every
@@ -26,12 +25,6 @@ DEFAULT_QUAD_TOL = 1e-8
 # Default largest prime of `zgap.moments.arithmetic_factor` and of
 # `zgap arithfactor --cutoff`.
 DEFAULT_PRIME_CUTOFF = 100_000
-
-
-def rational_str(q: Rational) -> str:
-    """The "numerator/denominator" form, in lowest terms, used for every
-    exact value this package serializes."""
-    return f"{q.numerator}/{q.denominator}"
 
 
 def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:

@@ -89,7 +89,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .arith import DEFAULT_QUAD_TOL, Rational, rational_str
+from .arith import DEFAULT_QUAD_TOL, Rational
 from . import moments
 
 PANEL_TOL = 1e-12
@@ -424,14 +424,11 @@ class CheckResult(NamedTuple):
     passed: bool
     residual: float
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "residual": repr(self.residual)}
-
 
 class BoundCertificate(NamedTuple):
     """Full audit trail of one certification run.  It stores the exact
-    values; every float it reports (X, v, lambda, the bound) is `float()`
-    of one of them, and the threshold is THRESHOLDS[n]."""
+    values; its one float, `bound` = sqrt(X), is computed from `float()` of
+    X, and the certified threshold is THRESHOLDS[n]."""
 
     n: int
     a: Rational
@@ -453,26 +450,6 @@ class BoundCertificate(NamedTuple):
     def bound(self) -> float:
         """The certified lower bound sqrt(X), as a float."""
         return math.sqrt(float(self.x_exact))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "derivative_order": self.n,
-            "inputs": {
-                k: rational_str(v) for k, v in zip("abcd", (self.a, self.b, self.c, self.d))
-            },
-            "x_exact": rational_str(self.x_exact),
-            "x_value": repr(float(self.x_exact)),
-            "v": [repr(float(t)) for t in self.v_exact],
-            "v_exact": [rational_str(t) for t in self.v_exact],
-            "lambda": repr(float(self.lam_exact)),
-            "lambda_exact": rational_str(self.lam_exact),
-            "checks": [check.to_json_dict() for check in self.checks],
-            "bound": repr(self.bound),
-            "threshold": rational_str(THRESHOLDS[self.n]),
-            "quad_tol": repr(self.quad_tol),
-            "valid": self.valid,
-            "notes": list(self.notes),
-        }
 
 
 def _integrity_checks(

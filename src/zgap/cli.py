@@ -38,11 +38,15 @@ from fractions import Fraction
 from typing import NoReturn
 
 from . import lis, series
-from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, rational_str
+from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL
 
 # What only some commands or formats use (`bounds`, `moments`, `json`,
 # `csv`, `tempfile`) is imported where it is used, so that a process loads
 # no more than its command runs.
+#
+# The report functions return library values as they are, and `_render`
+# writes every one through `_plain`, the one artifact format.  The module
+# docstring is the top-level --help text, whose bytes are pinned.
 
 
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -56,11 +60,25 @@ def _bounds_report(args: argparse.Namespace):
     from . import bounds, moments
 
     coefficients = _corrupted(moments.coefficient_column(args.n)) if args.corrupt else None
-    certificate = bounds.certify_bound(args.n, quad_tol=args.tol, coefficients=coefficients)
-    header = ["check", "passed", "residual"]
-    body = [[c.name, c.passed, repr(c.residual)] for c in certificate.checks]
-    body.append(["bound", certificate.valid, repr(certificate.bound)])
-    return certificate.to_json_dict(), header, body, certificate.valid
+    cert = bounds.certify_bound(args.n, quad_tol=args.tol, coefficients=coefficients)
+    payload = {
+        "derivative_order": cert.n,
+        "inputs": dict(zip("abcd", (cert.a, cert.b, cert.c, cert.d))),
+        "x_exact": cert.x_exact,
+        "x_value": float(cert.x_exact),
+        "v": [float(t) for t in cert.v_exact],
+        "v_exact": cert.v_exact,
+        "lambda": float(cert.lam_exact),
+        "lambda_exact": cert.lam_exact,
+        "checks": [c._asdict() for c in cert.checks],
+        "bound": cert.bound,
+        "threshold": bounds.THRESHOLDS[cert.n],
+        "quad_tol": cert.quad_tol,
+        "valid": cert.valid,
+        "notes": cert.notes,
+    }
+    body = [*cert.checks, ["bound", cert.valid, cert.bound]]
+    return payload, ["check", "passed", "residual"], body, cert.valid
 
 
 def _moments_report(args: argparse.Namespace):
@@ -87,9 +105,9 @@ def _moments_report(args: argparse.Namespace):
     for h in range(l + 1):
         entry: dict = {"h": h, "l": l, "n1": n1, "n2": n2}
         if h in computed:
-            entry["partition_sum"] = rational_str(computed[h])
+            entry["partition_sum"] = computed[h]
         if h in reference:
-            entry["reference"] = rational_str(reference[h])
+            entry["reference"] = reference[h]
         if h in computed and h in reference:
             entry["match"] = computed[h] == reference[h]
             ok = ok and entry["match"]
@@ -121,45 +139,57 @@ def _lis_report(args: argparse.Namespace):
 
 def _hankel_report(args: argparse.Namespace):
     det = series.hankel_determinant(args.l, args.terms)
-    payload = {"l": args.l, "terms": args.terms, **det.to_json_dict()}
-    header = ["exponent", "coefficient"]
-    body = [
-        [rational_str(det.offset + k), rational_str(c)]
-        for k, c in enumerate(det.coeffs)
-    ]
-    return payload, header, body, True
+    payload = {"l": args.l, "terms": args.terms,
+               "offset": det.offset, "coefficients": det.coeffs}
+    body = [[det.offset + k, c] for k, c in enumerate(det.coeffs)]
+    return payload, ["exponent", "coefficient"], body, True
 
 
 def _identity_report(args: argparse.Namespace):
     report = series.check_hankel_identity(args.l, args.terms)
-    payload = report.to_json_dict()
+    payload = {k: v for k, v in report._asdict().items() if v is not None}
     return payload, ["field", "value"], sorted(payload.items()), report.matched
 
 
 def _arithfactor_report(args: argparse.Namespace):
     from . import moments
 
-    payload = moments.arithmetic_factor(args.l, args.cutoff).to_json_dict()
+    payload = moments.arithmetic_factor(args.l, args.cutoff)._asdict()
     return payload, ["field", "value"], sorted(payload.items()), True
+
+
+def _plain(value):
+    """The one artifact form of a report value: a rational as its
+    "numerator/denominator" string in lowest terms, a float as its shortest
+    round-trip repr, a tuple or list as a list and a dict as a dict of plain
+    values, and an int, bool or str as it is."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def _render(fmt: str, payload: dict, header: list, body: list) -> str:
     """The report as JSON (`payload`), or as CSV or text rows (`header`,
-    `body`)."""
+    `body`), every value written by `_plain`."""
     if fmt == "json":
         import json
 
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+    rows = _plain([header, *body])
     if fmt == "csv":
         import csv
         import io
 
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(body)
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
         return buffer.getvalue()
-    return "".join("  ".join(str(x) for x in row) + "\n" for row in [header, *body])
+    return "".join("  ".join(str(x) for x in row) + "\n" for row in rows)
 
 
 def _check_output(path: str) -> None:

@@ -134,14 +134,6 @@ class ArithmeticFactorEstimate(NamedTuple):
     error_bound: float
     prime_cutoff: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "value": repr(self.value),
-            "error_bound": repr(self.error_bound),
-            "prime_cutoff": self.prime_cutoff,
-        }
-
 
 def _primes_up_to(n: int) -> list[int]:
     """The primes p <= n, for n >= 2 (`arithmetic_factor` checks that)."""

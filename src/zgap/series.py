@@ -43,8 +43,6 @@ from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import Iterator, NamedTuple, Sequence
 
-from .arith import rational_str
-
 DEFAULT_TERMS = 12
 
 
@@ -75,13 +73,6 @@ class HalfPowerSeries:
         return HalfPowerSeries(self.offset, tuple(scalar * c for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def to_json_dict(self) -> dict:
-        """JSON form: exact "num/den" strings plus the leading exponent."""
-        return {
-            "offset": rational_str(self.offset),
-            "coefficients": [rational_str(c) for c in self.coeffs],
-        }
 
 
 class IntegerSeries:
@@ -276,10 +267,11 @@ def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfP
     if det_power < 0:
         raise ValueError(f"det_power must be >= 0, got {det_power}")
     q = det_power
+    # f(mu) once per partition: at q = 0 the two shapes are the same
     coeffs = [
         Fraction(
             sum(
-                standard_tableaux(mu) * standard_tableaux((l,) * q + mu)
+                (f := standard_tableaux(mu)) * (standard_tableaux((l,) * q + mu) if q else f)
                 for mu in partitions_max_part(k, l)
             ),
             factorial(k) * factorial(k + l * q),
@@ -300,19 +292,6 @@ class IdentityReport(NamedTuple):
     mismatch_exponent: Fraction | None = None
     lhs_coefficient: Fraction | None = None
     rhs_coefficient: Fraction | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "l": self.l,
-            "sign": self.sign,
-            "terms_compared": self.terms_compared,
-            "matched": self.matched,
-        }
-        if not self.matched:
-            out["mismatch_exponent"] = rational_str(self.mismatch_exponent)
-            out["lhs_coefficient"] = rational_str(self.lhs_coefficient)
-            out["rhs_coefficient"] = rational_str(self.rhs_coefficient)
-        return out
 
 
 def check_hankel_identity(l: int, terms: int = 8) -> IdentityReport:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zgap import bounds, moments, series
-from zgap.cli import build_parser, main
+from zgap.cli import _plain, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -464,11 +464,25 @@ def test_parse_config_defaults_and_flag():
     assert args.tol == 1e-9
 
 
-def test_output_file_determinism(tmp_path, capsys):
+def test_plain_writes_every_value_in_one_format():
+    row = bounds.CheckResult("lambda_consistency", False, math.inf)
+    value = {"x": Fraction(-3, 4), "d": Fraction(3), "rows": (row,), "n": 2, "ok": True}
+    plain = _plain(value)
+    assert plain == {"x": "-3/4", "d": "3/1", "rows": [["lambda_consistency", False, "inf"]],
+                     "n": 2, "ok": True}
+    assert plain["ok"] is True and plain["rows"][0][1] is False
+    assert type(plain["n"]) is int
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["lis --l 3 --max-n 7 --format json", "bounds --n 1 --format json"],
+    ids=["lis", "bounds"],
+)
+def test_output_file_determinism(command, tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
-        argv = ["lis", "--l", "3", "--max-n", "7", "--format", "json", "--output", str(path)]
-        assert main(argv) == 0
+        assert main([*command.split(), "--output", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -576,6 +590,21 @@ REPORT_DIGESTS = {
     # long one-column shapes, (1,) * k + mu
     "identity --l 1 --terms 200 --format json":
         (0, "b1163293b8e19991e01ad55359441e65c9998e4f88c6501ba8a99d929bab65ba"),
+    "arithfactor --l 2 --format csv":
+        (0, "05ffc017382a40ebe414ac8b6128681edef45f62c623d137587103130d0b07be"),
+    "arithfactor --l 2 --format text":
+        (0, "a457ae746a9cbd18fbab28576ece4b5bbb29cab2827f24abb133b6ce0a38e910"),
+    # the determinants benchmark's hankel command
+    "hankel --l 6 --terms 12 --format json":
+        (0, "45a3e28abfcfaae80b1bf3ec04f0a28c7403dd6b2428f631f659969395087329"),
+    # an invalid certificate: the loose X bisection fails x_consistency
+    "bounds --n 1 --tol 1 --format json":
+        (1, "38dca9b9e909431648fd941973c7b80f8c8d39cb6980da207d6c5c113d28e262"),
+    "bounds --n 1 --corrupt --format text":
+        (1, "89460e3ad20b45898a1411107cadca766e62e4bf6cf96f2dd583d9545c102e2a"),
+    # integral exponents, which a CSV cell writes as "2/1", not "2"
+    "hankel --l 2 --terms 4 --format csv":
+        (0, "63f7d192e647b30eb5e1389dbc8ba13cc8cf9caaab1efd4a26236267ab1f2c1d"),
 }
 
 

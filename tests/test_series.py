@@ -1,6 +1,7 @@
 """Bessel series, determinant expansions, and the unitary-average identity."""
 
 import hashlib
+import json
 import math
 import random
 from collections import defaultdict
@@ -436,11 +437,11 @@ def test_hankel_identity_refuses_misaligned_sides(offset_shift, terms_shift, mon
         check_hankel_identity(2, 6)
 
 
-def test_json_serialization_round_trip():
-    det = hankel_determinant(2, 4)
-    payload = det.to_json_dict()
+def test_json_serialization_round_trip(capsys):
+    assert main(["hankel", "--l", "2", "--terms", "4", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["offset"] == "2/1"
     rebuilt = HalfPowerSeries(
         Fraction(payload["offset"]), tuple(Fraction(c) for c in payload["coefficients"])
     )
-    assert rebuilt == det
+    assert rebuilt == hankel_determinant(2, 4)

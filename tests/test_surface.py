@@ -16,6 +16,8 @@ solvers, the prime sieve and the ln 2 test use no `**`, `pow` or libm
 routine besides `math.sqrt`, and every `lru_cache` is listed with the
 traffic that re-reads it.  Imports between the modules run one way: there
 is no cycle, whether an import sits at module level or inside a function.
+Only `cli` formats values: no module defines `to_json_dict` or
+`rational_str`, and no module but `cli` calls `repr`.
 """
 
 import ast
@@ -172,6 +174,21 @@ def test_module_imports_form_no_cycle():
         raise AssertionError(f"import cycle between modules: {error.args[1]}") from None
     # `cli` imports these two inside its report functions only
     assert graph["cli"] >= {"bounds", "moments"}
+
+
+def test_only_cli_formats_values():
+    # one artifact format: the library returns plain records, and the cli
+    # writes every value through one converter at render time
+    formatters = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in ("to_json_dict", "rational_str")):
+                formatters.append(f"{path.stem}.{node.name}")
+            elif (path.name != "cli.py" and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "repr"):
+                formatters.append(f"{path.stem}: repr() at line {node.lineno}")
+    assert not formatters, f"value formatting outside cli: {formatters}"
 
 
 def test_no_module_imports_dataclasses():
