@@ -89,7 +89,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .arith import DEFAULT_QUAD_TOL, Rational
+from .arith import DEFAULT_QUAD_TOL
 from . import moments
 
 PANEL_TOL = 1e-12
@@ -321,7 +321,7 @@ def rational_form_deviation(
     return 2.0 * integrate_half_line(integrand, quad_tol) - math.pi
 
 
-def closed_form_x(a: Rational, b: Rational, c: Rational, d: Rational) -> Rational:
+def closed_form_x(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """Closed-form optimizer value
 
         X = (a*b*(c-d) + c*(b**2 + c*d - 2*b*d)) / (16*(b-c)*(c-d)),
@@ -339,13 +339,13 @@ class DerivedParams(NamedTuple):
     sigma's they come from.  Callers that integrate take `float()` of
     these."""
 
-    v_exact: tuple[Rational, Rational, Rational]
-    lam_exact: Rational
-    sigma: tuple[Rational, Rational, Rational, Rational]
+    v_exact: tuple[Fraction, Fraction, Fraction]
+    lam_exact: Fraction
+    sigma: tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 def derive_params(
-    a: Rational, b: Rational, c: Rational, d: Rational, x: Rational
+    a: Fraction, b: Fraction, c: Fraction, d: Fraction, x: Fraction
 ) -> DerivedParams:
     """Derive (v1, v2, v3, lambda) from the ratio data and X by equating
     coefficients in the factorization (*):
@@ -378,7 +378,7 @@ def derive_params(
 def solve_x(
     v: Sequence[float],
     lam: float,
-    ratios: Mapping[int, Rational | float],
+    ratios: Mapping[int, Fraction | float],
     *,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> float:
@@ -431,13 +431,13 @@ class BoundCertificate(NamedTuple):
     X, and the certified threshold is THRESHOLDS[n]."""
 
     n: int
-    a: Rational
-    b: Rational
-    c: Rational
-    d: Rational
-    x_exact: Rational
-    v_exact: tuple[Rational, Rational, Rational]
-    lam_exact: Rational
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+    x_exact: Fraction
+    v_exact: tuple[Fraction, Fraction, Fraction]
+    lam_exact: Fraction
     checks: tuple[CheckResult, ...]
     quad_tol: float
     notes: tuple[str, ...] = ()
@@ -453,7 +453,7 @@ class BoundCertificate(NamedTuple):
 
 
 def _integrity_checks(
-    n: int, coefficients: Mapping[int, Rational]
+    n: int, coefficients: Mapping[int, Fraction]
 ) -> tuple[CheckResult, tuple[str, ...]]:
     """Cross-check the coefficient data for n in {1, 2} against the
     independently computed partition sums.  For n = 1 every entry is
@@ -479,8 +479,8 @@ def _integrity_checks(
 
 
 def _exact_prelude(
-    coefficients: Mapping[int, Rational],
-) -> tuple[dict[int, Rational], tuple[Rational, ...], Rational, DerivedParams]:
+    coefficients: Mapping[int, Fraction],
+) -> tuple[dict[int, Fraction], tuple[Fraction, ...], Fraction, DerivedParams]:
     """The exact part of a certificate for the coefficient column b[0..4]:
 
         B(h) = 4**(h-4) * b[h]/b[4]  (so B(4) = 1),
@@ -519,7 +519,7 @@ def _lambda_bracket(
 def certify_bound(
     n: int,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    coefficients: Mapping[int, Rational] | None = None,
+    coefficients: Mapping[int, Fraction] | None = None,
 ) -> BoundCertificate:
     """Run the full pipeline for derivative order n in {1, 2} and return the
     certificate.

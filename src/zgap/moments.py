@@ -13,7 +13,7 @@ Contents:
   column takes under 10 ms and l = 6 about 0.2 s, in-process on a 2-vCPU
   Linux machine,
 * ``coefficient_column(n)`` — reference constants for l = 4 and
-  derivative pairs (2, 1) and (3, 2), stored in factored form; the (2, 1)
+  derivative pairs (2, 1) and (3, 2), exact literals; the (2, 1)
   column is independently reproducible via the partition sum, the (3, 2)
   column enters purely as reference data (no printed formula exists for it,
   so nothing is extrapolated),
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 # multinomial is no longer called here; it stays bound in this module
 # because perfbench/tracer.py counts its calls where moments binds it.
-from .arith import DEFAULT_PRIME_CUTOFF, FactoredConstant, Rational, multinomial  # noqa: F401
+from .arith import DEFAULT_PRIME_CUTOFF, multinomial  # noqa: F401
 from .series import bessel_determinant
 
 
@@ -50,7 +50,7 @@ def _column(l: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def joint_moment_coefficient(h: int, l: int) -> Rational:
+def joint_moment_coefficient(h: int, l: int) -> Fraction:
     """Exact leading coefficient of the joint moment with derivative orders
     (n1, n2) = (2, 1).  Its partition-sum formula is
 
@@ -102,27 +102,26 @@ def joint_moment_coefficient(h: int, l: int) -> Rational:
 
 
 # Reference constants for l = 4: leading joint-moment coefficients for
-# derivative pairs (2, 1) (key n = 1) and (3, 2) (key n = 2), in factored
-# form exactly as tabulated.  Equality checks elsewhere always compare
-# evaluated Rationals, never factorizations.
-REFERENCE_COEFFICIENTS: dict[tuple[int, int], FactoredConstant] = {
-    (0, 1): FactoredConstant(1, ((31, 1), (2, -20), (3, -10), (5, -4), (7, -2), (11, -1), (13, -1))),
-    (1, 1): FactoredConstant(1, ((71, 1), (2, -22), (3, -9), (5, -4), (7, -2), (11, -2), (13, -1), (17, -1))),
-    (2, 1): FactoredConstant(1, ((43, 1), (3467, 1), (2, -24), (3, -10), (5, -5), (7, -4), (11, -2), (13, -1), (17, -1), (19, -1))),
-    (3, 1): FactoredConstant(1, ((271, 1), (11483, 1), (2, -26), (3, -13), (5, -5), (7, -3), (11, -2), (13, -2), (17, -1), (19, -1))),
-    (4, 1): FactoredConstant(1, ((103, 1), (413129, 1), (2, -28), (3, -12), (5, -5), (7, -3), (11, -2), (13, -2), (17, -1), (19, -1), (23, -1))),
-    (0, 2): FactoredConstant(1, ((103, 1), (413129, 1), (2, -28), (3, -12), (5, -5), (7, -3), (11, -2), (13, -2), (17, -1), (19, -1), (23, -1))),
-    (1, 2): FactoredConstant(1, ((58452853, 1), (2, -30), (3, -11), (5, -7), (7, -4), (11, -3), (13, -2), (17, -1), (19, -1))),
-    (2, 2): FactoredConstant(1, ((67, 1), (85489981, 1), (2, -32), (3, -12), (5, -7), (7, -5), (11, -3), (13, -2), (17, -1), (19, -1), (23, -1))),
-    (3, 2): FactoredConstant(1, ((71, 1), (389, 1), (139091, 1), (2, -34), (3, -8), (5, -6), (7, -5), (11, -3), (13, -2), (17, -2), (19, -1), (23, -1), (29, -1))),
-    (4, 2): FactoredConstant(1, ((449, 1), (1721279377, 1), (2, -36), (3, -10), (5, -7), (7, -4), (11, -3), (13, -3), (17, -2), (19, -1), (23, -1), (31, -1))),
+# derivative pairs (2, 1) (key n = 1) and (3, 2) (key n = 2), keyed (h, n),
+# each written in the prime-power form in which it is tabulated.
+REFERENCE_COEFFICIENTS: dict[tuple[int, int], Fraction] = {
+    (0, 1): Fraction(31, 2**20 * 3**10 * 5**4 * 7**2 * 11 * 13),
+    (1, 1): Fraction(71, 2**22 * 3**9 * 5**4 * 7**2 * 11**2 * 13 * 17),
+    (2, 1): Fraction(43 * 3467, 2**24 * 3**10 * 5**5 * 7**4 * 11**2 * 13 * 17 * 19),
+    (3, 1): Fraction(271 * 11483, 2**26 * 3**13 * 5**5 * 7**3 * 11**2 * 13**2 * 17 * 19),
+    (4, 1): Fraction(103 * 413129, 2**28 * 3**12 * 5**5 * 7**3 * 11**2 * 13**2 * 17 * 19 * 23),
+    (0, 2): Fraction(103 * 413129, 2**28 * 3**12 * 5**5 * 7**3 * 11**2 * 13**2 * 17 * 19 * 23),
+    (1, 2): Fraction(58452853, 2**30 * 3**11 * 5**7 * 7**4 * 11**3 * 13**2 * 17 * 19),
+    (2, 2): Fraction(67 * 85489981, 2**32 * 3**12 * 5**7 * 7**5 * 11**3 * 13**2 * 17 * 19 * 23),
+    (3, 2): Fraction(71 * 389 * 139091, 2**34 * 3**8 * 5**6 * 7**5 * 11**3 * 13**2 * 17**2 * 19 * 23 * 29),
+    (4, 2): Fraction(449 * 1721279377, 2**36 * 3**10 * 5**7 * 7**4 * 11**3 * 13**3 * 17**2 * 19 * 23 * 31),
 }
 
 
-def coefficient_column(n: int) -> dict[int, Rational]:
+def coefficient_column(n: int) -> dict[int, Fraction]:
     """All five reference coefficients h = 0..4 for derivative pair (n+1, n),
-    n in {1, 2}; any other n raises KeyError."""
-    return {h: REFERENCE_COEFFICIENTS[h, n].value() for h in range(5)}
+    n in {1, 2}, as a fresh dict; any other n raises KeyError."""
+    return {h: REFERENCE_COEFFICIENTS[h, n] for h in range(5)}
 
 
 class ArithmeticFactorEstimate(NamedTuple):

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zgap import lis, moments, series
-from zgap.arith import FactoredConstant, multinomial
-from zgap.moments import coefficient_column
+from zgap.arith import multinomial
 
 # moments, lis and series bind math.factorial by name, where the benchmark
 # tracer counts its calls
@@ -75,24 +74,6 @@ def test_multinomial_is_product_of_binomials():
                     product *= math.comb(remaining, p)
                     remaining -= p
                 assert multinomial(n, parts) == product
-
-
-def test_evaluate_factored_examples():
-    assert FactoredConstant(1, ((2, 2),)).value() == 4
-    assert FactoredConstant(-1, ((2, -2), (3, -1))).value() == Fraction(-1, 12)
-    constant = FactoredConstant(
-        1, ((31, 1), (2, -20), (3, -10), (5, -4), (7, -2), (11, -1), (13, -1))
-    )
-    assert constant.value() == coefficient_column(1)[0]
-
-
-def test_factored_constant_validation():
-    with pytest.raises(ValueError):
-        FactoredConstant(2, ((2, 1),))
-    with pytest.raises(ValueError):
-        FactoredConstant(1, ((1, 3),))
-    with pytest.raises(ValueError):
-        FactoredConstant(1, ((2, 1), (2, 2)))
 
 
 rationals = st.fractions(

@@ -367,6 +367,15 @@ def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
     assert captured.err == "zgap: out of memory computing the lis report\n"
 
 
+def test_recursion_limit_is_a_one_line_error(capsys):
+    # the Laplace memo recurses once per row, so l = 600 passes the
+    # interpreter's recursion limit before it multiplies anything
+    assert main(["hankel", "--l", "600", "--terms", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zgap: recursion limit reached computing the hankel report\n"
+
+
 def test_lis_report_builds_one_toeplitz_determinant(monkeypatch, capsys):
     calls = []
     build = series.toeplitz_determinant

@@ -95,6 +95,45 @@ def test_one_determinant_per_column_matches_one_per_h(h, l):
     assert joint_moment_coefficient(h, l) == per_h_partition_sum(h, l)
 
 
+# Toda cross-check of the column determinant: rows[a][m] is the coefficient
+# of s**a t**m, and only products and t-derivatives of the computed
+# determinants enter, so it shares no code with the Laplace expansion.
+def weighted_product(p, q, top):
+    """p * q through weight 2a + m <= top."""
+    out = [[Fraction(0)] * (top - 2 * a + 1) for a in range(top // 2 + 1)]
+    for a1, row1 in enumerate(p[: len(out)]):
+        for a2, row2 in enumerate(q[: len(out) - a1]):
+            row = out[a1 + a2]
+            for m1, x in enumerate(row1[: len(row)]):
+                for m2, y in enumerate(row2[: len(row) - m1], start=m1):
+                    row[m2] += x * y
+    return out
+
+
+def t_derivative(p):
+    return [[m * c for m, c in enumerate(row)][1:] for row in p]
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_column_determinant_satisfies_the_toda_equation(l):
+    # reversing rows and columns makes det[G_{2l-i-j}] the Hankel
+    # determinant H_l = det[G_{1+i+j}], and d/dt G_n = G_{n+1}, so
+    # Desnanot-Jacobi gives H_{l+1} H_{l-1} = H_l H_l'' - (H_l')**2.  Each
+    # H_l is exact through weight 4l, so both sides are through 4l - 4.
+    top = 4 * l - 4
+    h = moments._column(l)
+    h1 = t_derivative(h)
+    lhs = weighted_product(moments._column(l + 1), moments._column(l - 1), top)
+    rhs = [
+        [x - y for x, y in zip(row, square)]
+        for row, square in zip(
+            weighted_product(h, t_derivative(h1), top), weighted_product(h1, h1, top)
+        )
+    ]
+    assert lhs == rhs
+    assert any(any(row) for row in lhs)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """The argument tuples of every determinant `moments` builds, counted
@@ -138,6 +177,7 @@ def test_partition_sum_reproduces_reference_column(h):
 
 
 def test_reference_table_examples():
+    assert coefficient_column(1)[0] == Fraction(31, 2**20 * 3**10 * 5**4 * 7**2 * 11 * 13)
     assert coefficient_column(1)[1] == Fraction(
         71, 2**22 * 3**9 * 5**4 * 7**2 * 11**2 * 13 * 17
     )
@@ -157,6 +197,10 @@ def test_reference_table_cross_column_identity():
 
 def test_reference_table_out_of_range():
     assert sorted(coefficient_column(1)) == [0, 1, 2, 3, 4]
+    # each call returns a fresh dict, so a caller's edit stays local
+    column = coefficient_column(1)
+    column[0] = Fraction(0)
+    assert coefficient_column(1)[0] > 0
     with pytest.raises(KeyError):
         coefficient_column(0)
     with pytest.raises(KeyError):

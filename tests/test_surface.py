@@ -7,7 +7,8 @@ A use is a name, an attribute, an imported name, or a string constant equal
 to the name (the benchmark tracer wraps functions by attribute name).  Uses
 inside the name's own definition, docstrings, comments, the package's
 `__init__.py` and `tests/` do not count: a helper that only tests call, or
-that the package only re-exports, is dead weight.  The layering: only
+that the package only re-exports, is dead weight.  No public name is an
+alias: no module binds one to a name it imports.  The layering: only
 `series` names the integer series engine.  Records are plain classes: no
 module imports `dataclasses`, whose import and generated methods cost a
 `zgap` process more start-up than most commands spend working.  No
@@ -117,6 +118,26 @@ def test_every_public_method_has_a_caller():
         and not any(method.name in used for node, used in units if node is not method)
     ]
     assert not uncalled, f"public methods with no caller outside tests: {uncalled}"
+
+
+def test_no_public_name_aliases_an_import():
+    # an alias such as `Exact = Fraction` gives one type two names and hides
+    # nothing: a module uses what it imports under the imported name
+    aliases = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        aliases += [
+            f"{path.stem}.{name} = {definition.value.id}"
+            for name, definition in _definitions(tree)
+            if isinstance(definition, (ast.Assign, ast.AnnAssign))
+            and isinstance(definition.value, ast.Name) and definition.value.id in imported
+        ]
+    assert not aliases, f"public names bound to an imported name: {aliases}"
 
 
 def test_package_exports_only_its_version():
