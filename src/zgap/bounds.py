@@ -70,17 +70,21 @@ is the one lambda solver and uses this rule; the certificate's
 `lambda_consistency` and `pi_integral` checks stay on quadrature, so they
 remain independent of it.
 
-Quadrature contract: (0, inf) is mapped to (0, 1) by u = s/(1-s), whose 4
-equal panels are integrated once by the Gauss-Kronrod 7/15 rule (QUADPACK
-qk15): the 15-point Kronrod value is the estimate, and its distance from
-the 7-point Gauss value, which reuses 7 of the same 15 integrand
-evaluations, is the error estimate.  A panel whose error estimate exceeds
-min(1e-12, tol) in absolute value, and 1e-15 relative to the integral of
-|f| over it, is bisected.  A panel still unresolved after 52 bisections, or
-a 4097th panel in one integral, raises `QuadratureError` at once.  The log
-integrand uses the limit log(1 + c*u**2)/u**2 -> c near u = 0.  Everything
-is deterministic: repeated runs at fixed tolerances produce bit-identical
-certificates.
+Quadrature contract: every integral is one `integrate_unit_interval` call
+over (0, 1), whose 4 equal panels are integrated once by the Gauss-Kronrod
+7/15 rule (QUADPACK qk15): the 15-point Kronrod value is the estimate, and
+its distance from the 7-point Gauss value, which reuses 7 of the same 15
+integrand evaluations, is the error estimate.  A panel whose error estimate
+exceeds min(1e-12, tol) in absolute value, and 1e-15 relative to the
+integral of |f| over it, is bisected.  A panel still unresolved after 52
+bisections, or a 4097th panel in one integral, raises `QuadratureError` at
+once.  The rational integrand reaches (0, 1) by u = s/(1-s).  That map
+would give the log integrand a log singularity at s = 1, so it is split at
+u = 1 instead: head(s) is its value at u = s (log(1 + c*u**2)/u**2 -> c
+near 0), and tail(s), at u = 1/s, is log((lambda*s**(2d) + R(s**2))/lambda)
+for d the degree of P and R(y) = y**d * P(1/y), with the exact -2d*log(s)
+term taken out; that term integrates to 2d.  Everything is deterministic:
+repeated runs at fixed tolerances produce bit-identical certificates.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ from . import moments
 
 PANEL_TOL = 1e-12
 _MAX_PANEL_DEPTH = 52
-_PANEL_BUDGET = 4096  # panels per integral; certificates use at most 84 (180 at tol 1e-17)
+_PANEL_BUDGET = 4096  # panels per integral; certificates use at most 6 (12 at tol 1e-17)
 _ROUNDOFF = 1e-15  # panels cannot beat this relative to their own magnitude
 
 # claimed thresholds for the certified bounds sqrt(X), by derivative order
@@ -195,25 +199,32 @@ def _log_residual_from_coeffs(coeffs: Sequence[float], lam: float, quad_tol: flo
     P(y) = sum_h coeffs[h-1] * y**h and l = len(coeffs) (coeffs[h-1] =
     C(l,h) v_h for the standard weight polynomial).  Strictly decreasing in
     lam (the integrand is), which is what makes the sign bracket of the
-    certificate's `lambda_consistency` row (`_lambda_bracket`) certified."""
+    certificate's `lambda_consistency` row (`_lambda_bracket`) certified.
+    Split at u = 1 into head and tail per the module quadrature contract."""
     if not (lam > 0.0 and all(x >= 0.0 for x in coeffs)):
         raise ValueError("the log form needs lambda > 0 and coefficients >= 0")
-    c = tuple(float(x) for x in coeffs)
+    c = [float(x) for x in coeffs]
+    while c and c[-1] == 0.0:  # d = len(c), the degree of P
+        c.pop()
 
-    def integrand(u: float) -> float:
-        y = u * u
-        # P(y)/y, stable as u -> 0: equals c[0] + c[1] y + ...
+    def integrand(s: float) -> float:
+        y = s * s
+        # head, u = s: P(y)/y, stable as s -> 0, equals c[0] + c[1] y + ...
         p_over_y = 0.0
-        for ck in reversed(c[1:]):
-            p_over_y = (p_over_y + ck) * y
-        p_over_y += c[0]
+        for ck in reversed(c):
+            p_over_y = p_over_y * y + ck
         w = p_over_y * y / lam
         if w > 1e-8:
-            return math.log1p(w) / y
-        # log1p(w)/w -> 1; avoids 0/0 at the origin
-        return (p_over_y / lam) * (1.0 - 0.5 * w + w * w / 3.0)
+            head = math.log1p(w) / y
+        else:  # log1p(w)/w -> 1; avoids 0/0 at the origin
+            head = (p_over_y / lam) * (1.0 - 0.5 * w + w * w / 3.0)
+        # tail, u = 1/s: lam*y**d + R(y) by Horner from lam, with no float **
+        acc = lam
+        for ck in c:
+            acc = acc * y + ck
+        return head + math.log(acc / lam)
 
-    return integrate_half_line(integrand, quad_tol) - len(c) * math.pi
+    return integrate_unit_interval(integrand, quad_tol) + 2 * len(c) - len(coeffs) * math.pi
 
 
 def _weight_coeffs(v: Sequence[float]) -> list[float]:
@@ -530,8 +541,10 @@ def certify_bound(
     lambda - 1e4*t and lambda + 1e4*t (three quadratures,
     `_lambda_bracket`), the rational-form integral must sit within 1e2*t of
     pi, and the bisection root must agree with the closed form within 10*t.
-    `coefficients` overrides the reference table (used by corruption
-    tests); overrides are still held to the integrity cross-check.
+    A quad_tol at which lambda +- 1e4*t rounds to lambda leaves no bracket
+    and raises ValueError before any quadrature.  `coefficients` overrides
+    the reference table (used by corruption tests); overrides are still
+    held to the integrity cross-check.
     """
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
@@ -554,10 +567,13 @@ def certify_bound(
     if v_positive:
         v = tuple(float(t) for t in derived.v_exact)
         lam = float(derived.lam_exact)
+        delta = 1e4 * check_tol
+        if lam - delta == lam or lam + delta == lam:
+            raise ValueError(f"quad_tol {quad_tol!r} is below the resolution of lambda {lam!r}")
         pi_gap = rational_form_deviation(v, lam, quad_tol=quad_tol)
         x_gap = abs(solve_x(v, lam, capB, tol=quad_tol) - float(x_exact))
         checks += [
-            _lambda_bracket(_weight_coeffs(v), lam, 1e4 * check_tol, quad_tol),
+            _lambda_bracket(_weight_coeffs(v), lam, delta, quad_tol),
             CheckResult("pi_integral", abs(pi_gap) < 1e2 * check_tol, pi_gap),
             CheckResult("x_consistency", x_gap < 10 * check_tol, x_gap),
         ]

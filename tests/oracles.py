@@ -88,6 +88,28 @@ def residue_residual(v, lam):
     return math.pi * sum((-y) ** -0.5 for y in roots).real - len(coeffs) * math.pi
 
 
+def half_line_log_residual(coeffs, lam, quad_tol):
+    """The log-form lambda residual integral_0^inf log(1 + P(u**2)/lam)
+    du/u**2 - l*pi, P(y) = sum_h coeffs[h-1] * y**h and l = len(coeffs),
+    by `bounds.integrate_half_line` on one unsplit integrand.  The map
+    u = s/(1-s) leaves a log singularity at s = 1, so this costs some 20
+    times the evaluations of the library's split at u = 1, from which it is
+    independent."""
+
+    def integrand(u):
+        y = u * u
+        p_over_y = 0.0  # P(y)/y, stable as u -> 0
+        for ck in reversed(coeffs[1:]):
+            p_over_y = (p_over_y + ck) * y
+        p_over_y += coeffs[0]
+        w = p_over_y * y / lam
+        if w > 1e-8:
+            return math.log1p(w) / y
+        return (p_over_y / lam) * (1.0 - 0.5 * w + w * w / 3.0)  # log1p(w)/w -> 1
+
+    return bounds.integrate_half_line(integrand, quad_tol) - len(coeffs) * math.pi
+
+
 def solve_lambda_by_quadrature(v, *, quad_tol):
     """The root of the log-form lambda equation for v = (v_1 .. v_{l-1}),
     v_l = 1 implicit, any l and every v_h >= 0: bracket the sign of the

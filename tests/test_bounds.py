@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from oracles import (
+    half_line_log_residual,
     half_line_moments,
     hall_ratio,
     poly_divmod,
@@ -212,6 +213,76 @@ def test_lambda_residual_requires_positive_lambda():
     # match the guard: QuadratureError is a ValueError too
     with pytest.raises(ValueError, match="the log form needs lambda > 0"):
         lambda_equation_residual(v, -1.0)
+
+
+def count_integrand_evaluations(monkeypatch):
+    """Wrap `bounds.integrate_unit_interval`; the returned list gets one
+    entry per quadrature, its number of integrand evaluations."""
+    quadrature = bounds.integrate_unit_interval
+    counts = []
+
+    def counting(f, *args, **kwargs):
+        counts.append(0)
+
+        def counted(s):
+            counts[-1] += 1
+            return f(s)
+
+        return quadrature(counted, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate_unit_interval", counting)
+    return counts
+
+
+@pytest.mark.parametrize("shift", [-1e-4, 0.0, 1e-4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_log_residual_matches_the_unsplit_half_line_integral(n, shift):
+    v, lam = derived_floats_for(n)
+    coeffs = bounds._weight_coeffs(v)
+    assert _log_residual_from_coeffs(coeffs, lam + shift, 1e-8) == pytest.approx(
+        half_line_log_residual(coeffs, lam + shift, 1e-8), abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [[4.0, 6.0, 4.0, 0.0], [4.0, 0.0, 0.0, 0.0], [0.0] * 4])
+def test_log_residual_takes_the_degree_from_the_last_nonzero_coefficient(coeffs, monkeypatch):
+    # d = 3, 1 and 0 < l = 4: the tail's exact term is 2d.  Taking d = l
+    # would leave a log singularity at s = 0 that costs over 1000
+    # evaluations; only the steep head at lambda = 0.1 is bisected here
+    expected = [half_line_log_residual(coeffs, lam, 1e-8) for lam in (0.1, 1.0, 10.0)]
+    counts = count_integrand_evaluations(monkeypatch)
+    for lam, value in zip((0.1, 1.0, 10.0), expected):
+        assert _log_residual_from_coeffs(coeffs, lam, 1e-8) == pytest.approx(value, abs=1e-12)
+    assert counts[1:] == [15 * 4] * 2 and counts[0] <= 15 * 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from((1, 2)),
+    scales=st.tuples(*[st.floats(0.01, 2.0)] * 3),
+    log_lam=st.floats(-6.0, 6.0),
+)
+def test_log_residual_matches_the_residue_residual(n, scales, log_lam):
+    v = tuple(x * s for x, s in zip(derived_floats_for(n)[0], scales))
+    lam = 10.0**log_lam
+    expected = residue_residual(v, lam)
+    assert abs(lambda_equation_residual(v, lam) - expected) <= 2e-14 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("quad_tol", [1e-8, 1e-13, 1e-17])
+def test_log_form_quadrature_accepts_its_four_initial_panels(quad_tol, monkeypatch):
+    # the split integrand is smooth on [0, 1], so no panel is bisected
+    counts = count_integrand_evaluations(monkeypatch)
+    for n in (1, 2):
+        v, lam = derived_floats_for(n)
+        lambda_equation_residual(v, lam, quad_tol)
+    assert counts == [15 * 4, 15 * 4]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certificate_spends_at_most_300_integrand_evaluations(n, monkeypatch):
+    counts = count_integrand_evaluations(monkeypatch)
+    assert certify_bound(n).valid
+    assert sum(counts) <= 300
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -580,6 +651,30 @@ def test_certificate_rejects_bad_tolerance_before_any_work(quad_tol, monkeypatch
     monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
     with pytest.raises(ValueError, match="quad_tol"):
         certify_bound(1, quad_tol=quad_tol)
+
+
+@pytest.mark.parametrize("quad_tol", [1e-21, 1e-300])
+def test_tolerance_below_the_resolution_of_lambda_is_rejected_before_any_quadrature(
+    quad_tol, monkeypatch
+):
+    # lambda +- 1e4*quad_tol rounds to lambda, so no bracket can be drawn
+    def refuse(*_):
+        raise AssertionError("quadrature run for a tolerance lambda cannot resolve")
+
+    monkeypatch.setattr(bounds, "integrate_unit_interval", refuse)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="below the resolution of lambda"):
+            certify_bound(n, quad_tol=quad_tol)
+
+
+@pytest.mark.parametrize("quad_tol", [1e-18, 1e-20])
+def test_tolerance_at_the_resolution_of_lambda_fails_a_check(quad_tol):
+    # lambda +- 1e4*quad_tol is still a bracket, so the certificate runs,
+    # and pi_integral fails: its 1e2*quad_tol is below the float spacing
+    # at pi
+    for n in (1, 2):
+        failed = {c.name for c in certify_bound(n, quad_tol=quad_tol).checks if not c.passed}
+        assert "pi_integral" in failed
 
 
 def test_certificate_detects_corrupted_coefficient():

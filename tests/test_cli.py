@@ -53,7 +53,7 @@ def test_bounds_command_corrupted_fails(capsys):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP.md item 5: data_integrity checks the (3,2) column only at its h = 0 "
+    reason="ROADMAP.md item 7: data_integrity checks the (3,2) column only at its h = 0 "
     "anchor, and --corrupt raises its h = 2 entry",
 )
 def test_bounds_command_corrupted_fails_n2(capsys):
@@ -515,22 +515,22 @@ def test_cross_process_determinism(tmp_path):
 # must be deliberate.
 REPORT_DIGESTS = {
     "bounds --n 1 --format json":
-        (0, "94532ff3f2d1bddd8abdff6a3ba9ce8ea3024c5c335756e0df5019aaac417917"),
+        (0, "c146f7abcc114c6f6dc5518afa77e3eef31eff9d00e16dd5b8c843a492564377"),
     "bounds --n 1 --format csv":
-        (0, "b459962903705da2532ef19fefd319406383677555ab89361892aba3f0e6e585"),
+        (0, "37286fac53e82acbececf50763eb5cabc0142a9988df73c5828e712887b1e83f"),
     "bounds --n 1 --format text":
-        (0, "0dffa513306003b19bd7b661be582a5c7651bf53eaad712d8a417a0bb487e19a"),
+        (0, "5ea735ecfb8fd77be9aaf8175d0c46f3a010e59f41e2132cef949edbd58829f6"),
     "bounds --n 1 --corrupt --format json":
-        (1, "77449b544e646ffaa188bb06cca6072f497f79280a45c7c48463a48c519ff455"),
+        (1, "aed9a55213bb9ed3fbf1ac1561082f8b88b67cc785cc2ee974541cd9f6144cd2"),
     # below PANEL_TOL, so the quadrature threshold is quad_tol itself
     "bounds --n 1 --tol 1e-13 --format json":
-        (0, "ba430e093013559a3daba310ccd50356afc3e4c9c350a036222abbd48837139d"),
+        (0, "bde7590bd0114ad8840818052abce7403e1bc6f642d81846c027dd0ccd2554de"),
     "bounds --n 2 --format json":
-        (0, "c75823ed93e2c1c86a7c3c68820c2dc4460828a757f7e83f1d7714e877ce0085"),
+        (0, "94c1101a79c71e395c279e9451ce90b76c9b0580e488b8f31e58ef6c5f9a31df"),
     "bounds --n 2 --format csv":
-        (0, "e463d94c747df33c676950af90f39fc4f56620b1d124d6857e9648bb8f668705"),
+        (0, "fbb770ff93a8f42725b1986488d203be520ca38b94bfe4d207e444fa593061f3"),
     "bounds --n 2 --format text":
-        (0, "5aa2b9ac66390e8803f05111493ebc1c045af56c5c2e89b65842be424f5a19cc"),
+        (0, "3e3c47a6e3138de2311f5133d41517cb6f38a6783fd73f2031839ff19605054d"),
     "arithfactor --l 2 --format json":
         (0, "2feab2b0f211331ca516dbb1eb469be605847b909e68003f194a5defd542381b"),
     "moments --l 4 --format json":
@@ -608,9 +608,9 @@ REPORT_DIGESTS = {
         (0, "45a3e28abfcfaae80b1bf3ec04f0a28c7403dd6b2428f631f659969395087329"),
     # an invalid certificate: the loose X bisection fails x_consistency
     "bounds --n 1 --tol 1 --format json":
-        (1, "38dca9b9e909431648fd941973c7b80f8c8d39cb6980da207d6c5c113d28e262"),
+        (1, "e6d350a91b93f2a60385dddd03dd343e4e4d253c6f2a1c7fcba036654564aa88"),
     "bounds --n 1 --corrupt --format text":
-        (1, "89460e3ad20b45898a1411107cadca766e62e4bf6cf96f2dd583d9545c102e2a"),
+        (1, "e5b7ccef33352666c8619b0810a208e6f6629f70fb28a12d01900e7798dbf57c"),
     # integral exponents, which a CSV cell writes as "2/1", not "2"
     "hankel --l 2 --terms 4 --format csv":
         (0, "63f7d192e647b30eb5e1389dbc8ba13cc8cf9caaab1efd4a26236267ab1f2c1d"),

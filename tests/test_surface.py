@@ -288,6 +288,15 @@ def test_solvers_use_only_correctly_rounded_operations():
     assert not users, f"solvers with **, pow or a libm routine: {users}"
 
 
+def test_log_form_uses_no_float_power():
+    # ROADMAP.md item 10 lists its libm routines, log1p (head) and log
+    # (tail); the tail's lam*y**d + R(y) is a Horner pass, not **
+    tree = ast.parse((ROOT / "src" / "zgap" / "bounds.py").read_text(encoding="utf-8"))
+    function = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and node.name == "_log_residual_from_coeffs")
+    assert set(_not_correctly_rounded(function)) == {"math.log1p", "math.log", "math.pi"}
+
+
 # The memoised functions of `src/zgap`, each with the traffic that re-reads
 # its cache within one process.  A new cache fails here until it is listed.
 CACHES = {
