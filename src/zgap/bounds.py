@@ -277,29 +277,35 @@ def _bisect(above: Callable[[float], bool], lo: float, hi: float, tol: float) ->
     return 0.5 * (lo + hi)
 
 
-def solve_lambda(v: Sequence[float], *, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """The root of the l = 4 lambda equation for v = (v1, v2, v3), v4 = 1
-    implicit, every v_h > 0: bracket the sign of `_factor_residual`, which
-    falls with lambda, by factors of 8 from lambda = 1 within [1e-6, 1e6],
-    then `_bisect` until the bracket is no wider than quad_tol."""
-    _check_tolerance("quad_tol", quad_tol)
-    if len(v) != 3:
-        raise ValueError(f"solve_lambda needs v = (v1, v2, v3), got {len(v)} entries")
+def _root_of_decreasing(residual: Callable[[float], float], tol: float) -> float:
+    """The root of a residual that falls with lambda: bracket its sign by
+    factors of 8 from lambda = 1 within [1e-6, 1e6], then `_bisect` until
+    the bracket is no wider than tol."""
     lo = hi = 1.0
-    r = _factor_residual(v, 1.0)
+    r = residual(1.0)
     if r > 0.0:  # residual decreasing: root above
         while r > 0.0:
             hi *= 8.0
             if hi > 1e6:
                 raise ValueError("no sign change for lambda in (1, 1e6]")
-            r = _factor_residual(v, hi)
+            r = residual(hi)
     else:
         while r < 0.0:
             lo /= 8.0
             if lo < 1e-6:
                 raise ValueError("no sign change for lambda in [1e-6, 1)")
-            r = _factor_residual(v, lo)
-    return _bisect(lambda lam: _factor_residual(v, lam) > 0.0, lo, hi, quad_tol)
+            r = residual(lo)
+    return _bisect(lambda lam: residual(lam) > 0.0, lo, hi, tol)
+
+
+def solve_lambda(v: Sequence[float], *, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+    """The root of the l = 4 lambda equation for v = (v1, v2, v3), v4 = 1
+    implicit, every v_h > 0: `_root_of_decreasing` on the sign of
+    `_factor_residual`, to a bracket no wider than quad_tol."""
+    _check_tolerance("quad_tol", quad_tol)
+    if len(v) != 3:
+        raise ValueError(f"solve_lambda needs v = (v1, v2, v3), got {len(v)} entries")
+    return _root_of_decreasing(lambda lam: _factor_residual(v, lam), quad_tol)
 
 
 def rational_form_deviation(
@@ -541,8 +547,10 @@ def certify_bound(
     lambda - 1e4*t and lambda + 1e4*t (three quadratures,
     `_lambda_bracket`), the rational-form integral must sit within 1e2*t of
     pi, and the bisection root must agree with the closed form within 10*t.
-    A quad_tol at which lambda +- 1e4*t rounds to lambda leaves no bracket
-    and raises ValueError before any quadrature.  `coefficients` overrides
+    A quad_tol at which lambda +- 1e4*t rounds to lambda leaves no bracket,
+    and one with 1e2*t no larger than the float spacing at pi leaves
+    pi_integral passable only when the integral rounds to pi; both raise
+    ValueError before any quadrature.  `coefficients` overrides
     the reference table (used by corruption tests); overrides are still
     held to the integrity cross-check.
     """
@@ -570,6 +578,8 @@ def certify_bound(
         delta = 1e4 * check_tol
         if lam - delta == lam or lam + delta == lam:
             raise ValueError(f"quad_tol {quad_tol!r} is below the resolution of lambda {lam!r}")
+        if 1e2 * check_tol <= math.ulp(math.pi):
+            raise ValueError(f"quad_tol {quad_tol!r} is below the resolution of pi {math.pi!r}")
         pi_gap = rational_form_deviation(v, lam, quad_tol=quad_tol)
         x_gap = abs(solve_x(v, lam, capB, tol=quad_tol) - float(x_exact))
         checks += [

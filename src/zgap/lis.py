@@ -13,7 +13,8 @@ from one computation:
   partitions with first part at most l (Robinson-Schensted), read off the
   U(l) average ``series.unitary_average(l, 0)`` (Gessel's identity),
 * ``count_by_series(l, max_n)`` — the coefficients of one Toeplitz
-  determinant generating function from `zgap.series`.
+  determinant generating function from `zgap.series`, whose grid is at
+  most max_n x max_n whatever l is.
 """
 
 from __future__ import annotations
@@ -84,9 +85,7 @@ def count_by_tableaux(l: int, max_n: int) -> list[int]:
 
 def count_by_series(l: int, max_n: int) -> list[int]:
     """T_l(0..max_n) read off one Toeplitz determinant generating function
-    with max_n + 1 terms.  For l >= max_n, T_l(n) = n! for every n <= max_n,
-    so the min(l, max_n) x min(l, max_n) determinant gives the column of
-    the l x l one at a cost in min(l, max_n): the Laplace expansion
-    memoises every column subset, 2**l entries."""
+    with max_n + 1 terms, whose grid `series.toeplitz_determinant` caps at
+    max_n x max_n."""
     _check_column(l, max_n)
-    return _integer_column(l, series.toeplitz_determinant(max(1, min(l, max_n)), max_n + 1))
+    return _integer_column(l, series.toeplitz_determinant(l, max_n + 1))

@@ -87,8 +87,13 @@ def joint_moment_coefficient(h: int, l: int) -> Fraction:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 0 <= h <= l:
         raise ValueError(f"need 0 <= h <= l, got h={h}, l={l}")
+    return _partition_sum(_column(l), h, l)
+
+
+def _partition_sum(det: tuple[tuple[Fraction, ...], ...], h: int, l: int) -> Fraction:
+    """S(h, l) read off det[G_{2l-i-j}] truncated at any top >= 2l + 2h
+    with s-degree >= 2h, by the last formula of `joint_moment_coefficient`."""
     top = 2 * l + 2 * h
-    det = _column(l)
     total = Fraction(0)
     for k in range(2 * h + 1):
         remaining = top - 2 * k

@@ -198,9 +198,12 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     on the x = z**2 grading as det[g_{j-k}(x)] through x**(terms-1): the
     coefficient of x**n is T_l(n)/(n!)**2 with T_l(n) the number of
     permutations of {1..n} whose longest increasing subsequence has length
-    at most l."""
+    at most l.  T_l(n) = n! for l >= n, so the m x m grid with m =
+    max(1, min(l, terms-1)) gives the same coefficients at a cost in m:
+    the Laplace expansion memoises every column subset, 2**m entries."""
     _check_size(l, terms)
-    orders = [[j - k for k in range(l)] for j in range(l)]
+    size = max(1, min(l, terms - 1))
+    orders = [[j - k for k in range(size)] for j in range(size)]
     return HalfPowerSeries(Fraction(0), bessel_determinant(orders, terms - 1, 0)[0])
 
 

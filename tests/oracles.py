@@ -1,15 +1,14 @@
-"""Closed forms, reference solvers and exact polynomial helpers that the
-tests and the acceptance suite check the library against.  The library
-itself has no use for them, so they live here."""
+"""Closed forms, reference solvers, and the exact polynomial, series and
+counting helpers that the tests and the acceptance suite check the library
+against.  The library itself has no use for them, so they live here, once."""
 
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial
 
 import numpy
 
-from zgap import bounds
+from zgap import bounds, moments
 from zgap.moments import coefficient_column
 from zgap.series import bessel_determinant
 
@@ -35,19 +34,8 @@ def per_h_partition_sum(h, l):
     """The (2, 1) partition sum S(h, l) read from its own determinant,
     truncated at top = 2l + 2h with s-degree l + h, instead of from the
     one top = 4l determinant that the library shares across the column."""
-    top = 2 * l + 2 * h
     orders = [[2 * l - i - j for j in range(1, l + 1)] for i in range(l)]
-    det = bessel_determinant(orders, top, l + h)
-    total = Fraction(0)
-    for k in range(2 * h + 1):
-        remaining = top - 2 * k
-        inner = sum(
-            det[k][remaining - m0] * Fraction((-1) ** m0, 2**m0 * factorial(m0))
-            for m0 in range(remaining + 1)
-        )
-        total += math.comb(2 * h, k) * factorial(k) * factorial(remaining) * inner
-    sign = (-1) ** (l - h + (l * (l - 1)) // 2)
-    return sign * total
+    return moments._partition_sum(bessel_determinant(orders, 2 * l + 2 * h, l + h), h, l)
 
 
 def partitions_by_recursion(n, max_part):
@@ -112,30 +100,54 @@ def half_line_log_residual(coeffs, lam, quad_tol):
 
 def solve_lambda_by_quadrature(v, *, quad_tol):
     """The root of the log-form lambda equation for v = (v_1 .. v_{l-1}),
-    v_l = 1 implicit, any l and every v_h >= 0: bracket the sign of the
-    quadrature residual, which falls with lambda, by factors of 8 from
-    lambda = 1 within [1e-6, 1e6], then bisect to quad_tol.  Independent
-    of the factor rule that `bounds.solve_lambda` uses."""
+    v_l = 1 implicit, any l and every v_h >= 0: the library's bracket and
+    bisection, `bounds._root_of_decreasing`, on the quadrature residual to
+    quad_tol.  Independent of the factor rule that `bounds.solve_lambda`
+    uses."""
     coeffs = bounds._weight_coeffs(v)
+    return bounds._root_of_decreasing(
+        lambda lam: bounds._log_residual_from_coeffs(coeffs, lam, quad_tol), quad_tol
+    )
 
-    def residual(lam):
-        return bounds._log_residual_from_coeffs(coeffs, lam, quad_tol)
 
-    lo = hi = 1.0
-    r = residual(1.0)
-    if r > 0.0:  # residual decreasing: root above
-        while r > 0.0:
-            hi *= 8.0
-            if hi > 1e6:
-                raise ValueError("no sign change for lambda in (1, 1e6]")
-            r = residual(hi)
-    else:
-        while r < 0.0:
-            lo /= 8.0
-            if lo < 1e-6:
-                raise ValueError("no sign change for lambda in [1e-6, 1)")
-            r = residual(lo)
-    return bounds._bisect(lambda lam: residual(lam) > 0.0, lo, hi, quad_tol)
+def compositions(total, parts):
+    """Nonnegative integer tuples of length parts summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def catalan_numbers(count):
+    """C_0 .. C_{count-1} by C_{m+1} = sum_i C_i * C_{m-i}."""
+    values = [1]
+    while len(values) < count:
+        values.append(sum(a * b for a, b in zip(values, reversed(values))))
+    return values[:count]
+
+
+# Truncated series: rows[a][m] is the coefficient of s**a * t**m, kept
+# through the weight 2a + m <= top; a series in t alone is one row.
+
+
+def series_product(p, q, top):
+    """p * q through weight top, from coefficient products alone."""
+    rows = min(len(p) + len(q) - 1, top // 2 + 1)
+    out = [[0] * (top - 2 * a + 1) for a in range(rows)]
+    for a1, row1 in enumerate(p[:rows]):
+        for a2, row2 in enumerate(q[: rows - a1]):
+            row = out[a1 + a2]
+            for m1, x in enumerate(row1[: len(row)]):
+                for m2, y in enumerate(row2[: len(row) - m1], start=m1):
+                    row[m2] += x * y
+    return out
+
+
+def series_derivative(p):
+    """d/dt of p, one coefficient shorter in each row."""
+    return [[m * c for m, c in enumerate(row)][1:] for row in p]
 
 
 # Exact univariate polynomials over Fraction: coefficient lists, lowest

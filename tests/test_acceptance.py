@@ -10,7 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from oracles import cue_moment_coefficient, hall_ratio, solve_lambda_by_quadrature
+from oracles import catalan_numbers, cue_moment_coefficient, hall_ratio, solve_lambda_by_quadrature
 from zgap import bounds, cli, lis, moments, series
 
 
@@ -109,10 +109,7 @@ def test_criterion_8_three_way_counting_agreement():
         rsk = lis.count_by_tableaux(l, 9)
         by_enum, by_series = lis.count_by_enumeration(l, 9), lis.count_by_series(l, 9)
         failures += [(l, n) for n in range(1, 10) if not rsk[n] == by_enum[n] == by_series[n]]
-    catalan = [1]
-    for m in range(14):
-        catalan.append(sum(catalan[i] * catalan[m - i] for i in range(m + 1)))
-    catalan_ok = lis.count_by_tableaux(2, 14) == catalan
+    catalan_ok = lis.count_by_tableaux(2, 14) == catalan_numbers(15)
     report(
         "8 three-way count agreement",
         not failures and catalan_ok,

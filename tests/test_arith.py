@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import compositions
 from zgap import lis, moments, series
 from zgap.arith import multinomial
 
@@ -52,15 +53,6 @@ def test_multinomial_rejects_bad_parts():
         multinomial(4, [2, 1])  # sum mismatch
     with pytest.raises(ValueError):
         multinomial(1, [2, -1])
-
-
-def compositions(total, length):
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, length - 1):
-            yield (first,) + rest
 
 
 def test_multinomial_is_product_of_binomials():

@@ -297,18 +297,10 @@ def test_solve_lambda_scales_with_weight_polynomial():
     # replacing the polynomial P by 2P at fixed lambda increases the
     # integral, so the solving lambda must grow (and exactly doubles, since
     # only P/lambda enters)
-    v, _ = derived_floats_for(1)
-    coeffs = [math.comb(4, h) * vh for h, vh in enumerate(v + (1.0,), 1)]
+    coeffs = bounds._weight_coeffs(derived_floats_for(1)[0])
 
     def solve(cs):
-        lo, hi = 1e-3, 1e3
-        while hi - lo > 1e-8:
-            mid = 0.5 * (lo + hi)
-            if _log_residual_from_coeffs(cs, mid, 1e-9) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return bounds._root_of_decreasing(lambda lam: _log_residual_from_coeffs(cs, lam, 1e-9), 1e-8)
 
     base = solve(coeffs)
     doubled = solve([2 * c for c in coeffs])
@@ -320,6 +312,42 @@ def test_solve_lambda_bracket_failure():
     # weight polynomial so large that lambda would have to leave the bracket
     with pytest.raises(ValueError, match="no sign change"):
         solve_lambda((1e12, 1e12, 1e12), quad_tol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "root, first_evaluations",
+    [(1.0, [1.0]), (8.0, [1.0, 8.0, 4.5]), (0.125, [1.0, 0.125, 0.5625]),
+     (4.5, [1.0, 8.0, 4.5, 2.75])],
+)
+def test_root_of_decreasing_at_exact_zeros(root, first_evaluations):
+    # the residual root - lambda is exact at these dyadic points: a zero at
+    # lambda = 1 is returned as is, a zero at 8**k ends the bracket search
+    # there, and a zero at a midpoint keeps the lower half
+    seen = []
+
+    def residual(lam):
+        seen.append(lam)
+        return root - lam
+
+    assert abs(bounds._root_of_decreasing(residual, 1e-9) - root) <= 1e-9
+    assert seen[: len(first_evaluations)] == first_evaluations
+    assert root != 1.0 or seen == [1.0]
+
+
+@pytest.mark.parametrize(
+    "sign, message, last",
+    [(1.0, r"\(1, 1e6\]", 8.0**6), (-1.0, r"\[1e-6, 1\)", 8.0**-6)],
+)
+def test_root_of_decreasing_searches_factors_of_8_within_1e6(sign, message, last):
+    seen = []
+
+    def residual(lam):
+        seen.append(lam)
+        return sign
+
+    with pytest.raises(ValueError, match="no sign change for lambda in " + message):
+        bounds._root_of_decreasing(residual, 1e-9)
+    assert seen[-1] == last
 
 
 @pytest.mark.parametrize("v", [(0.95297, 1.01903, 1.07681), (8.0, 8.0, 8.0)])
@@ -563,8 +591,8 @@ def test_certificate_checks_meet_stated_tolerances_when_tighter(quad_tol):
     _assert_checks_meet_stated_tolerances(quad_tol)
 
 
-def lambda_row(certificate):
-    return next(c for c in certificate.checks if c.name == "lambda_consistency")
+def check_row(certificate, name):
+    return next(c for c in certificate.checks if c.name == name)
 
 
 def test_loose_tolerance_cannot_loosen_the_checks():
@@ -576,7 +604,8 @@ def test_loose_tolerance_cannot_loosen_the_checks():
     assert certificate.valid is False
     failed = {c.name for c in certificate.checks if not c.passed}
     assert "x_consistency" in failed
-    assert lambda_row(certificate) == lambda_row(certify_bound(1))
+    default = certify_bound(1)
+    assert check_row(certificate, "lambda_consistency") == check_row(default, "lambda_consistency")
 
 
 def move_lambda(monkeypatch, move):
@@ -598,9 +627,33 @@ def test_lambda_outside_its_window_fails(quad_tol, sign, monkeypatch):
     # it and the secant step reports about that distance
     delta = 1e4 * min(quad_tol, bounds.DEFAULT_QUAD_TOL)
     move_lambda(monkeypatch, lambda lam: lam + sign * 2 * Fraction(delta))
-    row = lambda_row(certify_bound(1, quad_tol=quad_tol))
+    row = check_row(certify_bound(1, quad_tol=quad_tol), "lambda_consistency")
     assert not row.passed
     assert row.residual == pytest.approx(2 * delta, rel=1e-2)
+
+
+# at t = 2**-30, 10*t is a multiple of the float spacing near X, so an X
+# gap can sit exactly on its row's limit
+EDGE_TOL = 2.0**-30
+
+
+def test_pi_integral_row_holds_the_deviation_below_1e2_t(monkeypatch):
+    limit = 1e2 * EDGE_TOL
+    for deviation, passed in ((limit, False), (-limit, False), (math.nextafter(limit, 0.0), True)):
+        monkeypatch.setattr(bounds, "rational_form_deviation", lambda *_, **__: deviation)
+        row = check_row(certify_bound(1, quad_tol=EDGE_TOL), "pi_integral")
+        assert (row.passed, row.residual) == (passed, deviation)
+
+
+def test_x_consistency_row_holds_the_gap_below_10_t(monkeypatch):
+    x = float(certify_bound(1).x_exact)
+    limit = 10 * EDGE_TOL
+    assert (x + limit) - x == limit
+    for root, passed in ((x + limit, False), (x - limit, False),
+                         (math.nextafter(x + limit, 0.0), True)):
+        monkeypatch.setattr(bounds, "solve_x", lambda *_, **__: root)
+        row = check_row(certify_bound(1, quad_tol=EDGE_TOL), "x_consistency")
+        assert (row.passed, row.residual) == (passed, abs(root - x))
 
 
 def test_lambda_window_reaching_zero_fails_without_raising(monkeypatch, capsys):
@@ -608,7 +661,7 @@ def test_lambda_window_reaching_zero_fails_without_raising(monkeypatch, capsys):
     # inf, and the command exits 1 (a check failed), not 2
     delta = 1e4 * bounds.DEFAULT_QUAD_TOL
     move_lambda(monkeypatch, lambda lam: Fraction(delta) / 2)
-    row = lambda_row(certify_bound(1))
+    row = check_row(certify_bound(1), "lambda_consistency")
     assert not row.passed
     assert row.residual == math.inf
     assert cli.main(["bounds", "--n", "1", "--format", "json"]) == 1
@@ -667,14 +720,31 @@ def test_tolerance_below_the_resolution_of_lambda_is_rejected_before_any_quadrat
             certify_bound(n, quad_tol=quad_tol)
 
 
-@pytest.mark.parametrize("quad_tol", [1e-18, 1e-20])
-def test_tolerance_at_the_resolution_of_lambda_fails_a_check(quad_tol):
-    # lambda +- 1e4*quad_tol is still a bracket, so the certificate runs,
-    # and pi_integral fails: its 1e2*quad_tol is below the float spacing
-    # at pi
+@pytest.mark.parametrize("quad_tol", [1e-18, 1e-20, math.ulp(math.pi) / 100])
+def test_tolerance_below_the_resolution_of_pi_is_rejected_before_any_quadrature(
+    quad_tol, monkeypatch
+):
+    # lambda +- 1e4*quad_tol is still a bracket, but floats near pi are
+    # math.ulp(pi) apart, so with 1e2*quad_tol no wider than that,
+    # pi_integral could pass only if twice the integral rounded to pi
+    def refuse(*_):
+        raise AssertionError("quadrature run for a tolerance pi cannot resolve")
+
+    monkeypatch.setattr(bounds, "integrate_unit_interval", refuse)
     for n in (1, 2):
-        failed = {c.name for c in certify_bound(n, quad_tol=quad_tol).checks if not c.passed}
-        assert "pi_integral" in failed
+        with pytest.raises(ValueError, match="below the resolution of pi"):
+            certify_bound(n, quad_tol=quad_tol)
+
+
+@pytest.mark.parametrize("quad_tol", [math.nextafter(math.ulp(math.pi) / 100, 1.0), 5e-18])
+def test_tolerance_just_above_the_resolution_of_pi_certifies(quad_tol):
+    # from the next float up, 1e2*quad_tol is wider than one float
+    # spacing, and the integral lands within one spacing of pi
+    for n in (1, 2):
+        certificate = certify_bound(n, quad_tol=quad_tol)
+        assert certificate.valid
+        pi_row = check_row(certificate, "pi_integral")
+        assert abs(pi_row.residual) <= math.ulp(math.pi)
 
 
 def test_certificate_detects_corrupted_coefficient():

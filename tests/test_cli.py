@@ -205,7 +205,8 @@ def test_rejected_input_is_a_one_line_error(args, tol, message, capsys):
 @pytest.mark.parametrize(
     "args",
     [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
-     ["--tol", "1e-300"], ["--output", "{missing}/x.json"]],
+     ["--tol", "1e-300"], ["--output", "{missing}/x.json"], ["--tol", "1e-18"],
+     ["--tol", "1e-20"]],
 )
 def test_bad_bounds_input_is_a_one_line_error(args, tmp_path):
     args = [a.format(missing=tmp_path / "missing") for a in args]

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from oracles import hook_product_by_leg_scan, partitions_by_recursion
+from oracles import catalan_numbers, hook_product_by_leg_scan, partitions_by_recursion
 from zgap import lis, series
 from zgap.lis import (
     ENUMERATION_LIMIT,
@@ -17,9 +17,9 @@ from zgap.lis import (
 )
 from zgap.series import (
     HalfPowerSeries,
+    bessel_determinant,
     partitions_max_part,
     standard_tableaux,
-    toeplitz_determinant,
 )
 
 
@@ -177,15 +177,8 @@ def test_partition_generators_agree():
         assert by_part == {conjugate(s) for s in by_len}
 
 
-def catalan(n):
-    values = [1]
-    for m in range(n):
-        values.append(sum(values[i] * values[m - i] for i in range(m + 1)))
-    return values[n]
-
-
 def test_tableaux_count_examples():
-    assert count_by_tableaux(2, 6)[6] == catalan(6) == 132
+    assert count_by_tableaux(2, 6)[6] == catalan_numbers(7)[6] == 132
     assert count_by_tableaux(3, 4)[4] == count_by_enumeration(3, 4)[4] == 23
     for l in (1, 2, 5):
         assert count_by_tableaux(l, 0) == [1]
@@ -226,11 +219,12 @@ def test_every_series_route_rejects_a_non_integral_count(route, source, monkeypa
 
 
 def test_series_count_matches_the_full_determinant_above_n():
-    # for l > max_n the column reads a min(l, max_n) determinant; the l x l
-    # one must agree
+    # for l > max_n the column reads a max_n x max_n determinant; the l x l
+    # grid must agree
     for l in range(2, 9):
+        orders = [[j - k for k in range(l)] for j in range(l)]
         for max_n in range(1, l):
-            full = toeplitz_determinant(l, max_n + 1).coeffs
+            full = bessel_determinant(orders, max_n, 0)[0]
             assert count_by_series(l, max_n) == [
                 c * factorial(n) ** 2 for n, c in enumerate(full)
             ] == [factorial(n) for n in range(max_n + 1)]
@@ -254,7 +248,7 @@ def test_three_way_agreement_sample():
 
 
 def test_catalan_through_fourteen():
-    assert count_by_tableaux(2, 14) == [catalan(n) for n in range(15)]
+    assert count_by_tableaux(2, 14) == catalan_numbers(15)
 
 
 def test_monotonicity_in_l():

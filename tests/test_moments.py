@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cue_moment_coefficient, hall_ratio, per_h_partition_sum
+from oracles import (
+    compositions,
+    cue_moment_coefficient,
+    hall_ratio,
+    per_h_partition_sum,
+    series_derivative,
+    series_product,
+)
 from zgap import bounds, cli, moments
 from zgap.arith import multinomial
 from zgap.moments import (
@@ -43,16 +50,6 @@ def test_partition_sum_base_case_by_direct_summation():
         )
     assert -direct == Fraction(1, 12)  # prefactor (-1)^(1-0+0) = -1
     assert joint_moment_coefficient(0, 1) == Fraction(1, 12)
-
-
-def compositions(total, parts):
-    """Nonnegative integer tuples of fixed length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def partition_sum_oracle(h, l):
@@ -95,25 +92,9 @@ def test_one_determinant_per_column_matches_one_per_h(h, l):
     assert joint_moment_coefficient(h, l) == per_h_partition_sum(h, l)
 
 
-# Toda cross-check of the column determinant: rows[a][m] is the coefficient
-# of s**a t**m, and only products and t-derivatives of the computed
-# determinants enter, so it shares no code with the Laplace expansion.
-def weighted_product(p, q, top):
-    """p * q through weight 2a + m <= top."""
-    out = [[Fraction(0)] * (top - 2 * a + 1) for a in range(top // 2 + 1)]
-    for a1, row1 in enumerate(p[: len(out)]):
-        for a2, row2 in enumerate(q[: len(out) - a1]):
-            row = out[a1 + a2]
-            for m1, x in enumerate(row1[: len(row)]):
-                for m2, y in enumerate(row2[: len(row) - m1], start=m1):
-                    row[m2] += x * y
-    return out
-
-
-def t_derivative(p):
-    return [[m * c for m, c in enumerate(row)][1:] for row in p]
-
-
+# Toda cross-check of the column determinant: only products and
+# t-derivatives of the computed determinants enter, so it shares no code
+# with the Laplace expansion.
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_column_determinant_satisfies_the_toda_equation(l):
     # reversing rows and columns makes det[G_{2l-i-j}] the Hankel
@@ -122,12 +103,12 @@ def test_column_determinant_satisfies_the_toda_equation(l):
     # H_l is exact through weight 4l, so both sides are through 4l - 4.
     top = 4 * l - 4
     h = moments._column(l)
-    h1 = t_derivative(h)
-    lhs = weighted_product(moments._column(l + 1), moments._column(l - 1), top)
+    h1 = series_derivative(h)
+    lhs = series_product(moments._column(l + 1), moments._column(l - 1), top)
     rhs = [
         [x - y for x, y in zip(row, square)]
         for row, square in zip(
-            weighted_product(h, t_derivative(h1), top), weighted_product(h1, h1, top)
+            series_product(h, series_derivative(h1), top), series_product(h1, h1, top)
         )
     ]
     assert lhs == rhs

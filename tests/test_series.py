@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 
-from oracles import cue_moment_coefficient
+from oracles import cue_moment_coefficient, series_derivative, series_product
 from zgap import series
 from zgap.cli import main
 from zgap.series import (
@@ -167,15 +167,6 @@ def test_determinant_row_scaling_multilinearity():
                 assert direct.rows == [[scalar * c for c in p] for p in det.rows]
 
 
-def truncated_product(a, b):
-    """Product of two coefficient lists, cut at the shorter length."""
-    out = [Fraction(0)] * min(len(a), len(b))
-    for i, x in enumerate(a[: len(out)]):
-        for j, y in enumerate(b[: len(out) - i]):
-            out[i + j] += x * y
-    return out
-
-
 def permutation_determinant(grid):
     """Reference determinant of a square grid of series x**offset * (c_0 +
     c_1*x + ...), each given as an (offset, coefficient list) pair: the
@@ -190,7 +181,7 @@ def permutation_determinant(grid):
         for row in range(1, l):
             entry_offset, coeffs = grid[row][perm[row]]
             offset += entry_offset
-            product = truncated_product(product, coeffs)
+            (product,) = series_product([product], [coeffs], min(len(product), len(coeffs)) - 1)
         inversions = sum(perm[i] > perm[j] for i in range(l) for j in range(i + 1, l))
         for i, c in enumerate(product):
             total[offset + i] += -c if inversions % 2 else c
@@ -278,25 +269,17 @@ def test_determinant_product_count(monkeypatch):
 # sharing no code with the Laplace expansion that computed them.  Each side
 # is exact through x**11: the determinants carry 14 coefficients and the
 # second derivative costs two.
-TODA_DEGREE = 12
-
-
-def series_product(p, q):
-    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(TODA_DEGREE)]
-
-
-def series_derivative(p):
-    return [k * c for k, c in enumerate(p)][1:]
+TODA_TOP = 11
 
 
 def times_x(p):
-    return [Fraction(0), *p]
+    return [[Fraction(0), *row] for row in p]
 
 
 def toda_chain(determinant):
-    """[1, det(1), ..., det(6)] as coefficient lists from x**0, 14 each."""
-    return [[Fraction(1)] + [Fraction(0)] * 13] + [
-        list(determinant(l, 14).coeffs) for l in range(1, 7)
+    """[1, det(1), ..., det(6)] as one-row series from x**0, 14 terms each."""
+    return [[[Fraction(1)] + [Fraction(0)] * 13]] + [
+        [list(determinant(l, 14).coeffs)] for l in range(1, 7)
     ]
 
 
@@ -306,9 +289,10 @@ def test_hankel_chain_satisfies_the_toda_equation(l):
     # H_{l+1} H_{l-1} = H_l H_l'' - (H_l')**2
     chain = toda_chain(hankel_determinant)
     h, h1 = chain[l], series_derivative(chain[l])
-    h2 = series_derivative(h1)
-    rhs = [a - b for a, b in zip(series_product(h, h2), series_product(h1, h1))]
-    assert series_product(chain[l + 1], chain[l - 1]) == rhs
+    (hh2,) = series_product(h, series_derivative(h1), TODA_TOP)
+    (h1h1,) = series_product(h1, h1, TODA_TOP)
+    rhs = [[a - b for a, b in zip(hh2, h1h1)]]
+    assert series_product(chain[l + 1], chain[l - 1], TODA_TOP) == rhs
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
@@ -317,10 +301,73 @@ def test_toeplitz_chain_satisfies_the_toda_equation(l):
     # D_{l+1} D_{l-1} = D_l (D_l' + x D_l'') - x (D_l')**2
     chain = toda_chain(toeplitz_determinant)
     d, d1 = chain[l], series_derivative(chain[l])
+    inner = [[a + b for a, b in zip(d1[0], times_x(series_derivative(d1))[0])]]
+    (first,) = series_product(d, inner, TODA_TOP)
+    (second,) = series_product(times_x(d1), d1, TODA_TOP)
+    rhs = [[a - b for a, b in zip(first, second)]]
+    assert series_product(chain[l + 1], chain[l - 1], TODA_TOP) == rhs
+
+
+# Painleve III sigma-form: for A = x**a * D with D(0) != 0, the U(l)
+# average of (det U)**q * exp(z Tr(U + U^dagger)) on the t = x grading,
+# s = t d/dt log A satisfies
+#     (t s'')**2 = 4 s'(s' - 1)(s - t s') + l**2 (s' - 1)**2 + q**2 s'**2.
+# With n = D D'' - D'**2: D**2 s = a D**2 + t D D', D**2 s' = D D' + t n and
+# D**3 s'' = 2 D n + t (D n' - 2 D' n), so times D**6 the equation is an
+# identity in D and its first three derivatives, with products only and no
+# series division, exact through x**(terms - 4).
+SIGMA_TERMS = 30
+
+
+def sigma_form_residual(average, l, q):
+    """Left minus right side of the sigma-form at (l, q), times D**6, for
+    the series `average` = x**a * D, through x**(SIGMA_TERMS - 4)."""
+    top = SIGMA_TERMS - 4
+    # the equation is homogeneous of degree 6 in D: scale D to integers
+    scale = math.lcm(*(c.denominator for c in average.coeffs))
+    d0 = [[int(c * scale) for c in average.coeffs]]
+    d1 = series_derivative(d0)
     d2 = series_derivative(d1)
-    inner = [a + b for a, b in zip(d1, times_x(d2))]
-    rhs = [a - b for a, b in zip(series_product(d, inner), times_x(series_product(d1, d1)))]
-    assert series_product(chain[l + 1], chain[l - 1]) == rhs
+    t = [[0, 1]]
+
+    def mul(first, *factors):
+        for factor in factors:
+            first = series_product(first, factor, top)
+        return first
+
+    def combine(*terms):
+        """The sum of c * p over the (c, p) pairs, each p exact through x**top."""
+        return [[sum(c * p[0][m] for c, p in terms) for m in range(top + 1)]]
+
+    n = combine((1, mul(d0, d2)), (-1, mul(d1, d1)))
+    n1 = combine((1, mul(d0, series_derivative(d2))), (-1, mul(d1, d2)))
+    dd = mul(d0, d0)
+    s0 = combine((average.offset, dd), (1, mul(t, d0, d1)))
+    s1 = combine((1, mul(d0, d1)), (1, mul(t, n)))
+    s2 = combine((2, mul(d0, n)), (1, mul(t, d0, n1)), (-2, mul(t, d1, n)))
+    s1_less_dd = combine((1, s1), (-1, dd))
+    (residual,) = combine(
+        (1, mul(t, t, s2, s2)),
+        (-4, mul(s1, s1_less_dd, combine((1, s0), (-1, mul(t, s1))))),
+        (-(l * l), mul(dd, s1_less_dd, s1_less_dd)),
+        (-(q * q), mul(dd, s1, s1)),
+    )
+    return residual
+
+
+@pytest.mark.parametrize(
+    "l, q", [(l, 0) for l in range(1, 7)] + [(2, 1), (3, 1), (3, 2), (4, 3)]
+)
+def test_unitary_averages_satisfy_the_painleve_sigma_form(l, q):
+    # q = 0 is the Toeplitz determinant itself
+    if q:
+        average = unitary_average(l, q, SIGMA_TERMS)
+    else:
+        average = toeplitz_determinant(l, SIGMA_TERMS)
+    assert average.offset == Fraction(l * q, 2)
+    assert not any(sigma_form_residual(average, l, q))
+    # negative control: the equation at q + 1 fails
+    assert any(sigma_form_residual(average, l, q + 1))
 
 
 def test_hankel_l8_is_in_reach(capsys):
@@ -336,6 +383,25 @@ def test_toeplitz_l1_is_zeroth_order_bessel():
     det = toeplitz_determinant(1, 6)
     assert det.offset == 0
     assert det.coeffs == tuple(Fraction(1, factorial(n) ** 2) for n in range(6))
+
+
+@pytest.mark.parametrize(
+    "l, terms, size",
+    [(20, 3, 2), (5, 1, 1), (5, 2, 1), (4, 5, 4), (5, 5, 4), (3, 10, 3)],
+)
+def test_toeplitz_grid_is_capped_at_terms_minus_one(l, terms, size, monkeypatch):
+    # T_l(n) = n! for l >= n, so an l x l grid above terms - 1 rows is
+    # wasted work; the full grid's agreement is tested in test_lis.py
+    calls = []
+    build = series.bessel_determinant
+
+    def recording(orders, top, s_degree):
+        calls.append((len(orders), top, s_degree))
+        return build(orders, top, s_degree)
+
+    monkeypatch.setattr(series, "bessel_determinant", recording)
+    toeplitz_determinant(l, terms)
+    assert calls == [(size, terms - 1, 0)]
 
 
 def test_toeplitz_l2_degree_three_coefficient():

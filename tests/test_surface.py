@@ -256,7 +256,8 @@ def test_no_module_uses_complex_arithmetic_or_sin_cos():
 # test of `moments`, and the math names they may use: sqrt is correctly
 # rounded, isqrt, comb and isfinite are exact
 CORRECTLY_ROUNDED = {
-    "bounds.py": ("_factor_residual", "solve_lambda", "_bisect", "solve_x"),
+    "bounds.py": ("_factor_residual", "_root_of_decreasing", "solve_lambda", "_bisect",
+                  "solve_x"),
     "moments.py": ("_primes_up_to", "_below_ln2"),
 }
 ROUNDED_MATH = {"sqrt", "isqrt", "comb", "isfinite"}
