@@ -1,7 +1,7 @@
 """Mutation pass over one function of `src/zgap`, on demand and outside the
 tier-1 suite (pytest does not collect this file).
 
-    python tests/mutate.py MODULE FUNCTION [--workdir DIR] [--timeout S] TEST...
+    python tests/mutate.py MODULE FUNCTION TEST...
 
 for example
 
@@ -17,10 +17,11 @@ Each mutant changes one thing in the top-level function FUNCTION of
 * a unary minus is dropped.
 
 The tests run with pytest in a copy of `src/`, `tests/` and `perfbench/`
-made under DIR (a fresh temporary directory by default), once unmutated,
+made in a fresh temporary directory (TMPDIR moves it), once unmutated,
 which must pass, and once per mutant.  A mutant that some test fails, or
-that runs past the timeout, is killed; one that every test passes
-survives: either the tests miss it or it is equivalent to the original.
+that runs past TIMEOUT (some mutants loop), is killed; one that every
+test passes survives: either the tests miss it or it is equivalent to the
+original.
 One line per mutant goes to stdout, and the exit status is 0 when every
 mutant is killed and 1 when one survives.  Standard library only.
 """
@@ -39,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench")
+TIMEOUT = 600.0  # seconds per test run
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -84,13 +86,13 @@ def mutants(source: str, function: str):
                    before + ast.unparse(changed) + "\n" + after)
 
 
-def run_tests(workdir: Path, tests: list[str], timeout: float) -> int | None:
+def run_tests(workdir: Path, tests: list[str]) -> int | None:
     """pytest's exit status in the copy, or None when it timed out."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         return subprocess.run(command, cwd=workdir, env=env, capture_output=True,
-                              timeout=timeout, check=False).returncode
+                              timeout=TIMEOUT, check=False).returncode
     except subprocess.TimeoutExpired:
         return None
 
@@ -100,25 +102,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="module of src/zgap, without .py")
     parser.add_argument("function", help="top-level function to mutate")
     parser.add_argument("tests", nargs="+", help="pytest arguments, relative to the repo root")
-    parser.add_argument("--workdir", type=Path, help="where to copy the tree (default: temporary)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per test run")
     args = parser.parse_args(argv)
 
     source = (ROOT / "src" / "zgap" / f"{args.module}.py").read_text(encoding="utf-8")
     found = list(mutants(source, args.function))
-    with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
+    with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
         for name in COPIED:
             shutil.copytree(ROOT / name, workdir / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         module = workdir / "src" / "zgap" / f"{args.module}.py"
-        if run_tests(workdir, args.tests, args.timeout) != 0:
+        if run_tests(workdir, args.tests) != 0:
             print("mutate: the tests do not pass on the unmutated code", file=sys.stderr)
             return 2
         survivors = 0
         for line, original, mutated, text in found:
             module.write_text(text, encoding="utf-8")
-            status = run_tests(workdir, args.tests, args.timeout)
+            status = run_tests(workdir, args.tests)
             if status == 5:
                 print("mutate: pytest collected no tests", file=sys.stderr)
                 return 2
