@@ -65,26 +65,32 @@ log-form residual R at every lambda > 0:
 - so a point that is not Hurwitz, or has no real s1 (2*s2 + 4*v3 <= 0),
   lies below lambda*, and the rule returns +1 there.
 
+As s1, s3, s4 > 0, F is Hurwitz exactly when
+Delta3 = s1*s2*s3 - s3**2 - s1**2*s4 > 0, in floats too: the other
+Routh-Hurwitz conditions follow, since rounding is monotone.
+
 It needs only +, -, *, / and sqrt, all correctly rounded.  `solve_lambda`
 is the one lambda solver and uses this rule; the certificate's
 `lambda_consistency` and `pi_integral` checks stay on quadrature, so they
 remain independent of it.
 
-Quadrature contract: every integral is one `integrate_unit_interval` call
-over (0, 1), whose 4 equal panels are integrated once by the Gauss-Kronrod
-7/15 rule (QUADPACK qk15): the 15-point Kronrod value is the estimate, and
-its distance from the 7-point Gauss value, which reuses 7 of the same 15
-integrand evaluations, is the error estimate.  A panel whose error estimate
-exceeds min(1e-12, tol) in absolute value, and 1e-15 relative to the
-integral of |f| over it, is bisected.  A panel still unresolved after 52
-bisections, or a 4097th panel in one integral, raises `QuadratureError` at
-once.  The rational integrand reaches (0, 1) by u = s/(1-s).  That map
-would give the log integrand a log singularity at s = 1, so it is split at
-u = 1 instead: head(s) is its value at u = s (log(1 + c*u**2)/u**2 -> c
-near 0), and tail(s), at u = 1/s, is log((lambda*s**(2d) + R(s**2))/lambda)
-for d the degree of P and R(y) = y**d * P(1/y), with the exact -2d*log(s)
-term taken out; that term integrates to 2d.  Everything is deterministic:
-repeated runs at fixed tolerances produce bit-identical certificates.
+Quadrature contract: every integral is one `integrate_half_line` call,
+which splits (0, inf) at u = 1 and integrates f(s) + f(1/s)/s**2, the
+head at u = s and the tail at u = 1/s, over (0, 1) by one
+`integrate_unit_interval` call.  Its 4 equal panels are integrated once by
+the Gauss-Kronrod 7/15 rule (QUADPACK qk15): the 15-point Kronrod value is
+the estimate, and its distance from the 7-point Gauss value, which reuses 7
+of the same 15 integrand evaluations, is the error estimate.  A panel whose
+error estimate exceeds min(1e-12, tol) in absolute value, and 1e-15
+relative to the integral of |f| over it, is bisected.  A panel still
+unresolved after 52 bisections, or a 4097th panel in one integral, raises
+`QuadratureError` at once.  The one special case is the log integrand
+log(1 + P(u**2)/lambda)/u**2 (-> c near u = 0): for u > 1, d the degree
+of P, it takes out the exact term 2d*log(u)/u**2, which would leave a log
+singularity at s = 0 and integrates to 2d, and is
+y*log((lambda*y**d + R(y))/lambda) at y = 1/u**2, R(y) = y**d * P(1/y).
+Everything is deterministic: repeated runs at fixed tolerances produce
+bit-identical certificates.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ from . import moments
 
 PANEL_TOL = 1e-12
 _MAX_PANEL_DEPTH = 52
-_PANEL_BUDGET = 4096  # panels per integral; certificates use at most 6 (12 at tol 1e-17)
+_PANEL_BUDGET = 4096  # panels per integral; certificates use 4
 _ROUNDOFF = 1e-15  # panels cannot beat this relative to their own magnitude
 
 # claimed thresholds for the certified bounds sqrt(X), by derivative order
@@ -176,22 +182,11 @@ def integrate_unit_interval(f: Callable[[float], float], tol: float = DEFAULT_QU
     return sum(panel(i / 4, (i + 1) / 4, 0) for i in range(4))
 
 
-_ALMOST_ONE = math.nextafter(1.0, 0.0)
-
-
 def integrate_half_line(f: Callable[[float], float], tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Integral of f over (0, inf) via the map u = s/(1-s)."""
-
-    def mapped(s: float) -> float:
-        # Gauss-Kronrod nodes are interior; s can still round onto an
-        # endpoint for extremely deep panels, so clamp back into the open
-        # interval.
-        if s >= 1.0:
-            s = _ALMOST_ONE
-        w = 1.0 - s
-        return f(s / w) / (w * w)
-
-    return integrate_unit_interval(mapped, tol)
+    """Integral of f over (0, inf), split at u = 1: one
+    `integrate_unit_interval` call on f(s) + f(1/s)/s**2, the head at u = s
+    and the tail at u = 1/s."""
+    return integrate_unit_interval(lambda s: f(s) + f(1.0 / s) / (s * s), tol)
 
 
 def _log_residual_from_coeffs(coeffs: Sequence[float], lam: float, quad_tol: float) -> float:
@@ -200,31 +195,28 @@ def _log_residual_from_coeffs(coeffs: Sequence[float], lam: float, quad_tol: flo
     C(l,h) v_h for the standard weight polynomial).  Strictly decreasing in
     lam (the integrand is), which is what makes the sign bracket of the
     certificate's `lambda_consistency` row (`_lambda_bracket`) certified.
-    Split at u = 1 into head and tail per the module quadrature contract."""
+    For u > 1 the integrand has its 2d*log(u)/u**2 term taken out, per the
+    module quadrature contract."""
     if not (lam > 0.0 and all(x >= 0.0 for x in coeffs)):
         raise ValueError("the log form needs lambda > 0 and coefficients >= 0")
     c = [float(x) for x in coeffs]
     while c and c[-1] == 0.0:  # d = len(c), the degree of P
         c.pop()
 
-    def integrand(s: float) -> float:
-        y = s * s
-        # head, u = s: P(y)/y, stable as s -> 0, equals c[0] + c[1] y + ...
-        p_over_y = 0.0
+    def integrand(u: float) -> float:
+        if u > 1.0:  # y = 1/u**2: lam*y**d + R(y) by Horner from lam, with no float **
+            y = 1.0 / (u * u)
+            acc = lam
+            for ck in c:
+                acc = acc * y + ck
+            return y * math.log(acc / lam)
+        y = u * u  # > 0: no node sits at u = 0
+        p = 0.0  # P(y) by Horner
         for ck in reversed(c):
-            p_over_y = p_over_y * y + ck
-        w = p_over_y * y / lam
-        if w > 1e-8:
-            head = math.log1p(w) / y
-        else:  # log1p(w)/w -> 1; avoids 0/0 at the origin
-            head = (p_over_y / lam) * (1.0 - 0.5 * w + w * w / 3.0)
-        # tail, u = 1/s: lam*y**d + R(y) by Horner from lam, with no float **
-        acc = lam
-        for ck in c:
-            acc = acc * y + ck
-        return head + math.log(acc / lam)
+            p = (p + ck) * y
+        return math.log1p(p / lam) / y
 
-    return integrate_unit_interval(integrand, quad_tol) + 2 * len(c) - len(coeffs) * math.pi
+    return integrate_half_line(integrand, quad_tol) + 2 * len(c) - len(coeffs) * math.pi
 
 
 def _weight_coeffs(v: Sequence[float]) -> list[float]:
@@ -249,7 +241,8 @@ def _factor_residual(v: Sequence[float], lam: float) -> float:
     if not q > 0.0:
         return 1.0
     s1 = math.sqrt(q)
-    if not (s2 > 0.0 and s1 * s2 > s3 and s1 * s2 * s3 > s3 * s3 + s1 * s1 * s4):
+    # s1, s3, s4 > 0 and rounding is monotone, so Delta3 > 0 gives s1*s2 > s3 and s2 > 0
+    if not s1 * s2 * s3 > s3 * s3 + s1 * s1 * s4:
         return 1.0
     return 6.0 * v2 - (s2 * s2 + 2.0 * s4 - 2.0 * s1 * s3)
 

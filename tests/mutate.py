@@ -23,7 +23,9 @@ that runs past TIMEOUT (some mutants loop), is killed; one that every
 test passes survives: either the tests miss it or it is equivalent to the
 original.
 One line per mutant goes to stdout, and the exit status is 0 when every
-mutant is killed and 1 when one survives.  Standard library only.
+mutant is killed and 1 when one survives.  `tests/mutants.txt` keeps the
+SURVIVED lines of the recorded runs, each with the reason it survives.
+Standard library only.
 """
 
 from __future__ import annotations

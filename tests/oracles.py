@@ -79,10 +79,10 @@ def residue_residual(v, lam):
 def half_line_log_residual(coeffs, lam, quad_tol):
     """The log-form lambda residual integral_0^inf log(1 + P(u**2)/lam)
     du/u**2 - l*pi, P(y) = sum_h coeffs[h-1] * y**h and l = len(coeffs),
-    by `bounds.integrate_half_line` on one unsplit integrand.  The map
-    u = s/(1-s) leaves a log singularity at s = 1, so this costs some 20
-    times the evaluations of the library's split at u = 1, from which it is
-    independent."""
+    by `bounds.integrate_half_line` on the integrand as it stands.  With
+    its 2d*log(u)/u**2 growth left in, the tail at u = 1/s has a log
+    singularity at s = 0, so this costs some 20 times the evaluations of the
+    library's log form, which takes that term out exactly."""
 
     def integrand(u):
         y = u * u

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
@@ -255,12 +255,16 @@ def test_log_residual_takes_the_degree_from_the_last_nonzero_coefficient(coeffs,
     assert counts[1:] == [15 * 4] * 2 and counts[0] <= 15 * 10
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+# v scaled from a certificate's and lambda spread over twelve decades
+SCALED_DRAWS = dict(
     n=st.sampled_from((1, 2)),
     scales=st.tuples(*[st.floats(0.01, 2.0)] * 3),
     log_lam=st.floats(-6.0, 6.0),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**SCALED_DRAWS)
 def test_log_residual_matches_the_residue_residual(n, scales, log_lam):
     v = tuple(x * s for x, s in zip(derived_floats_for(n)[0], scales))
     lam = 10.0**log_lam
@@ -268,21 +272,35 @@ def test_log_residual_matches_the_residue_residual(n, scales, log_lam):
     assert abs(lambda_equation_residual(v, lam) - expected) <= 2e-14 * max(1.0, abs(expected))
 
 
+@settings(max_examples=200, deadline=None)
+@given(**SCALED_DRAWS)
+def test_log_residual_is_l_times_the_rational_form_deviation(n, scales, log_lam):
+    # by parts, with C(l-1, h-1) = (h/l) C(l, h), the log residual is l = 4
+    # times the rational deviation at every lambda, not only near the root
+    v = tuple(x * s for x, s in zip(derived_floats_for(n)[0], scales))
+    lam = 10.0**log_lam
+    r = lambda_equation_residual(v, lam)
+    assert abs(r - 4 * rational_form_deviation(v, lam)) <= 1e-13 * max(1.0, abs(r))
+
+
 @pytest.mark.parametrize("quad_tol", [1e-8, 1e-13, 1e-17])
 def test_log_form_quadrature_accepts_its_four_initial_panels(quad_tol, monkeypatch):
-    # the split integrand is smooth on [0, 1], so no panel is bisected
+    # split at u = 1, the log integrand with 2d*log(u)/u**2 taken out and
+    # the rational one are both smooth on [0, 1], so no panel is bisected
     counts = count_integrand_evaluations(monkeypatch)
     for n in (1, 2):
         v, lam = derived_floats_for(n)
         lambda_equation_residual(v, lam, quad_tol)
-    assert counts == [15 * 4, 15 * 4]
+        rational_form_deviation(v, lam, quad_tol=quad_tol)
+    assert counts == [15 * 4] * 4
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_certificate_spends_at_most_300_integrand_evaluations(n, monkeypatch):
+    # four quadratures of four panels each
     counts = count_integrand_evaluations(monkeypatch)
     assert certify_bound(n).valid
-    assert sum(counts) <= 300
+    assert sum(counts) == 4 * 15 * 4
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -960,6 +978,22 @@ def test_factor_residual_is_positive_where_no_hurwitz_factor_exists(v, lam):
     assert lambda_equation_residual(v, lam, 1e-10) > 1.0
 
 
+@settings(max_examples=500, deadline=None)
+@given(v=st.tuples(*[st.floats(1e-3, 1e3)] * 3), lam=st.floats(1e-3, 1e3))
+@example(v=(3.0, 1.0, 3.0), lam=1.0)  # s = (4, 2, 4, 1), where Delta3 is exactly 0
+def test_factor_residual_is_one_wherever_the_routh_hurwitz_triple_fails(v, lam):
+    # the rule tests Delta3 > 0 alone, so it must return 1.0 wherever the
+    # full triple, written out here, fails
+    v1, _, v3 = v
+    s4 = math.sqrt(lam)
+    s3 = 4.0 * s4
+    s2 = 8.0 * s4 - 2.0 * v1 / s4
+    q = 2.0 * s2 + 4.0 * v3
+    s1 = math.sqrt(max(q, 0.0))
+    if not (q > 0.0 and s2 > 0.0 and s1 * s2 > s3 and s1 * s2 * s3 > s3 * s3 + s1 * s1 * s4):
+        assert bounds._factor_residual(v, lam) == 1.0
+
+
 NAN = math.nan
 ONES = dict.fromkeys(range(5), 1)
 COEFFS = [4.0, 6.0, 4.0, 1.0]
@@ -983,7 +1017,8 @@ COEFFS = [4.0, 6.0, 4.0, 1.0]
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), NAN), id="rational-lambda"),
      pytest.param("rational_form_deviation", ((NAN, 1.0, 1.1), 1.0), id="rational-v"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), -1.0),
-                  id="rational-negative-lambda")],
+                  id="rational-negative-lambda"),
+     pytest.param("_log_residual_from_coeffs", (COEFFS, 0.0, 1e-8), id="log-zero-lambda")],
 )
 def test_nan_input_is_rejected_before_any_quadrature_or_root_sweep(name, args, monkeypatch):
     # nan compares false with everything, so a guard written as `x <= 0`

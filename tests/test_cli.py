@@ -527,11 +527,11 @@ REPORT_DIGESTS = {
     "bounds --n 1 --tol 1e-13 --format json":
         (0, "bde7590bd0114ad8840818052abce7403e1bc6f642d81846c027dd0ccd2554de"),
     "bounds --n 2 --format json":
-        (0, "94c1101a79c71e395c279e9451ce90b76c9b0580e488b8f31e58ef6c5f9a31df"),
+        (0, "32c7a5dff17499f8d6d0424734eb0a5dc270be5f7d48feacbbb0c7efc6e89fbb"),
     "bounds --n 2 --format csv":
-        (0, "fbb770ff93a8f42725b1986488d203be520ca38b94bfe4d207e444fa593061f3"),
+        (0, "b5e805a3edd3fa6e4b19f0a9b387fe331d71cfea58738061aacab5bd5cd21df2"),
     "bounds --n 2 --format text":
-        (0, "3e3c47a6e3138de2311f5133d41517cb6f38a6783fd73f2031839ff19605054d"),
+        (0, "3301528406fbc0eb0db05fbf88cfcda508261e170cb07f63a307cf2c321a260b"),
     "arithfactor --l 2 --format json":
         (0, "2feab2b0f211331ca516dbb1eb469be605847b909e68003f194a5defd542381b"),
     "moments --l 4 --format json":

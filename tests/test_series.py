@@ -83,7 +83,7 @@ def test_row_zero_of_the_two_variable_grid_is_the_one_variable_grid(l):
             assert bessel_determinant(orders, top, l + h)[0] == bessel_determinant(orders, top, 0)[0]
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
 def test_lower_truncation_of_the_partition_sum_grid_is_a_prefix_of_the_column(l):
     # truncating at weight 2a + m <= top is a ring map, so the determinant
     # truncated at 2l + 2h is the top = 4l one with every heavier term dropped
