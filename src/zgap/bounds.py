@@ -7,7 +7,10 @@ Pipeline (all at l = 4):
 1. From the exact coefficient ratios A(1..4) (`_exact_prelude`) build the
    closed-form value
 
-       X = (A*B*(C-D) + C*(B**2 + C*D - 2*B*D)) / (16*(B-C)*(C-D)),
+       X = (A*B*(C-D) + C*(B**2 + C*D - 2*B*D)) / (16*(B-C)*(C-D)).
+
+   The prelude of steps 1-2 is integer arithmetic on the numerators and
+   denominators, with one `Fraction` (one gcd) per output.
 
 2. derive the weight-polynomial parameters (v1, v2, v3) and lambda by
    matching coefficients in the quartic factorization
@@ -80,7 +83,9 @@ head at u = s and the tail at u = 1/s, over (0, 1) by one
 `integrate_unit_interval` call.  Its 4 equal panels are integrated once by
 the Gauss-Kronrod 7/15 rule (QUADPACK qk15): the 15-point Kronrod value is
 the estimate, and its distance from the 7-point Gauss value, which reuses 7
-of the same 15 integrand evaluations, is the error estimate.  A panel whose
+of the same 15 integrand evaluations, is the error estimate.
+`_panel_estimates` reads the 15 nodes from one flat table, -x before +x
+and the centre last, and sums them in that fixed order.  A panel whose
 error estimate exceeds min(1e-12, tol) in absolute value, and 1e-15
 relative to the integral of |f| over it, is bisected.  A panel still
 unresolved after 52 bisections, or a 4097th panel in one integral, raises
@@ -122,22 +127,27 @@ class QuadratureError(ValueError):
         self.achieved_error = achieved_error
 
 
-# The Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), one row per
-# nonnegative node: (node x, Kronrod weight, Gauss weight).  Nodes +-x carry
-# the same weights.  The Gauss weight is 0 at the eight nodes that only the
+# The Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), one row per node:
+# (node x, Kronrod weight, Gauss weight), each nonnegative node listed once
+# below and expanded to -x before +x, the centre last.  Nodes +-x carry the
+# same weights.  The Gauss weight is 0 at the eight nodes that only the
 # Kronrod extension adds.
-_GAUSS_KRONROD_15 = (
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
-     0.129484966168869693270611432679082),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
-     0.279705391489276667901467771423780),
-    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
-     0.381830050505118944950369775488975),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
-    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+_GAUSS_KRONROD_15 = tuple(
+    (sign * x, wk, wg)
+    for x, wk, wg in (
+        (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+        (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+         0.129484966168869693270611432679082),
+        (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+        (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+         0.279705391489276667901467771423780),
+        (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+        (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+         0.381830050505118944950369775488975),
+        (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+        (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+    )
+    for sign in ((-1.0, 1.0) if x else (1.0,))
 )
 
 
@@ -145,15 +155,15 @@ def _panel_estimates(
     f: Callable[[float], float], a: float, b: float
 ) -> tuple[float, float, float]:
     """(Kronrod estimate, |Kronrod - Gauss|, integral of |f|) over (a, b)
-    from 15 evaluations of f."""
+    from 15 evaluations of f, one per node of the table in its order."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     kronrod = gauss = magnitude = 0.0
     for x, wk, wg in _GAUSS_KRONROD_15:
-        for value in (f(mid - half * x), f(mid + half * x)) if x else (f(mid),):
-            kronrod += wk * value
-            gauss += wg * value
-            magnitude += wk * abs(value)
+        value = f(mid + half * x)  # mid + half*(-x) is mid - half*x, bit for bit
+        kronrod += wk * value
+        gauss += wg * value
+        magnitude += wk * abs(value)
     return half * kronrod, half * abs(kronrod - gauss), half * magnitude
 
 
@@ -231,9 +241,9 @@ def _factor_residual(v: Sequence[float], lam: float) -> float:
     by the factor rule (module docstring): 6*v2 - 6*v2', where v2' is the
     v2 whose root is lam, or +1 where no Hurwitz factor with s3 = 4*s4
     exists.  Needs lam > 0 and every v_h > 0."""
-    if not (lam > 0.0 and all(x > 0.0 for x in v)):  # nan fails both
-        raise ValueError("the factor rule needs lambda > 0 and every v_h > 0")
     v1, v2, v3 = v
+    if not (lam > 0.0 and v1 > 0.0 and v2 > 0.0 and v3 > 0.0):  # nan fails each
+        raise ValueError("the factor rule needs lambda > 0 and every v_h > 0")
     s4 = math.sqrt(lam)
     s3 = 4.0 * s4
     s2 = 8.0 * s4 - 2.0 * v1 / s4
@@ -331,16 +341,30 @@ def rational_form_deviation(
     return 2.0 * integrate_half_line(integrand, quad_tol) - math.pi
 
 
+def _ratio(t: Fraction | int) -> tuple[int, int]:
+    """(numerator, denominator) of the rational t, denominator > 0."""
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
 def closed_form_x(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """Closed-form optimizer value
 
         X = (a*b*(c-d) + c*(b**2 + c*d - 2*b*d)) / (16*(b-c)*(c-d)),
 
-    exact.  Degenerate denominators are rejected by exact comparison."""
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    if b == c or c == d:
+    exact: one integer numerator over one integer denominator, both
+    multiplied through by a_d*b_d**2*c_d**2*d_d for t = t_n/t_d.  Degenerate
+    denominators are rejected by exact comparison."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = map(_ratio, (a, b, c, d))
+    b_minus_c = bn * cd - cn * bd  # (b - c)*b_d*c_d
+    c_minus_d = cn * dd - dn * cd  # (c - d)*c_d*d_d
+    if b_minus_c == 0 or c_minus_d == 0:
         raise ValueError("degenerate ratio data: need b != c and c != d")
-    return (a * b * (c - d) + c * (b * b + c * d - 2 * b * d)) / (16 * (b - c) * (c - d))
+    numerator = an * bn * bd * cd * c_minus_d + ad * cn * (
+        bn * bn * cd * dd + cn * dn * bd * bd - 2 * bn * dn * bd * cd
+    )
+    return Fraction(numerator, 16 * ad * bd * b_minus_c * c_minus_d)
 
 
 class DerivedParams(NamedTuple):
@@ -361,28 +385,43 @@ def derive_params(
     coefficients in the factorization (*):
 
         v3 = (s1**2 - 2*s2)/4,  v2 = (s2**2 + 2*s4 - 2*s1*s3)/6,
-        v1 = (s3**2 - 2*s2*s4)/4,  lambda = s4**2.
+        v1 = (s3**2 - 2*s2*s4)/4,  lambda = s4**2,
+
+    with s1 = tau1*x, s2 = tau2*x, s3 = tau1*x**2/c and s4 = s3/4, where
+    tau1 = 4*(c-d)/(d*(b-c)) and tau2 = (b-d)/(d*(b-c)).  The arithmetic
+    is on integers.  For t = t_n/t_d, K = d_n*(b_n*c_d - c_n*b_d) gives
+    tau1 = T1/K and tau2 = T2/K; over Q = K*x_d**2*c_n, s1 = T1*W/Q,
+    s2 = T2*W/Q and s3 = U/Q, with W = x_n*x_d*c_n and U = T1*x_n**2*c_d;
+    each v and lambda is one integer over an integer multiple of Q**2.
 
     These closed forms are validated, not trusted: tests expand both sides
     of (*) exactly, and the certificate re-verifies lambda and X by
     independent quadrature and root finding.
     """
-    a, b, c, d, x = (Fraction(t) for t in (a, b, c, d, x))
-    if b == c or c == d:
+    (bn, bd), (cn, cd), (dn, dd), (xn, xd) = map(_ratio, (b, c, d, x))
+    b_minus_c = bn * cd - cn * bd  # (b - c)*b_d*c_d
+    c_minus_d = cn * dd - dn * cd  # (c - d)*c_d*d_d
+    if b_minus_c == 0 or c_minus_d == 0:
         raise ValueError("degenerate ratio data: need b != c and c != d")
-    if c == 0 or d == 0:
+    if cn == 0 or dn == 0:
         raise ValueError("degenerate ratio data: need c != 0 and d != 0")
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    tau1 = (4 * c - 4 * d) / (d * (b - c))
-    tau2 = (b - d) / (d * (b - c))
-    tau3 = (4 * c - 4 * d) / (c * d * (b - c))
-    tau4 = (c - d) / (c * d * (b - c))
-    s1, s2, s3, s4 = tau1 * x, tau2 * x, tau3 * x * x, tau4 * x * x
-    v3 = (s1 * s1 - 2 * s2) / 4
-    v2 = (s2 * s2 + 2 * s4 - 2 * s1 * s3) / 6
-    v1 = (s3 * s3 - 2 * s2 * s4) / 4
-    return DerivedParams(v_exact=(v1, v2, v3), lam_exact=s4 * s4, sigma=(s1, s2, s3, s4))
+    if xn <= 0:
+        raise ValueError(f"x must be positive, got {Fraction(xn, xd)}")
+    t1 = 4 * bd * c_minus_d
+    t2 = cd * (bn * dd - dn * bd)
+    q = dn * b_minus_c * xd * xd * cn
+    w = xn * xd * cn
+    s1, s2, u = t1 * w, t2 * w, t1 * xn * xn * cd  # s1..s3 times q
+    qq = q * q
+    return DerivedParams(
+        v_exact=(
+            Fraction(u * (2 * u - s2), 8 * qq),
+            Fraction(2 * s2 * s2 + u * q - 4 * s1 * u, 12 * qq),
+            Fraction(s1 * s1 - 2 * s2 * q, 4 * qq),
+        ),
+        lam_exact=Fraction(u * u, 16 * qq),
+        sigma=(Fraction(s1, q), Fraction(s2, q), Fraction(u, q), Fraction(u, 4 * q)),
+    )
 
 
 def solve_x(
@@ -498,10 +537,15 @@ def _exact_prelude(
 
     in which the arithmetic factor multiplying every b cancels; then the
     inputs (a, b, c, d) = A(1..4), the closed-form X built from them, and
-    the parameters derived from both."""
-    b4 = Fraction(coefficients[4])
-    capB = {h: Fraction(4) ** (h - 4) * Fraction(coefficients[h]) / b4 for h in range(5)}
-    inputs = tuple(abs(Fraction(2 * h - 1, 2 * h - 3)) * capB[h - 1] / capB[h] for h in range(1, 5))
+    the parameters derived from both.  Each B(h) and A(h) is one integer
+    over another, A(h) = (2h-1)*b[h-1] / (4*|2h-3|*b[h]); a zero b[h],
+    h >= 1, raises ZeroDivisionError."""
+    num, den = zip(*(_ratio(coefficients[h]) for h in range(5)))
+    capB = {h: Fraction(num[h] * den[4], (den[h] * num[4]) << (8 - 2 * h)) for h in range(5)}
+    inputs = tuple(
+        Fraction((2 * h - 1) * num[h - 1] * den[h], 4 * abs(2 * h - 3) * den[h - 1] * num[h])
+        for h in range(1, 5)
+    )
     x_exact = closed_form_x(*inputs)
     return capB, inputs, x_exact, derive_params(*inputs, x_exact)
 

@@ -18,7 +18,10 @@ Each mutant changes one thing in the top-level function FUNCTION of
 
 The tests run with pytest in a copy of `src/`, `tests/` and `perfbench/`
 made in a fresh temporary directory (TMPDIR moves it), once unmutated,
-which must pass, and once per mutant.  A mutant that some test fails, or
+which must pass, and once per mutant.  Every run draws the same Hypothesis
+examples (`--hypothesis-seed` SEED, with no example database carried from
+one run to the next), so a verdict depends only on the code and the tests,
+and `tests/mutants.txt` changes only when they do.  A mutant that some test fails, or
 that runs past TIMEOUT (some mutants loop), is killed; one that every
 test passes survives: either the tests miss it or it is equivalent to the
 original.
@@ -43,6 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench")
 TIMEOUT = 600.0  # seconds per test run
+SEED = 0  # Hypothesis seed of every test run
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -90,8 +94,10 @@ def mutants(source: str, function: str):
 
 def run_tests(workdir: Path, tests: list[str]) -> int | None:
     """pytest's exit status in the copy, or None when it timed out."""
+    shutil.rmtree(workdir / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               f"--hypothesis-seed={SEED}", *tests]
     try:
         return subprocess.run(command, cwd=workdir, env=env, capture_output=True,
                               timeout=TIMEOUT, check=False).returncode

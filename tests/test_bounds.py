@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from oracles import (
+    exact_prelude_by_fractions,
     half_line_log_residual,
     half_line_moments,
     hall_ratio,
@@ -71,25 +72,48 @@ def derived_floats_for(n):
 # ---------------------------------------------------------------- quadrature
 
 
-def gauss_kronrod_rule():
-    """(node, Kronrod weight, Gauss weight) for all 15 nodes on [-1, 1]."""
-    return [
-        (sign * x, wk, wg)
-        for x, wk, wg in _GAUSS_KRONROD_15
-        for sign in ((-1.0, 1.0) if x else (1.0,))
-    ]
-
-
 def test_kronrod_rule_integrates_polynomials_exactly():
-    rule = gauss_kronrod_rule()
-    assert len(rule) == 15
+    assert len(_GAUSS_KRONROD_15) == 15
     for k in range(24):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(sum(wk * x**k for x, wk, _ in rule) - exact) < 1e-14
+        assert abs(sum(wk * x**k for x, wk, _ in _GAUSS_KRONROD_15) - exact) < 1e-14
+
+
+def test_kronrod_table_lists_minus_x_before_plus_x_and_the_centre_last():
+    # the order in which `_panel_estimates` evaluates and accumulates
+    minus, plus = _GAUSS_KRONROD_15[:-1:2], _GAUSS_KRONROD_15[1:-1:2]
+    assert [(-x, wk, wg) for x, wk, wg in minus] == list(plus)
+    assert all(x > y > 0.0 for (x, _, _), (y, _, _) in zip(plus, plus[1:]))
+    assert _GAUSS_KRONROD_15[-1][0] == 0.0
+
+
+def panel_estimates_by_pairs(f, a, b):
+    """`bounds._panel_estimates` as written over the nonnegative nodes:
+    f(mid - half*x) then f(mid + half*x) per node x > 0, f(mid) last."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    kronrod = gauss = magnitude = 0.0
+    for x, wk, wg in _GAUSS_KRONROD_15[1::2] + _GAUSS_KRONROD_15[-1:]:
+        for value in (f(mid - half * x), f(mid + half * x)) if x else (f(mid),):
+            kronrod += wk * value
+            gauss += wg * value
+            magnitude += wk * abs(value)
+    return half * kronrod, half * abs(kronrod - gauss), half * magnitude
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(1e-12, 1.0),
+    st.sampled_from([lambda s: 1.0 / (1.0 + s * s), lambda s: math.log1p(s) / s, math.exp]),
+)
+def test_panel_estimates_are_bit_identical_to_the_pairwise_form(a, width, f):
+    b = min(a + width, 1.0)
+    assert bounds._panel_estimates(f, a, b) == panel_estimates_by_pairs(f, a, b)
 
 
 def test_gauss_subset_is_the_seven_point_legendre_rule():
-    gauss = sorted((x, wg) for x, _, wg in gauss_kronrod_rule() if wg)
+    gauss = sorted((x, wg) for x, _, wg in _GAUSS_KRONROD_15 if wg)
     nodes, weights = roots_legendre(7)
     assert len(gauss) == 7
     for (x, wg), node, weight in zip(gauss, nodes, weights):
@@ -109,6 +133,54 @@ def test_quadrature_spends_fifteen_evaluations_per_panel():
 
     assert abs(integrate_unit_interval(f) - 15.0 / 14.0) < 1e-14
     assert evaluations == 15 * 4
+
+
+def test_a_panel_whose_error_estimate_equals_the_threshold_is_accepted():
+    # the panel test is err <= threshold: at tol equal to the largest of
+    # the four initial panels' error estimates, that panel is accepted as
+    # is, and one float spacing lower it is bisected once
+    evaluations = []
+
+    def f(s):
+        evaluations.append(s)
+        return s**20
+
+    tol = max(bounds._panel_estimates(f, i / 4, (i + 1) / 4)[1] for i in range(4))
+    assert 1e-15 < tol < bounds.PANEL_TOL  # above the roundoff floor of every panel
+    for threshold, count in ((tol, 60), (math.nextafter(tol, 0.0), 90)):
+        evaluations.clear()
+        integrate_unit_interval(f, threshold)
+        assert len(evaluations) == count
+
+
+def test_the_panel_budget_is_exact(monkeypatch):
+    # s**20 at the default tolerance takes exactly its 4 initial panels: a
+    # budget of 4 is enough, and one of 3 raises with the sum of the error
+    # estimates accepted before it
+    def f(s):
+        return s**20
+
+    errors = [bounds._panel_estimates(f, i / 4, (i + 1) / 4)[1] for i in range(4)]
+    monkeypatch.setattr(bounds, "_PANEL_BUDGET", 4)
+    integrate_unit_interval(f)
+    monkeypatch.setattr(bounds, "_PANEL_BUDGET", 3)
+    with pytest.raises(QuadratureError, match="within 3 panels") as caught:
+        integrate_unit_interval(f)
+    assert caught.value.achieved_error == errors[0] + errors[1] + errors[2] > 0.0
+
+
+def test_the_depth_limit_counts_the_bisections_of_each_half(monkeypatch):
+    # a pole just right of s = 1 takes two bisections of the last initial
+    # panel, each time of its right half: depth limit 2 is enough, and at
+    # limit 1 that right half, at depth 1, is the panel that raises
+    def f(s):
+        return 1.0 / (1.1 - s)
+
+    monkeypatch.setattr(bounds, "_MAX_PANEL_DEPTH", 2)
+    integrate_unit_interval(f)
+    monkeypatch.setattr(bounds, "_MAX_PANEL_DEPTH", 1)
+    with pytest.raises(QuadratureError, match=r"panel \(0\.875, 1\.0\) unresolved at depth 1 "):
+        integrate_unit_interval(f)
 
 
 def test_integrate_half_line_arctangent():
@@ -499,6 +571,67 @@ def test_derive_params_rejects_degenerate():
     a, b, c, d = RATIO_INPUTS[1]
     with pytest.raises(ValueError):
         derive_params(a, b, c, d, Fraction(-1))
+    for zero_c_or_d in ((a, b, 0, d), (a, b, c, 0)):
+        with pytest.raises(ValueError, match="need c != 0 and d != 0"):
+            derive_params(*zero_c_or_d, one)
+    with pytest.raises(ValueError, match="x must be positive, got 0$"):
+        derive_params(a, b, c, d, 0)
+    for tie in ((a, b, b, d), (a, b, c, c)):  # b = c alone, then c = d alone
+        with pytest.raises(ValueError, match="need b != c and c != d"):
+            derive_params(*tie, one)
+
+
+def _prelude_or_error(prelude, column):
+    """(prelude(column), None), or (None, what it raised): the type, and
+    the message of a ValueError."""
+    try:
+        return prelude(column), None
+    except ValueError as error:
+        return None, (ValueError, str(error))
+    except ZeroDivisionError:
+        return None, (ZeroDivisionError, None)
+
+
+MAGNITUDES = st.one_of(
+    st.integers(1, 3),
+    st.builds(Fraction, st.integers(1, 2**120), st.integers(1, 2**120)),
+)
+
+
+@st.composite
+def signed_columns(draw):
+    """A column b[0..4] of signed rationals, at times with one zero entry,
+    and at times with b[3] or b[4] chosen so that b = c or c = d, where
+    A(h) = (2h-1)*b[h-1] / (4*|2h-3|*b[h])."""
+    column = {h: draw(MAGNITUDES) * draw(st.sampled_from([1, -1])) for h in range(5)}
+    zero = draw(st.sampled_from([None] * 6 + [0, 1, 2, 3, 4]))
+    if zero is not None:
+        column[zero] = Fraction(0)
+    tie = draw(st.sampled_from([None, None, None, "b = c", "c = d"]))
+    if tie == "b = c" and column[1] and column[2]:
+        column[3] = Fraction(5, 9) * column[2] ** 2 / column[1]
+    elif tie == "c = d" and column[2] and column[3]:
+        column[4] = Fraction(21, 25) * column[3] ** 2 / column[2]
+    return {h: Fraction(t) for h, t in column.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_columns())
+@example({0: Fraction(1), 1: Fraction(1), 2: Fraction(1), 3: Fraction(5, 9), 4: Fraction(7)})
+@example({0: Fraction(1), 1: Fraction(2), 2: Fraction(1), 3: Fraction(0), 4: Fraction(1)})
+@example({h: Fraction(1) for h in range(5)})
+@example(coefficient_column(1))
+@example(coefficient_column(2))
+def test_exact_prelude_matches_the_plain_fraction_oracle(column):
+    # the integer prelude against its plain-Fraction form: equal records, or
+    # the same exception (a ValueError with the same message)
+    library, error = _prelude_or_error(bounds._exact_prelude, column)
+    assert (library, error) == _prelude_or_error(exact_prelude_by_fractions, column)
+    if library is not None:
+        capB, inputs, x, derived = library
+        assert type(derived) is bounds.DerivedParams
+        assert all(type(t) is Fraction for t in (*capB.values(), *inputs, x, *derived.v_exact,
+                                                 derived.lam_exact, *derived.sigma))
 
 
 def test_lambda_exact_equals_sigma4_squared():
@@ -1018,7 +1151,9 @@ COEFFS = [4.0, 6.0, 4.0, 1.0]
      pytest.param("rational_form_deviation", ((NAN, 1.0, 1.1), 1.0), id="rational-v"),
      pytest.param("rational_form_deviation", ((0.9, 1.0, 1.1), -1.0),
                   id="rational-negative-lambda"),
-     pytest.param("_log_residual_from_coeffs", (COEFFS, 0.0, 1e-8), id="log-zero-lambda")],
+     pytest.param("_log_residual_from_coeffs", (COEFFS, 0.0, 1e-8), id="log-zero-lambda"),
+     pytest.param("_factor_residual", ((0.0, 1.0, 1.1), 1.0), id="factor-zero-v1"),
+     pytest.param("_factor_residual", ((0.9, 1.0, 0.0), 1.0), id="factor-zero-v3")],
 )
 def test_nan_input_is_rejected_before_any_quadrature_or_root_sweep(name, args, monkeypatch):
     # nan compares false with everything, so a guard written as `x <= 0`

@@ -14,7 +14,8 @@ module imports `dataclasses`, whose import and generated methods cost a
 `zgap` process more start-up than most commands spend working.  No
 module uses complex arithmetic or `math.sin`/`math.cos`, the lambda and X
 solvers, the prime sieve and the ln 2 test use no `**`, `pow` or libm
-routine besides `math.sqrt`, and every `lru_cache` is listed with the
+routine besides `math.sqrt`, the exact prelude of a certificate uses no
+float, `math` name or `**`, and every `lru_cache` is listed with the
 traffic that re-reads it.  Imports between the modules run one way: there
 is no cycle, whether an import sits at module level or inside a function.
 Only `cli` formats values: no module defines `to_json_dict` or
@@ -296,6 +297,35 @@ def test_log_form_uses_no_float_power():
     function = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                     and node.name == "_log_residual_from_coeffs")
     assert set(_not_correctly_rounded(function)) == {"math.log1p", "math.log", "math.pi"}
+
+
+# the exact prelude of a certificate: integers and one `Fraction` per output
+EXACT_PRELUDE = ("_ratio", "closed_form_x", "derive_params", "_exact_prelude")
+
+
+def _inexact(node: ast.AST):
+    """Each `float(...)` call, float constant, `math` name and `**` in
+    `node`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "float":
+            yield "float()"
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, float):
+            yield repr(sub.value)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "math":
+            yield f"math.{sub.attr}"
+        elif isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Pow):
+            yield "**"
+
+
+def test_exact_prelude_is_integer_arithmetic():
+    # a float anywhere in the prelude would round a certificate's exact
+    # values, and `**` on a Fraction is where one slips in (a negative or
+    # fractional exponent); powers of 4 are shifts or integer products
+    tree = ast.parse((ROOT / "src" / "zgap" / "bounds.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    users = {name: uses for name in EXACT_PRELUDE
+             if (uses := sorted(set(_inexact(functions[name]))))}
+    assert not users, f"inexact operations in the exact prelude: {users}"
 
 
 # The memoised functions of `src/zgap`, each with the traffic that re-reads
