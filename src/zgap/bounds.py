@@ -45,8 +45,8 @@ Pipeline (all at l = 4):
 Because the closed-form map of steps 1-2 satisfies its own defining
 equations identically in the input data, internal consistency alone cannot
 detect a corrupted coefficient table; the certificate therefore also
-cross-checks the table against the independently computed partition sums
-(`data_integrity` check).
+cross-checks every entry of the table against the column that the general
+joint-moment formula of `zgap.moments` computes (`data_integrity` check).
 
 Factor rule of `solve_lambda` (l = 4 only): with Q(y) = lambda +
 sum_h C(4,h) v_h y**h, Q(-t**2) = F(t)*F(-t) as in (*), where
@@ -489,7 +489,6 @@ class BoundCertificate(NamedTuple):
     lam_exact: Fraction
     checks: tuple[CheckResult, ...]
     quad_tol: float
-    notes: tuple[str, ...] = ()
 
     @property
     def valid(self) -> bool:
@@ -501,30 +500,13 @@ class BoundCertificate(NamedTuple):
         return math.sqrt(float(self.x_exact))
 
 
-def _integrity_checks(
-    n: int, coefficients: Mapping[int, Fraction]
-) -> tuple[CheckResult, tuple[str, ...]]:
-    """Cross-check the coefficient data for n in {1, 2} against the
-    independently computed partition sums.  For n = 1 every entry is
-    reproducible; for n = 2 only the h = 0 entry has an independent anchor
-    (it equals the h = 4 value of the n = 1 column), and the rest of the
-    column is trusted transcription.
-    """
-    notes: tuple[str, ...] = ()
-    if n == 1:
-        mismatches = [
-            h for h in range(5)
-            if Fraction(coefficients[h]) != moments.joint_moment_coefficient(h, 4)
-        ]
-        passed = not mismatches
-        residual = float(len(mismatches))
-    else:
-        passed = Fraction(coefficients[0]) == moments.joint_moment_coefficient(4, 4)
-        residual = 0.0 if passed else 1.0
-        notes = (
-            "n=2 column verified only at its h=0 anchor; h=1..4 are reference data",
-        )
-    return CheckResult("data_integrity", passed, residual), notes
+def _integrity_checks(n: int, coefficients: Mapping[int, Fraction]) -> CheckResult:
+    """The `data_integrity` row: every entry h = 0..4 of the coefficient data
+    for n in {1, 2} against the (n+1, n) column of the general joint-moment
+    formula, `moments._column`.  The residual counts the entries that differ."""
+    column = moments._column((n + 1, n), 4)
+    mismatches = sum(Fraction(coefficients[h]) != column[h] for h in range(5))
+    return CheckResult("data_integrity", not mismatches, float(mismatches))
 
 
 def _exact_prelude(
@@ -596,7 +578,7 @@ def certify_bound(
     _check_tolerance("quad_tol", quad_tol)
     if coefficients is None:
         coefficients = moments.coefficient_column(n)
-    integrity, notes = _integrity_checks(n, coefficients)
+    integrity = _integrity_checks(n, coefficients)
 
     capB, (a, b, c, d), x_exact, derived = _exact_prelude(coefficients)
     v_positive = all(t > 0 for t in derived.v_exact)
@@ -635,7 +617,7 @@ def certify_bound(
 
     return BoundCertificate(
         n=n, a=a, b=b, c=c, d=d, x_exact=x_exact, v_exact=derived.v_exact,
-        lam_exact=derived.lam_exact, checks=tuple(checks), quad_tol=quad_tol, notes=notes,
+        lam_exact=derived.lam_exact, checks=tuple(checks), quad_tol=quad_tol,
     )
 
 

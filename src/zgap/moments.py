@@ -3,20 +3,13 @@ analogue of Hardy's Z-function over the unitary group.
 
 Contents:
 
-* ``joint_moment_coefficient(h, l)`` — the exact coefficient for derivative
-  pair (2, 1).  Its partition-sum formula is a double sum over
-  compositions weighted by a Vandermonde product; by the Andreief /
-  Cauchy-Binet mechanism of Conrey-Rubinstein-Snaith it collapses to one
-  l x l Hankel determinant of two-variable Bessel-type series, which
-  `zgap.series.bessel_determinant` computes exactly.  One determinant,
-  truncated at weight 4l, serves every h = 0..l of a column: the l = 4
-  column takes under 10 ms and l = 6 about 0.2 s, in-process on a 2-vCPU
-  Linux machine,
+* ``joint_moment_coefficient(h, l)`` — entry h of the (2, 1) column that
+  `_column` computes for any derivative pair: about 1.5 ms at l = 4, 15 ms
+  at l = 6 and 50 ms at l = 7, and 5 ms for the (3, 2) column at l = 4,
+  in-process on a 2-vCPU Linux machine,
 * ``coefficient_column(n)`` — reference constants for l = 4 and
-  derivative pairs (2, 1) and (3, 2), exact literals; the (2, 1)
-  column is independently reproducible via the partition sum, the (3, 2)
-  column enters purely as reference data (no printed formula exists for it,
-  so nothing is extrapolated),
+  derivative pairs (2, 1) and (3, 2), exact literals; the certificates'
+  `data_integrity` row checks every entry against `_column`,
 * ``arithmetic_factor(l)`` — the Euler product c_l over the primes up to a
   cutoff, each prime's factor in closed form (an l-term polynomial in 1/p,
   by Euler's transformation of its 2F1), with an error estimate for the
@@ -38,72 +31,117 @@ from typing import NamedTuple
 # multinomial is no longer called here; it stays bound in this module
 # because perfbench/tracer.py counts its calls where moments binds it.
 from .arith import DEFAULT_PRIME_CUTOFF, multinomial  # noqa: F401
-from .series import bessel_determinant
+from .series import partitions_max_part
+
+
+def _kostka(shape: tuple[int, ...], content: tuple[int, ...], memo: dict) -> int:
+    """The Kostka number K(shape, content): the semistandard tableaux of
+    `shape` (zero-padded) with content[i] entries equal to i + 1.  The
+    entries equal to len(content) fill a horizontal strip, and removing it
+    leaves an inner shape nu with shape[j+1] <= nu[j] <= shape[j] and
+    |shape| - |nu| = content[-1].  `memo` keeps every value found."""
+    if not content:
+        return int(not any(shape))
+    key = shape, content
+    if key not in memo:
+        # (rows of nu so far, cells still to remove); rows j+1.. can give
+        # up at most shape[j+1] cells, which bounds nu[j] from above
+        partial = [((), content[-1])]
+        for part, below in zip(shape, shape[1:] + (0,)):
+            partial = [
+                (nu + (v,), rest - part + v)
+                for nu, rest in partial
+                for v in range(max(below, part - rest), min(part, part + below - rest) + 1)
+            ]
+        memo[key] = sum(_kostka(nu, content[:-1], memo) for nu, _ in partial)
+    return memo[key]
+
+
+def _parity_split(m: list[int]) -> tuple[int, list[int], list[int]]:
+    """(s * V, even, odd) for distinct decreasing m: its even and its odd
+    parts, each still decreasing, V the product of their two Vandermonde
+    products prod_{j<k} (x_j - x_k), and s the sign of the permutation that
+    moves the even parts ahead of the odd ones."""
+    even = [x for x in m if x % 2 == 0]
+    odd = [x for x in m if x % 2]
+    swaps = sum(x % 2 > y % 2 for i, x in enumerate(m) for y in m[i + 1:])
+    vandermonde = math.prod(
+        x - y for part in (even, odd) for i, x in enumerate(part) for y in part[i + 1:]
+    )
+    return (-vandermonde if swaps % 2 else vandermonde), even, odd
 
 
 @lru_cache(maxsize=None)
-def _column(l: int) -> tuple[tuple[Fraction, ...], ...]:
-    """det[G_{2l-i-j}] (i = 0..l-1, j = 1..l) truncated at top = 4l with
-    s-degree 2l: the determinant that every h = 0..l of column l reads."""
-    orders = [[2 * l - i - j for j in range(1, l + 1)] for i in range(l)]
-    return bessel_determinant(orders, 4 * l, 2 * l)
+def _column(pair: tuple[int, int], l: int) -> tuple[Fraction, ...]:
+    """Entries h = 0..l of the column of derivative pair (n1, n2) = pair:
+    the leading coefficient c(a), at N**(l**2 + 2|a|), of the U(N) average
+    of prod_i Z^(a_i)(0)**2, for Z the real analogue of Hardy's Z-function
+    and a = (n1,)*h + (n2,)*(l - h).  It is
+
+        c(a) = (prod_i a_i!)**2 * sum_{kappa, kappa'} K(kappa, a) K(kappa', a)
+               / (prod_j m_j! * prod_k m'_k!) * det[M(m_j + m'_k)]_{j,k=1..l}
+
+    over the partitions kappa, kappa' of |a| into at most l parts, with K
+    the Kostka numbers, m = kappa + (l-1, ..., 1, 0), and M(n) the integral
+    of y**n over [-1/2, 1/2]: 1/(2**n (n+1)) for even n, 0 for odd n.  (The
+    dual Cauchy identity gives the finite-N moment as a sum of squares over
+    an l x N box of partitions, the HCIZ expansion each square's top degree,
+    and Andreief's identity the determinant.)
+
+    As M vanishes at odd n, putting the even parts of m and m' ahead of the
+    odd ones (`_parity_split`) makes the matrix block diagonal: its
+    determinant is 0 unless m and m' have as many even parts, and otherwise
+    2**-(|m| + |m'|) times a Cauchy determinant for each parity,
+
+        det[1/(x_j + y_k + 1)] = prod_{j<k} (x_j - x_k)(y_j - y_k)
+                                 / prod_{j,k} (x_j + y_k + 1).
+
+    Each unordered pair is summed once, at weight 2 off the diagonal.  The
+    terms share one integer denominator: m_j <= top + 1 - j for top = |a| +
+    l - 1, so prod_j m_j! divides top! (top-1)! ... (top-l+1)!, and the
+    factors of a Cauchy denominator are odd, at most 2*top + 1, and distinct
+    within a row, so it divides (1 * 3 * ... * (2*top + 1))**l."""
+    n1, n2 = pair
+    memo: dict = {}
+    column = []
+    for h in range(l + 1):
+        content = (n1,) * h + (n2,) * (l - h)
+        size = sum(content)
+        top = size + l - 1
+        factorials = math.prod(factorial(top - j) for j in range(l))
+        odd_powers = math.prod(range(1, 2 * top + 2, 2)) ** l
+        members = []  # (integer weight, even parts, odd parts) of each kappa
+        for conjugate in partitions_max_part(size, l):
+            kappa = tuple(sum(1 for part in conjugate if part > j) for j in range(l))
+            count = _kostka(kappa, content, memo)
+            if count:
+                m = [part + l - 1 - j for j, part in enumerate(kappa)]
+                signed, even, odd = _parity_split(m)
+                weight = count * signed * (factorials // math.prod(map(factorial, m)))
+                members.append((weight, even, odd))
+        total = 0
+        for i, (u, even, odd) in enumerate(members):
+            for j in range(i, len(members)):
+                w, even2, odd2 = members[j]
+                if len(even2) == len(even):
+                    cauchy = math.prod([x + y + 1 for x in even for y in even2]
+                                       + [x + y + 1 for x in odd for y in odd2])
+                    total += (1 if i == j else 2) * u * w * (odd_powers // cauchy)
+        scale = factorial(n1) ** h * factorial(n2) ** (l - h)
+        denominator = factorials * factorials * odd_powers << 2 * (size + l * (l - 1) // 2)
+        column.append(Fraction(total * scale * scale, denominator))
+    return tuple(column)
 
 
 @lru_cache(maxsize=None)
 def joint_moment_coefficient(h: int, l: int) -> Fraction:
-    """Exact leading coefficient of the joint moment with derivative orders
-    (n1, n2) = (2, 1).  Its partition-sum formula is
-
-        (-1)**(l - h + l(l-1)/2) *
-        sum_{k=0}^{2h} C(2h, k)
-          sum_{h_1+..+h_l = k}  sum_{m_0+..+m_l = R_k}
-            (-1/2)**m_0 * multinomial(k; h_j) * multinomial(R_k; m_j)
-            * prod_{j=1}^{l} 1/(2l + a_j)!  * prod_{j<s} (a_s - a_j),
-
-    with R_k = 2l + 2h - 2k and a_j = m_j + 2 h_j - j.  The pair product is
-    the Vandermonde det[a_j**i] (i = 0..l-1, j = 1..l).  Replacing a**i by
-    the falling factorial (2l+a)(2l+a-1)...(2l+a-i+1), which is monic of
-    degree i in a, leaves the determinant unchanged and cancels against
-    1/(2l+a)! to give 1/(2l+a-i)!.  The sums over h_j and m_j then enter
-    column by column (Andreief / Cauchy-Binet), so the double sum becomes
-    one Hankel determinant det[G_{2l-i-j}] (orders 1..2l-1) of the
-    two-variable Bessel-type series
-
-        G_n(s, t) = sum_{a, m >= 0} s**a t**m / (a! m! (n + m + 2a)!),
-
-    and the m_0 sum is exp(-t/2):
-
-        S(h, l) = sign * sum_k C(2h, k) k! R_k!
-                  * [s**k t**R_k] exp(-t/2) * det[G_{2l-i-j}].
-
-    Every coefficient read lies on 2*deg_s + deg_t = 2l + 2h <= 4l.
-    Truncating at a weight is a ring map, so each such coefficient is the
-    same in the determinant truncated at 4l with s-degree 2l, which
-    `_column(l)` builds once for all h of the column.  It is exact, with
-    common denominator Q**l, Q = (4l)! (6l-1)!.  The formula is specific
-    to the (2, 1) derivative pair; other pairs are not computed here.
-    """
+    """Entry h of `_column((2, 1), l)`: the exact leading coefficient of the
+    joint moment with h derivatives of order 2 and l - h of order 1."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 0 <= h <= l:
         raise ValueError(f"need 0 <= h <= l, got h={h}, l={l}")
-    return _partition_sum(_column(l), h, l)
-
-
-def _partition_sum(det: tuple[tuple[Fraction, ...], ...], h: int, l: int) -> Fraction:
-    """S(h, l) read off det[G_{2l-i-j}] truncated at any top >= 2l + 2h
-    with s-degree >= 2h, by the last formula of `joint_moment_coefficient`."""
-    top = 2 * l + 2 * h
-    total = Fraction(0)
-    for k in range(2 * h + 1):
-        remaining = top - 2 * k
-        inner = sum(
-            det[k][remaining - m0] * Fraction((-1) ** m0, 2**m0 * factorial(m0))
-            for m0 in range(remaining + 1)
-        )
-        total += math.comb(2 * h, k) * factorial(k) * factorial(remaining) * inner
-    sign = (-1) ** (l - h + (l * (l - 1)) // 2)
-    return sign * total
+    return _column((2, 1), l)[h]
 
 
 # Reference constants for l = 4: leading joint-moment coefficients for

@@ -22,10 +22,8 @@ What remains is a determinant of polynomials.  Its entries, cut at degree
 terms-1 and scaled by one common denominator D to integer coefficients,
 form a grid of `IntegerSeries`; the determinant of that grid, cut at the
 same degree, is exact there, and it is divided by D**l once.
-`bessel_determinant` is that one grid; with a positive s-degree it also
-builds the two-variable series G_n(s, t), with G_n(0, x) = g_n(x), whose
-Hankel determinant is the (2, 1) partition sum of `zgap.moments`.  There is
-no rounding anywhere in this module.
+`bessel_determinant` is that one grid.  There is no rounding anywhere in
+this module.
 
 Results are `HalfPowerSeries`: x**offset * (c_0 + c_1*x + ...) with the
 offset a multiple of 1/2 and `terms` exact coefficients: Toeplitz from
@@ -76,35 +74,29 @@ class HalfPowerSeries:
 
 
 class IntegerSeries:
-    """Series in s and t with integer coefficients, truncated to the
-    weighted degree 2*deg_s + deg_t <= top.  ``rows[a][m]`` is the
-    coefficient of s**a * t**m, so ``rows[a]`` has top - 2a + 1 entries; a
-    series in t alone is the one-row case.  Operands of a sum or product
-    have the same top and the same number of rows.  Weights add under
-    multiplication, so every kept coefficient of a sum or product is
+    """A series in x with integer coefficients, cut at a fixed degree:
+    ``coeffs[m]`` is the coefficient of x**m.  Operands of a sum or product
+    have the same length, so every kept coefficient of a product is
     exact."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("coeffs",)
 
-    def __init__(self, rows: list[list[int]]) -> None:
-        self.rows = rows
+    def __init__(self, coeffs: list[int]) -> None:
+        self.coeffs = coeffs
 
     def __add__(self, other: "IntegerSeries") -> "IntegerSeries":
-        return IntegerSeries([[x + y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)])
+        return IntegerSeries([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "IntegerSeries") -> "IntegerSeries":
-        return IntegerSeries([[x - y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)])
+        return IntegerSeries([x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "IntegerSeries") -> "IntegerSeries":
-        out = [[0] * len(row) for row in self.rows]
-        for a1, p in enumerate(self.rows):
-            for a2, q in enumerate(other.rows[: len(out) - a1]):
-                row = out[a1 + a2]
-                horizon = len(row)
-                for m1, x in enumerate(p[:horizon]):
-                    if x:
-                        for m2, y in enumerate(q[: horizon - m1], start=m1):
-                            row[m2] += x * y
+        horizon = len(self.coeffs)
+        out = [0] * horizon
+        for m1, x in enumerate(self.coeffs):
+            if x:
+                for m2, y in enumerate(other.coeffs[: horizon - m1], start=m1):
+                    out[m2] += x * y
         return IntegerSeries(out)
 
 
@@ -146,36 +138,23 @@ class SeriesMatrix:
         return minor(0)
 
 
-def bessel_determinant(
-    orders: list[list[int]], top: int, s_degree: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """det[G_{orders[j][k]}] for the two-variable Bessel-type series
+def bessel_determinant(orders: list[list[int]], top: int) -> tuple[Fraction, ...]:
+    """det[g_{orders[j][k]}(x)] through x**top, for the Bessel-type series
 
-        G_n(s, t) = sum_{a, m >= 0} s**a * t**m / (a! * m! * (n + m + 2a)!),
+        g_n(x) = sum_{m >= 0} x**m / (m! * (n + m)!),
 
-    1/(negative)! = 0, truncated at 2a + m <= top with a <= s_degree <=
-    top/2 (so G_n(0, t) = g_n(t)).  Row a of the result holds the exact coefficients
-    of s**a * t**m, m = 0..top-2a.  Every entry is scaled by D = top! *
-    (top + n)!, with n the largest order, to integer coefficients (a + m
-    <= top, so a! * m! divides top!), and the determinant is divided by
-    D**l once."""
+    1/(negative)! = 0.  Every entry is scaled by D = top! * (top + n)!, with
+    n the largest order, to integer coefficients, and the determinant is
+    divided by D**l once."""
     scale = factorial(top) * factorial(top + max(map(max, orders)))
     grid = {
-        n: IntegerSeries(
-            [
-                [
-                    scale // (factorial(a) * factorial(m) * factorial(n + m + 2 * a))
-                    if n + m + 2 * a >= 0 else 0
-                    for m in range(top - 2 * a + 1)
-                ]
-                for a in range(s_degree + 1)
-            ]
-        )
+        n: IntegerSeries([scale // (factorial(m) * factorial(n + m)) if n + m >= 0 else 0
+                          for m in range(top + 1)])
         for n in {n for row in orders for n in row}
     }
     det = SeriesMatrix(tuple(tuple(grid[n] for n in row) for row in orders)).determinant()
     denominator = scale ** len(orders)
-    return tuple(tuple(Fraction(c, denominator) for c in row) for row in det.rows)
+    return tuple(Fraction(c, denominator) for c in det.coeffs)
 
 
 def _check_size(l: int, terms: int) -> None:
@@ -190,7 +169,7 @@ def hankel_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     x**(l**2/2) * det[g_{j+k+1}(x)], with `terms` exact coefficients."""
     _check_size(l, terms)
     orders = [[j + k + 1 for k in range(l)] for j in range(l)]
-    return HalfPowerSeries(Fraction(l * l, 2), bessel_determinant(orders, terms - 1, 0)[0])
+    return HalfPowerSeries(Fraction(l * l, 2), bessel_determinant(orders, terms - 1))
 
 
 def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
@@ -204,7 +183,7 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     _check_size(l, terms)
     size = max(1, min(l, terms - 1))
     orders = [[j - k for k in range(size)] for j in range(size)]
-    return HalfPowerSeries(Fraction(0), bessel_determinant(orders, terms - 1, 0)[0])
+    return HalfPowerSeries(Fraction(0), bessel_determinant(orders, terms - 1))
 
 
 def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:

@@ -4,13 +4,15 @@ against.  The library itself has no use for them, so they live here, once."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
+from math import factorial
 
 import numpy
 
-from zgap import bounds, moments
+from zgap import bounds
 from zgap.moments import coefficient_column
-from zgap.series import bessel_determinant
+from zgap.series import SeriesMatrix
 
 
 def cue_moment_coefficient(l):
@@ -55,14 +57,6 @@ def exact_prelude_by_fractions(coefficients):
     v1 = (s3 * s3 - 2 * s2 * s4) / 4
     derived = bounds.DerivedParams(v_exact=(v1, v2, v3), lam_exact=s4 * s4, sigma=(s1, s2, s3, s4))
     return capB, inputs, x, derived
-
-
-def per_h_partition_sum(h, l):
-    """The (2, 1) partition sum S(h, l) read from its own determinant,
-    truncated at top = 2l + 2h with s-degree l + h, instead of from the
-    one top = 4l determinant that the library shares across the column."""
-    orders = [[2 * l - i - j for j in range(1, l + 1)] for i in range(l)]
-    return moments._partition_sum(bessel_determinant(orders, 2 * l + 2 * h, l + h), h, l)
 
 
 def partitions_by_recursion(n, max_part):
@@ -175,6 +169,111 @@ def series_product(p, q, top):
 def series_derivative(p):
     """d/dt of p, one coefficient shorter in each row."""
     return [[m * c for m, c in enumerate(row)][1:] for row in p]
+
+
+class WeightedSeries:
+    """A series of rows[a][m] = [s**a t**m] through weight top, with every
+    row a <= top // 2 kept, as an entry of `series.SeriesMatrix`: sums
+    coefficient by coefficient, products by `series_product`."""
+
+    __slots__ = ("rows", "top")
+
+    def __init__(self, rows, top):
+        self.rows, self.top = rows, top
+
+    def __add__(self, other):
+        rows = [[x + y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)]
+        return WeightedSeries(rows, self.top)
+
+    def __sub__(self, other):
+        rows = [[x - y for x, y in zip(p, q)] for p, q in zip(self.rows, other.rows)]
+        return WeightedSeries(rows, self.top)
+
+    def __mul__(self, other):
+        return WeightedSeries(series_product(self.rows, other.rows, self.top), self.top)
+
+
+def bessel_grid_determinant(orders, top):
+    """det[G_{orders[j][k]}] for the two-variable Bessel-type series
+
+        G_n(s, t) = sum_{a, m >= 0} s**a * t**m / (a! * m! * (n + m + 2a)!),
+
+    1/(negative)! = 0, so G_n(0, t) = g_n(t) of `series.bessel_determinant`,
+    through the weight 2a + m <= top.  Row a of the result holds the
+    coefficients of s**a * t**m, m = 0..top-2a.  Every entry is scaled by
+    D = top! * (top + n)!, with n the largest order, to integer coefficients
+    (a + m <= top, so a! * m! divides top!), and the determinant is divided
+    by D**l once."""
+    scale = factorial(top) * factorial(top + max(map(max, orders)))
+    grid = {
+        n: WeightedSeries(
+            [
+                [
+                    scale // (factorial(a) * factorial(m) * factorial(n + m + 2 * a))
+                    if n + m + 2 * a >= 0 else 0
+                    for m in range(top - 2 * a + 1)
+                ]
+                for a in range(top // 2 + 1)
+            ],
+            top,
+        )
+        for n in {n for row in orders for n in row}
+    }
+    det = SeriesMatrix(tuple(tuple(grid[n] for n in row) for row in orders)).determinant()
+    denominator = scale ** len(orders)
+    return tuple(tuple(Fraction(c, denominator) for c in row) for row in det.rows)
+
+
+def partition_sum_orders(l):
+    """The orders 2l - i - j (i = 0..l-1, j = 1..l) of the (2, 1) grid."""
+    return [[2 * l - i - j for j in range(1, l + 1)] for i in range(l)]
+
+
+@lru_cache(maxsize=None)
+def laplace_column(l):
+    """det[G_{2l-i-j}] through weight 4l: the one determinant that every
+    h = 0..l of the (2, 1) column reads, by `partition_sum`."""
+    return bessel_grid_determinant(partition_sum_orders(l), 4 * l)
+
+
+def partition_sum(det, h, l):
+    """The (2, 1) coefficient S(h, l) by its partition-sum formula,
+
+        (-1)**(l - h + l(l-1)/2) *
+        sum_{k=0}^{2h} C(2h, k)
+          sum_{h_1+..+h_l = k}  sum_{m_0+..+m_l = R_k}
+            (-1/2)**m_0 * multinomial(k; h_j) * multinomial(R_k; m_j)
+            * prod_{j=1}^{l} 1/(2l + a_j)!  * prod_{j<s} (a_s - a_j),
+
+    with R_k = 2l + 2h - 2k and a_j = m_j + 2 h_j - j, read off `det`, the
+    grid det[G_{2l-i-j}] of `bessel_grid_determinant` through any weight
+    top >= 2l + 2h.  The pair product is the Vandermonde det[a_j**i]
+    (i = 0..l-1, j = 1..l).  Replacing a**i by the falling factorial
+    (2l+a)(2l+a-1)...(2l+a-i+1), which is monic of degree i in a, leaves the
+    determinant unchanged and cancels against 1/(2l+a)! to give
+    1/(2l+a-i)!.  The sums over h_j and m_j then enter column by column
+    (Andreief / Cauchy-Binet), so the double sum becomes one Hankel
+    determinant det[G_{2l-i-j}] (orders 1..2l-1), and the m_0 sum is
+    exp(-t/2):
+
+        S(h, l) = sign * sum_k C(2h, k) k! R_k!
+                  * [s**k t**R_k] exp(-t/2) * det[G_{2l-i-j}].
+
+    Every coefficient read lies on 2*deg_s + deg_t = 2l + 2h <= 4l.
+    Truncating at a weight is a ring map, so each such coefficient is the
+    same in the determinant through 4l, which `laplace_column(l)` builds
+    once for all h of the column.  The formula is specific to the (2, 1)
+    derivative pair."""
+    top = 2 * l + 2 * h
+    total = Fraction(0)
+    for k in range(2 * h + 1):
+        remaining = top - 2 * k
+        inner = sum(
+            det[k][remaining - m0] * Fraction((-1) ** m0, 2**m0 * factorial(m0))
+            for m0 in range(remaining + 1)
+        )
+        total += math.comb(2 * h, k) * factorial(k) * factorial(remaining) * inner
+    return (-1) ** (l - h + (l * (l - 1)) // 2) * total
 
 
 # Exact univariate polynomials over Fraction: coefficient lists, lowest

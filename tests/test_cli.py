@@ -51,15 +51,15 @@ def test_bounds_command_corrupted_fails(capsys):
     assert payload["valid"] is False
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP.md item 7: data_integrity checks the (3,2) column only at its h = 0 "
-    "anchor, and --corrupt raises its h = 2 entry",
-)
 def test_bounds_command_corrupted_fails_n2(capsys):
     status, out = run_cli(["bounds", "--n", "2", "--corrupt"], capsys)
     assert status == 1
-    assert json.loads(out)["valid"] is False
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    # the raised h = 2 entry is the one mismatch, and no other row fails
+    rows = {c["name"]: (c["passed"], c["residual"]) for c in payload["checks"]}
+    assert rows.pop("data_integrity") == (False, "1.0")
+    assert all(passed for passed, _ in rows.values())
 
 
 def test_moments_command(capsys):
@@ -448,7 +448,7 @@ def test_rejected_exact_command_is_one_line_without_bounds(args):
 # argparse prints it at 80 columns.  The defaults shown there come from
 # `zgap.arith`, and the top-level text is the `zgap.cli` docstring.
 HELP_DIGESTS = {
-    "": "1498b442d6cdde7e9994be3aa58b5b72be05acd0f3b807998b317f9bc0609788",
+    "": "b04c77814c7a286492324d57a52b69f0de089ad6e40e1d42a8d5bca0cb7e9f49",
     "bounds": "51e5ef56b263373ed205327c3f0e2d6a7181ff57c6b780d3d92a2600d9bd164b",
     "moments": "b793ed7a62773a0e83475ecdc9f1e11c6d5993db4dc75eb9084ba05e3f220bf7",
     "lis": "ec9e7d0ef3f39454809013bc11280e15153931247338d39bf1353447fad55cc7",
@@ -527,7 +527,7 @@ REPORT_DIGESTS = {
     "bounds --n 1 --tol 1e-13 --format json":
         (0, "bde7590bd0114ad8840818052abce7403e1bc6f642d81846c027dd0ccd2554de"),
     "bounds --n 2 --format json":
-        (0, "32c7a5dff17499f8d6d0424734eb0a5dc270be5f7d48feacbbb0c7efc6e89fbb"),
+        (0, "b8d14256c3d3ecbac91fa780e686e481cacc83a0abfd37d8782afe41e5666210"),
     "bounds --n 2 --format csv":
         (0, "b5e805a3edd3fa6e4b19f0a9b387fe331d71cfea58738061aacab5bd5cd21df2"),
     "bounds --n 2 --format text":

@@ -224,7 +224,7 @@ def test_series_count_matches_the_full_determinant_above_n():
     for l in range(2, 9):
         orders = [[j - k for k in range(l)] for j in range(l)]
         for max_n in range(1, l):
-            full = bessel_determinant(orders, max_n, 0)[0]
+            full = bessel_determinant(orders, max_n)
             assert count_by_series(l, max_n) == [
                 c * factorial(n) ** 2 for n, c in enumerate(full)
             ] == [factorial(n) for n in range(max_n + 1)]

@@ -3,14 +3,19 @@
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     compositions,
     cue_moment_coefficient,
     hall_ratio,
-    per_h_partition_sum,
+    laplace_column,
+    partitions_by_recursion,
+    partition_sum,
     series_derivative,
     series_product,
 )
@@ -87,13 +92,8 @@ def test_partition_sum_matches_term_by_term_oracle(h, l):
     assert joint_moment_coefficient(h, l) == partition_sum_oracle(h, l)
 
 
-@pytest.mark.parametrize("h,l", [(h, l) for l in range(1, 6) for h in range(l + 1)])
-def test_one_determinant_per_column_matches_one_per_h(h, l):
-    assert joint_moment_coefficient(h, l) == per_h_partition_sum(h, l)
-
-
-# Toda cross-check of the column determinant: only products and
-# t-derivatives of the computed determinants enter, so it shares no code
+# Toda cross-check of the Laplace oracle's column determinant: only products
+# and t-derivatives of the computed determinants enter, so it shares no code
 # with the Laplace expansion.
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_column_determinant_satisfies_the_toda_equation(l):
@@ -102,9 +102,9 @@ def test_column_determinant_satisfies_the_toda_equation(l):
     # Desnanot-Jacobi gives H_{l+1} H_{l-1} = H_l H_l'' - (H_l')**2.  Each
     # H_l is exact through weight 4l, so both sides are through 4l - 4.
     top = 4 * l - 4
-    h = moments._column(l)
+    h = laplace_column(l)
     h1 = series_derivative(h)
-    lhs = series_product(moments._column(l + 1), moments._column(l - 1), top)
+    lhs = series_product(laplace_column(l + 1), laplace_column(l - 1), top)
     rhs = [
         [x - y for x, y in zip(row, square)]
         for row, square in zip(
@@ -115,33 +115,125 @@ def test_column_determinant_satisfies_the_toda_equation(l):
     assert any(any(row) for row in lhs)
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_general_column_matches_the_laplace_oracle(l):
+    assert moments._column((2, 1), l) == tuple(
+        partition_sum(laplace_column(l), h, l) for h in range(l + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_general_column_reproduces_the_reference_column(n):
+    assert moments._column((n + 1, n), 4) == tuple(coefficient_column(n)[h] for h in range(5))
+
+
+def test_general_column_at_a_zero_is_the_cue_moment():
+    # a = 0 leaves kappa = 0 and m = (l-1, ..., 0): G(l+1)**2 / G(2l+1)
+    values = [moments._column((0, 0), l)[0] for l in range(1, 5)]
+    assert values == [1, Fraction(1, 12), Fraction(1, 8640), Fraction(1, 870912000)]
+    assert values == [cue_moment_coefficient(l) for l in range(1, 5)]
+
+
+def tableau_counts(shape, entries):
+    """{content: number of semistandard tableaux of `shape` with entries
+    1..entries}, by trying every filling: rows weakly increase, columns
+    strictly."""
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    counts = {}
+    for filling in product(range(1, entries + 1), repeat=len(cells)):
+        value = dict(zip(cells, filling))
+        if all(value[i, j - 1] <= v for (i, j), v in value.items() if j) and all(
+            value[i - 1, j] < v for (i, j), v in value.items() if i
+        ):
+            content = tuple(filling.count(e) for e in range(1, entries + 1))
+            counts[content] = counts.get(content, 0) + 1
+    return counts
+
+
+def test_kostka_numbers_count_semistandard_tableaux():
+    memo = {}
+    checked = 0
+    for size in range(1, 7):
+        for entries in range(1, 5):
+            for shape in partitions_by_recursion(size, size):
+                counts = tableau_counts(shape, entries)
+                padded = shape + (0,) * max(0, entries - len(shape))
+                for content in compositions(size, entries):
+                    assert moments._kostka(padded, content, memo) == counts.get(content, 0)
+                    checked += counts.get(content, 0) > 0
+    assert checked > 500
+
+
+def determinant_by_elimination(matrix):
+    """The determinant of a square grid of Fractions by Gaussian
+    elimination with row swaps."""
+    rows = [list(row) for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def shifted_parts(l):
+    """m = kappa + (l-1, ..., 0) for a partition kappa with at most l parts:
+    l distinct nonnegative integers, decreasing."""
+    return st.sets(st.integers(0, 14), min_size=l, max_size=l).map(
+        lambda parts: sorted(parts, reverse=True)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda l: st.tuples(shifted_parts(l), shifted_parts(l))))
+def test_parity_blocks_give_the_moment_determinant(pair):
+    # det[M(m_j + m'_k)], M(n) = 1/(2**n (n+1)) for even n and 0 for odd n,
+    # is 0 unless m and m' have as many even parts, and otherwise the
+    # signed Vandermonde products over 2**(|m| + |m'|) and the two Cauchy
+    # denominators prod (x + y + 1) over the parts of one parity
+    m, m2 = pair
+    moment = [[Fraction(1, 2**n * (n + 1)) if n % 2 == 0 else 0 for n in (x + y for y in m2)]
+              for x in m]
+    signed, even, odd = moments._parity_split(m)
+    signed2, even2, odd2 = moments._parity_split(m2)
+    if len(even) != len(even2):
+        expected = Fraction(0)
+    else:
+        cauchy = math.prod(x + y + 1 for xs, ys in ((even, even2), (odd, odd2))
+                           for x in xs for y in ys)
+        expected = Fraction(signed * signed2, 2 ** (sum(m) + sum(m2)) * cauchy)
+    assert determinant_by_elimination(moment) == expected
+
+
 @pytest.fixture
-def builds(monkeypatch):
-    """The argument tuples of every determinant `moments` builds, counted
-    from cold caches."""
+def builds():
+    """The column builds of `moments` from cold caches: the misses of
+    `moments._column`, read when called."""
     moments._column.cache_clear()
     moments.joint_moment_coefficient.cache_clear()
-    calls = []
-    build = moments.bessel_determinant
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(moments, "bessel_determinant", counting)
-    return calls
+    return lambda: moments._column.cache_info().misses
 
 
 def test_moments_command_builds_the_column_once(builds, capsys):
     assert cli.main(["moments", "--l", "4"]) == 0
     capsys.readouterr()
-    assert [(top, s_degree) for _, top, s_degree in builds] == [(16, 8)]
+    assert builds() == 1
 
 
-def test_both_certificates_share_one_column_build(builds):
+def test_each_certificate_builds_one_column_and_repeats_build_none(builds):
     assert bounds.certify_bound(1).valid
+    assert builds() == 1
     assert bounds.certify_bound(2).valid
-    assert len(builds) == 1
+    assert builds() == 2
+    assert bounds.certify_bound(1).valid and bounds.certify_bound(2).valid
+    assert builds() == 2
 
 
 def test_partition_sum_rejects_bad_arguments(builds):
@@ -149,7 +241,7 @@ def test_partition_sum_rejects_bad_arguments(builds):
         joint_moment_coefficient(5, 4)
     with pytest.raises(ValueError):
         joint_moment_coefficient(-1, 2)
-    assert builds == []
+    assert builds() == 0
 
 
 @pytest.mark.parametrize("h", [0, 1, 2, 3, 4])

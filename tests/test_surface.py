@@ -331,8 +331,8 @@ def test_exact_prelude_is_integer_arithmetic():
 # The memoised functions of `src/zgap`, each with the traffic that re-reads
 # its cache within one process.  A new cache fails here until it is listed.
 CACHES = {
-    "moments._column": "every h of a (2, 1) column reads the one determinant",
-    "moments.joint_moment_coefficient": "the library workload repeats its certificates",
+    "moments._column": "each certificate re-reads its column; every h of a column reads one build",
+    "moments.joint_moment_coefficient": "perfbench's tracer reports the hits of this cache",
     "series.SeriesMatrix.determinant.minor": "each Laplace minor is reached from every order of its columns",
 }
 
