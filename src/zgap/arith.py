@@ -20,6 +20,8 @@ DEFAULT_QUAD_TOL = 1e-8
 # Default largest prime of `zgap.moments.arithmetic_factor` and of
 # `zgap arithfactor --cutoff`.
 DEFAULT_PRIME_CUTOFF = 100_000
+# Default series terms of `zgap.series` and of `zgap hankel --terms`.
+DEFAULT_TERMS = 12
 
 
 def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:

@@ -36,12 +36,11 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from . import lis, series
-from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL
+from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS
 
-# What only some commands or formats use (`bounds`, `moments`, `json`,
-# `csv`, `tempfile`) is imported where it is used, so that a process loads
-# no more than its command runs.
+# What only some commands or formats use (`bounds`, `moments`, `lis`,
+# `series`, `json`, `csv`, `tempfile`) is imported where it is used, so that
+# a process loads no more than its command runs.
 #
 # The report functions return library values as they are, and `_render`
 # writes every one through `_plain`, the one artifact format.  The module
@@ -81,45 +80,43 @@ def _bounds_report(args: argparse.Namespace):
 
 
 def _moments_report(args: argparse.Namespace):
-    """For the (2, 1) pair the partition sums, with the reference column
-    alongside when l = 4; for the (3, 2) pair (l = 4 only) the reference
-    column alone."""
+    """The partition sums of the (2, 1) pair, with the reference column
+    alongside when l = 4, or the (3, 2) column (l = 4 only) beside its
+    reference; each h with a reference entry gets a match flag."""
     from . import moments
 
     l, (n1, n2) = args.l, args.pair
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if args.pair == (2, 1):
-        computed = {h: moments.joint_moment_coefficient(h, l) for h in range(l + 1)}
+        computed = [moments.joint_moment_coefficient(h, l) for h in range(l + 1)]
         reference = moments.coefficient_column(1) if l == 4 else {}
     elif args.pair == (3, 2):
         if l != 4:
             raise ValueError("the (3, 2) pair is tabulated for l = 4 only")
-        computed, reference = {}, moments.coefficient_column(2)
+        computed, reference = moments._column((3, 2), l), moments.coefficient_column(2)
     else:
         raise ValueError(f"unsupported derivative pair {args.pair}")
 
     entries = []
-    ok = True
-    for h in range(l + 1):
-        entry: dict = {"h": h, "l": l, "n1": n1, "n2": n2}
-        if h in computed:
-            entry["partition_sum"] = computed[h]
+    for h, value in enumerate(computed):
+        entry: dict = {"h": h, "l": l, "n1": n1, "n2": n2, "partition_sum": value}
         if h in reference:
             entry["reference"] = reference[h]
-        if h in computed and h in reference:
-            entry["match"] = computed[h] == reference[h]
-            ok = ok and entry["match"]
+            entry["match"] = value == reference[h]
         entries.append(entry)
+    ok = all(e.get("match", True) for e in entries)
     header = ["h", "partition_sum", "reference", "match"]
     body = [
-        [e["h"], e.get("partition_sum", ""), e.get("reference", ""), e.get("match", "")]
+        [e["h"], e["partition_sum"], e.get("reference", ""), e.get("match", "")]
         for e in entries
     ]
     return {"records": entries, "all_match": ok}, header, body, ok
 
 
 def _lis_report(args: argparse.Namespace):
+    from . import lis
+
     counts = lis.count_by_tableaux(args.l, args.max_n)
     by_series = lis.count_by_series(args.l, args.max_n)
     by_enum = lis.count_by_enumeration(args.l, min(args.max_n, lis.ENUMERATION_LIMIT))
@@ -137,6 +134,8 @@ def _lis_report(args: argparse.Namespace):
 
 
 def _hankel_report(args: argparse.Namespace):
+    from . import series
+
     det = series.hankel_determinant(args.l, args.terms)
     payload = {"l": args.l, "terms": args.terms,
                "offset": det.offset, "coefficients": det.coeffs}
@@ -145,6 +144,8 @@ def _hankel_report(args: argparse.Namespace):
 
 
 def _identity_report(args: argparse.Namespace):
+    from . import series
+
     report = series.check_hankel_identity(args.l, args.terms)
     payload = {k: v for k, v in report._asdict().items() if v is not None}
     return payload, ["field", "value"], sorted(payload.items()), report.matched
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     terms_help = "series terms (default: %(default)s)"
     p = command("hankel", _hankel_report, "Hankel determinant series")
     p.add_argument("--l", type=int, default=4)
-    p.add_argument("--terms", type=int, default=series.DEFAULT_TERMS, help=terms_help)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS, help=terms_help)
 
     p = command("identity", _identity_report, "unitary-average identity check")
     p.add_argument("--l", type=int, default=3)

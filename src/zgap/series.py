@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import Iterator, NamedTuple, Sequence
 
-DEFAULT_TERMS = 12
+from .arith import DEFAULT_TERMS
 
 
 class HalfPowerSeries:

@@ -6,9 +6,11 @@ tier-1 suite (pytest does not collect this file).
 for example
 
     python tests/mutate.py bounds _root_of_decreasing tests/test_bounds.py
+    python tests/mutate.py series SeriesMatrix.determinant tests/test_series.py
 
-Each mutant changes one thing in the top-level function FUNCTION of
-`src/zgap/MODULE.py`:
+Each mutant changes one thing in FUNCTION of `src/zgap/MODULE.py`, a
+top-level function or a method written `Class.method`, nested functions
+included:
 
 * a comparison: < and <=, > and >=, == and != swap;
 * an arithmetic operator, in an expression or an augmented assignment:
@@ -18,16 +20,26 @@ Each mutant changes one thing in the top-level function FUNCTION of
 
 The tests run with pytest in a copy of `src/`, `tests/` and `perfbench/`
 made in a fresh temporary directory (TMPDIR moves it), once unmutated,
-which must pass, and once per mutant.  Every run draws the same Hypothesis
-examples (`--hypothesis-seed` SEED, with no example database carried from
-one run to the next), so a verdict depends only on the code and the tests,
-and `tests/mutants.txt` changes only when they do.  A mutant that some test fails, or
-that runs past TIMEOUT (some mutants loop), is killed; one that every
-test passes survives: either the tests miss it or it is equivalent to the
-original.
-One line per mutant goes to stdout, and the exit status is 0 when every
-mutant is killed and 1 when one survives.  `tests/mutants.txt` keeps the
-SURVIVED lines of the recorded runs, each with the reason it survives.
+which must pass, and once per mutant, every test to the end.  Every run
+draws the same Hypothesis examples (`--hypothesis-seed` SEED, with no
+example database carried from one run to the next), so a verdict depends
+only on the code and the tests, and `tests/mutants.txt` changes only when
+they do.  A mutant is killed when some test fails it, when its run takes
+TIMEOUT times as long as the unmutated run, or a minute if that is longer
+(some mutants loop), or when it outgrows the MEMORY limit of a run (some
+grow a list without end).  One that every test passes survives: either the
+tests miss it or it is equivalent to the original.
+
+One line per mutant goes to stdout.  A killed line ends with the id of
+every test that fails that mutant, as pytest's summary names it: together
+the lines are a kill matrix, and a test that no line names alone kills no
+mutant of FUNCTION that another test does not.  A timeout names no test,
+nor does a run that pytest itself cannot finish (exit status 3, as when a
+mutant's list fills the MEMORY limit and pytest has none left to report).
+The exit status is 0 when every mutant is killed and 1 when one survives.
+`tests/mutants.txt` keeps the SURVIVED lines of the recorded runs, each
+with the reason it survives, and `tests/test_mutants.py` checks that record
+against the source.
 Standard library only.
 """
 
@@ -35,17 +47,19 @@ from __future__ import annotations
 
 import argparse
 import ast
-import copy
 import os
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench")
-TIMEOUT = 600.0  # seconds per test run
+TIMEOUT = 10  # a mutant's run may take this many times the unmutated run
+MEMORY = 1 << 30  # bytes of address space per test run
 SEED = 0  # Hypothesis seed of every test run
 
 SWAPS = {
@@ -57,58 +71,89 @@ SWAPS = {
 
 
 def _mutations(node: ast.AST):
-    """Each way to mutate `node` itself, as a function that applies it in
-    place to a copy of `node`."""
+    """Each way to mutate `node` itself, as (field, the field's new value)."""
     if isinstance(node, ast.Compare):
         for i, op in enumerate(node.ops):
             if type(op) in SWAPS:
-                yield lambda n, i=i: n.ops.__setitem__(i, SWAPS[type(n.ops[i])]())
+                yield "ops", [*node.ops[:i], SWAPS[type(op)](), *node.ops[i + 1:]]
     elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
-        yield lambda n: setattr(n, "op", SWAPS[type(n.op)]())
+        yield "op", SWAPS[type(node.op)]()
     elif (isinstance(node, ast.Constant) and isinstance(node.value, int)
           and not isinstance(node.value, bool)):
-        yield lambda n: setattr(n, "value", n.value + 1)
+        yield "value", node.value + 1
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        yield lambda n: setattr(n, "op", ast.UAdd())
+        yield "op", ast.UAdd()
+
+
+def target_of(tree: ast.Module, function: str) -> tuple[ast.AST, ast.FunctionDef]:
+    """(the top-level statement that holds `function`, its definition), for a
+    top-level function or a `Class.method`."""
+    owner, _, name = function.rpartition(".")
+    top, body = None, tree.body
+    if owner:
+        top = next((n for n in body if isinstance(n, ast.ClassDef) and n.name == owner), None)
+        body = top.body if top else []
+    target = next((n for n in body if isinstance(n, ast.FunctionDef) and n.name == name), None)
+    if target is None:
+        raise SystemExit(f"mutate: no top-level function or method {function!r}")
+    return top or target, target
 
 
 def mutants(source: str, function: str):
-    """(line, original, mutated, module source) for every mutant of the
-    top-level function `function` in the module `source`."""
-    tree = ast.parse(source)
-    target = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
-                   and node.name == function), None)
-    if target is None:
-        raise SystemExit(f"mutate: no top-level function {function!r}")
+    """(line, original, mutated, module source) for every mutant of
+    `function` in the module `source`."""
+    top, target = target_of(ast.parse(source), function)
     lines = source.splitlines(keepends=True)
-    start = min([d.lineno for d in target.decorator_list] + [target.lineno]) - 1
-    before, after = "".join(lines[:start]), "".join(lines[target.end_lineno:])
-    for index, node in enumerate(ast.walk(target)):
-        for mutate in _mutations(node):
-            changed = copy.deepcopy(target)
-            mutated = next(n for k, n in enumerate(ast.walk(changed)) if k == index)
-            mutate(mutated)
-            yield (node.lineno, ast.unparse(node), ast.unparse(mutated),
-                   before + ast.unparse(changed) + "\n" + after)
+    start = min([d.lineno for d in top.decorator_list] + [top.lineno]) - 1
+    before, after = "".join(lines[:start]), "".join(lines[top.end_lineno:])
+    for node in ast.walk(target):
+        for field, value in _mutations(node):
+            kept, original = getattr(node, field), ast.unparse(node)
+            setattr(node, field, value)  # in place, and put back before the walk goes on
+            mutated, text = ast.unparse(node), before + ast.unparse(top) + "\n" + after
+            setattr(node, field, kept)
+            yield node.lineno, original, mutated, text
 
 
-def run_tests(workdir: Path, tests: list[str]) -> int | None:
-    """pytest's exit status in the copy, or None when it timed out."""
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
+def run_tests(workdir: Path, tests: list[str],
+              timeout: float | None) -> subprocess.CompletedProcess | None:
+    """pytest's run in the copy, every test to the end, its summary naming
+    each passed, failed and erroring test; None when it ran past `timeout`
+    seconds."""
     shutil.rmtree(workdir / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+    command = [sys.executable, "-m", "pytest", "-q", "-rpfE", "-p", "no:cacheprovider",
                f"--hypothesis-seed={SEED}", *tests]
     try:
-        return subprocess.run(command, cwd=workdir, env=env, capture_output=True,
-                              timeout=TIMEOUT, check=False).returncode
+        return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True,
+                              timeout=timeout, check=False, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return None
+
+
+def failing_ids(stdout: str, known: set[str]) -> list[str]:
+    """The ids on the FAILED and ERROR lines of pytest's summary.  A line
+    reads `FAILED <id> - <message>`; a parametrised id may hold spaces or
+    " - ", so the id is the longest known one that the line starts with,
+    and a collection error, whose id is a file, is the text before " - "."""
+    out = []
+    for line in stdout.splitlines():
+        outcome, _, rest = line.partition(" ")
+        if outcome not in ("FAILED", "ERROR"):
+            continue
+        heads = [i for i in known if rest == i or rest.startswith(i + " - ")]
+        out.append(max(heads, key=len) if heads else rest.split(" - ")[0])
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="module of src/zgap, without .py")
-    parser.add_argument("function", help="top-level function to mutate")
+    parser.add_argument("function", help="top-level function, or Class.method, to mutate")
     parser.add_argument("tests", nargs="+", help="pytest arguments, relative to the repo root")
     args = parser.parse_args(argv)
 
@@ -120,19 +165,28 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / name, workdir / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         module = workdir / "src" / "zgap" / f"{args.module}.py"
-        if run_tests(workdir, args.tests) != 0:
+        start = time.perf_counter()
+        clean = run_tests(workdir, args.tests, None)
+        timeout = max(60.0, TIMEOUT * (time.perf_counter() - start))
+        if clean.returncode != 0:
             print("mutate: the tests do not pass on the unmutated code", file=sys.stderr)
             return 2
+        known = {line[len("PASSED "):] for line in clean.stdout.splitlines()
+                 if line.startswith("PASSED ")}
         survivors = 0
         for line, original, mutated, text in found:
             module.write_text(text, encoding="utf-8")
-            status = run_tests(workdir, args.tests)
-            if status == 5:
+            result = run_tests(workdir, args.tests, timeout)
+            if result is not None and result.returncode == 5:
                 print("mutate: pytest collected no tests", file=sys.stderr)
                 return 2
-            verdict = "timeout" if status is None else "killed" if status else "SURVIVED"
+            ids = [] if result is None else failing_ids(result.stdout, known)
+            verdict = ("timeout" if result is None else "killed" if result.returncode
+                       else "SURVIVED")
             survivors += verdict == "SURVIVED"
-            print(f"{verdict:8}  {args.module}.py:{line}  {original}  ->  {mutated}", flush=True)
+            killers = f"  by  {'  '.join(ids)}" if ids else ""
+            print(f"{verdict:8}  {args.module}.py:{line}  {original}  ->  {mutated}{killers}",
+                  flush=True)
         print(f"{len(found)} mutants of {args.module}.{args.function}, {survivors} survived")
     return 1 if survivors else 0
 

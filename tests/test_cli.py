@@ -78,21 +78,33 @@ def test_moments_command_corrupted_table(capsys, monkeypatch):
     assert payload["all_match"] is False
 
 
-def test_moments_low_l_has_no_reference(capsys):
-    status, out = run_cli(["moments", "--l", "2", "--pair", "2,1"], capsys)
-    assert status == 0
+def test_moments_command_corrupted_table_second_pair(capsys, monkeypatch):
+    raise_reference_h2(monkeypatch)
+    status, out = run_cli(["moments", "--l", "4", "--pair", "3,2"], capsys)
+    assert status == 1
     payload = json.loads(out)
-    assert all("reference" not in r for r in payload["records"])
-    assert all("partition_sum" in r for r in payload["records"])
+    assert payload["all_match"] is False
+    assert [r["match"] for r in payload["records"]] == [True, True, False, True, True]
 
 
+def test_moments_low_l_has_no_reference(capsys):
+    for l in (1, 2):
+        status, out = run_cli(["moments", "--l", str(l), "--pair", "2,1"], capsys)
+        assert status == 0
+        payload = json.loads(out)
+        assert [r["h"] for r in payload["records"]] == list(range(l + 1))
+        assert all("reference" not in r for r in payload["records"])
+        assert all("partition_sum" in r for r in payload["records"])
+
+
+# the (3, 2) pair has a reference column at l = 4 only, and is computed there
 def test_moments_reference_only_pair(capsys):
     status, out = run_cli(["moments", "--l", "4", "--pair", "3,2"], capsys)
     assert status == 0
     payload = json.loads(out)
-    assert len(payload["records"]) == 5
-    assert all("reference" in r for r in payload["records"])
-    assert all("partition_sum" not in r for r in payload["records"])
+    assert payload["all_match"] is True
+    assert [r["h"] for r in payload["records"]] == [0, 1, 2, 3, 4]
+    assert all(r["partition_sum"] == r["reference"] and r["match"] for r in payload["records"])
 
 
 def test_lis_command_catalan_column(capsys):
@@ -300,12 +312,6 @@ def test_arithfactor_error_bound_is_rejected_before_the_sieve(l, monkeypatch, ca
     assert len(captured.err.splitlines()) == 1
 
 
-def test_help_shows_the_default_cutoff(capsys):
-    with pytest.raises(SystemExit):
-        main(["arithfactor", "--help"])
-    assert f"(default: {moments.DEFAULT_PRIME_CUTOFF})" in capsys.readouterr().out
-
-
 def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):
     def refuse(h, l):
         raise AssertionError("partition sum computed for a rejected tolerance")
@@ -398,11 +404,12 @@ def run_probe(code):
     )
 
 
-# Modules that no command needs at import: `bounds` and `moments` load with
-# the commands that run them, `json` and `csv` with the formats that write
+# Modules that no command needs at import: the zgap modules load with the
+# commands that run them, `json` and `csv` with the formats that write
 # them, no zgap module builds its records with `dataclasses`, and nothing in
 # zgap uses `numpy`.
-NOT_AT_IMPORT = ["csv", "dataclasses", "inspect", "json", "numpy", "zgap.bounds", "zgap.moments"]
+NOT_AT_IMPORT = ["csv", "dataclasses", "inspect", "json", "numpy", "zgap.bounds", "zgap.lis",
+                 "zgap.moments", "zgap.series"]
 
 
 def test_import_loads_only_what_every_command_needs():
@@ -468,8 +475,22 @@ def test_help_is_byte_identical(command, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
+# every command's defaults, as the parser fills them in
+PARSER_DEFAULTS = {
+    "bounds": {"n": 1, "tol": 1e-8, "corrupt": False},
+    "moments": {"l": 4, "pair": (2, 1)},
+    "lis": {"l": 3, "max_n": 9},
+    "hankel": {"l": 4, "terms": 12},
+    "identity": {"l": 3, "terms": 8},
+    "arithfactor": {"l": 2, "cutoff": 100_000},
+}
+
+
 def test_parse_config_defaults_and_flag():
-    assert build_parser().parse_args(["bounds", "--n", "2"]).tol == 1e-8
+    for command, defaults in PARSER_DEFAULTS.items():
+        args = vars(build_parser().parse_args([command]))
+        assert {key: args[key] for key in defaults} == defaults
+        assert (args["format"], args["output"]) == ("json", None)
     args = build_parser().parse_args(["bounds", "--n", "2", "--tol", "1e-9"])
     assert args.tol == 1e-9
 
@@ -547,11 +568,11 @@ REPORT_DIGESTS = {
     "moments --l 4 --corrupt --format text":
         (1, "10d1ea2b291df23118cd9361bca50df0bda3710ba7624f1fa87cf06a1e003a3f"),
     "moments --l 4 --pair 3,2 --format json":
-        (0, "adb6a7820e682a452c6b675644bba63ebd74ddb2c678c577a8887e8847fde597"),
+        (0, "da72b4277e33acb93830a289ff4cce80279782eacbdceac8377acc01916e7614"),
     "moments --l 4 --pair 3,2 --format csv":
-        (0, "30c54d226ea2591c42d75da00ce00beceb4fab76937e943dcc07f17033f5b826"),
+        (0, "41cae29a65c18b9abdc984b11257a132dc86c7914ec025b6188e5b0b62f393f9"),
     "moments --l 4 --pair 3,2 --format text":
-        (0, "07cdbd6991916ac19b5a263c1d6011f1857c2e8beed5e31ed23df0ab9ef7f402"),
+        (0, "7cdadae71c8b88354e0ec4933151944e59653d5d54d8ff28f513fd8901f25f34"),
     "moments --l 2 --format json":
         (0, "7e02f0164461ac2176b852cfe0ba09a591d8411a8072e6e0d00fecafaa877824"),
     "moments --l 2 --format csv":

@@ -16,8 +16,6 @@ from oracles import (
     laplace_column,
     partitions_by_recursion,
     partition_sum,
-    series_derivative,
-    series_product,
 )
 from zgap import bounds, cli, moments
 from zgap.arith import multinomial
@@ -26,21 +24,6 @@ from zgap.moments import (
     coefficient_column,
     joint_moment_coefficient,
 )
-
-G_VALUES = {1: 1, 2: 2, 3: 42, 4: 24024}
-
-
-def test_cue_moment_coefficient_examples():
-    assert cue_moment_coefficient(1) == 1
-    assert cue_moment_coefficient(2) == Fraction(1, 12)
-    assert cue_moment_coefficient(2) * math.factorial(4) == 2
-    assert cue_moment_coefficient(3) == Fraction(1, 8640)
-    assert cue_moment_coefficient(3) * math.factorial(9) == 42
-
-
-@pytest.mark.parametrize("l", [1, 2, 3, 4])
-def test_g_value_normalization(l):
-    assert cue_moment_coefficient(l) * math.factorial(l * l) == G_VALUES[l]
 
 
 def test_partition_sum_base_case_by_direct_summation():
@@ -84,35 +67,15 @@ def partition_sum_oracle(h, l):
     return (-1) ** (l - h + (l * (l - 1)) // 2) * total
 
 
-ORACLE_CASES = [(h, l) for l in range(1, 5) for h in range(l + 1)] + [(h, 5) for h in range(3)]
+# every h through l = 3, and the low h at l = 4 and 5: the reference column
+# and the Laplace oracle cover the rest of those two columns
+ORACLE_CASES = [(h, l) for l in range(1, 4) for h in range(l + 1)] + [
+    (0, 4), (1, 4), (2, 4), (0, 5), (1, 5)]
 
 
 @pytest.mark.parametrize("h,l", ORACLE_CASES)
 def test_partition_sum_matches_term_by_term_oracle(h, l):
     assert joint_moment_coefficient(h, l) == partition_sum_oracle(h, l)
-
-
-# Toda cross-check of the Laplace oracle's column determinant: only products
-# and t-derivatives of the computed determinants enter, so it shares no code
-# with the Laplace expansion.
-@pytest.mark.parametrize("l", [2, 3, 4])
-def test_column_determinant_satisfies_the_toda_equation(l):
-    # reversing rows and columns makes det[G_{2l-i-j}] the Hankel
-    # determinant H_l = det[G_{1+i+j}], and d/dt G_n = G_{n+1}, so
-    # Desnanot-Jacobi gives H_{l+1} H_{l-1} = H_l H_l'' - (H_l')**2.  Each
-    # H_l is exact through weight 4l, so both sides are through 4l - 4.
-    top = 4 * l - 4
-    h = laplace_column(l)
-    h1 = series_derivative(h)
-    lhs = series_product(laplace_column(l + 1), laplace_column(l - 1), top)
-    rhs = [
-        [x - y for x, y in zip(row, square)]
-        for row, square in zip(
-            series_product(h, series_derivative(h1), top), series_product(h1, h1, top)
-        )
-    ]
-    assert lhs == rhs
-    assert any(any(row) for row in lhs)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])

@@ -85,20 +85,6 @@ def test_row_zero_of_the_two_variable_grid_is_the_one_variable_grid(l):
             assert bessel_grid_determinant(orders, top)[0] == bessel_determinant(orders, top)
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
-def test_lower_truncation_of_the_partition_sum_grid_is_a_prefix_of_the_column(l):
-    # truncating at weight 2a + m <= top is a ring map, so the determinant
-    # truncated at 2l + 2h is the top = 4l one with every heavier term dropped
-    orders = partition_sum_orders(l)
-    column = bessel_grid_determinant(orders, 4 * l)
-    assert [len(row) for row in column] == [4 * l - 2 * a + 1 for a in range(2 * l + 1)]
-    for h in range(l + 1):
-        truncated = bessel_grid_determinant(orders, 2 * l + 2 * h)
-        assert len(truncated) == l + h + 1
-        for a, row in enumerate(truncated):
-            assert row == column[a][: len(row)]
-
-
 def test_series_validation():
     with pytest.raises(ValueError):
         HalfPowerSeries(Fraction(1, 3), (Fraction(1),))

@@ -8,7 +8,8 @@ to the name (the benchmark tracer wraps functions by attribute name).  Uses
 inside the name's own definition, docstrings, comments, the package's
 `__init__.py` and `tests/` do not count: a helper that only tests call, or
 that the package only re-exports, is dead weight.  No public name is an
-alias: no module binds one to a name it imports.  The layering: only
+alias: no module binds one to a name it imports, and the `factorial` that
+`moments`, `lis` and `series` bind is `math.factorial`.  The layering: only
 `series` names the integer series engine.  Records are plain classes: no
 module imports `dataclasses`, whose import and generated methods cost a
 `zgap` process more start-up than most commands spend working.  No
@@ -23,6 +24,7 @@ Only `cli` formats values: no module defines `to_json_dict` or
 """
 
 import ast
+import math
 import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -141,6 +143,14 @@ def test_no_public_name_aliases_an_import():
     assert not aliases, f"public names bound to an imported name: {aliases}"
 
 
+def test_bound_factorials_are_math_factorial():
+    # moments, lis and series bind math.factorial by name, where the
+    # benchmark tracer counts its calls
+    from zgap import lis, moments, series
+
+    assert moments.factorial is lis.factorial is series.factorial is math.factorial
+
+
 def test_package_exports_only_its_version():
     tree = ast.parse((ROOT / "src" / "zgap" / "__init__.py").read_text(encoding="utf-8"))
     names = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
@@ -194,8 +204,8 @@ def test_module_imports_form_no_cycle():
         list(TopologicalSorter(graph).static_order())
     except CycleError as error:
         raise AssertionError(f"import cycle between modules: {error.args[1]}") from None
-    # `cli` imports these two inside its report functions only
-    assert graph["cli"] >= {"bounds", "moments"}
+    # `cli` imports these inside its report functions only
+    assert graph["cli"] >= {"bounds", "lis", "moments", "series"}
 
 
 def test_only_cli_formats_values():
