@@ -300,10 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"zgap: out of memory computing the {args.command} report", file=sys.stderr)
         return 2
-    except RecursionError:  # the Laplace memo recurses once per row: `hankel --l 600`
-        print(f"zgap: recursion limit reached computing the {args.command} report",
-              file=sys.stderr)
-        return 2
     return 0 if ok else 1
 
 

@@ -18,12 +18,30 @@ and those factors come out of the determinant:
   row and column factors cancel over every permutation, so
   det[I_{j-k}(2z)] = det[g_{j-k}(x)].
 
-What remains is a determinant of polynomials.  Its entries, cut at degree
-terms-1 and scaled by one common denominator D to integer coefficients,
-form a grid of `IntegerSeries`; the determinant of that grid, cut at the
-same degree, is exact there, and it is divided by D**l once.
-`bessel_determinant` is that one grid.  There is no rounding anywhere in
-this module.
+The Toda chain
+--------------
+Sylvester's identity (Desnanot-Jacobi) on the corner minors gives each
+family a recurrence in the size k, from 1 at k = 0:
+
+* Hankel, H_k = det[g_{j+k+1}], H_1 = g_1 and g_n' = g_{n+1}:
+  H_{k+1} * H_{k-1} = H_k * H_k'' - (H_k')**2.
+* Toeplitz, D_k = det[g_{j-k}], D_1 = g_0 and theta = x * d/dx (the 2D
+  Toda lattice): x * D_{k+1} * D_{k-1} = D_k * theta**2 D_k - (theta D_k)**2.
+
+A step is one product and one division by H_{k-1} or D_{k-1}, whose
+constant term is nonzero.  It loses two coefficients to the Hankel
+derivatives or one to the Toeplitz division by x, so a size-l grid through
+x**top starts from g_1 or g_0 through x**h, h = top + 2(l-1) or top + l-1.
+
+`SeriesMatrix.determinant` runs the chain on integers A_k = S_k * H_k (or
+S_k * D_k):
+* Toeplitz: S_k = h!**2, since (n!)**2 * [x**n] D_k counts permutations
+  (see `toeplitz_determinant`); the scales cancel in a step.
+* Hankel: S_k = h! * (h + k**2)!, since the character sum of
+  `unitary_average` makes m! * (m + k**2)! * [x**m] H_k an integer; a step
+  multiplies by S_{k+1}/S_k and divides by S_k/S_{k-1}.
+Every division is exact and raises ArithmeticError on a remainder; the
+result is divided by S_l once.  Nothing in this module rounds.
 
 Results are `HalfPowerSeries`: x**offset * (c_0 + c_1*x + ...) with the
 offset a multiple of 1/2 and `terms` exact coefficients: Toeplitz from
@@ -36,9 +54,10 @@ lengths): `zgap.lis` reads q = 0, `check_hankel_identity` q = l.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
+from math import perm
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import DEFAULT_TERMS
@@ -66,95 +85,56 @@ class HalfPowerSeries:
         return (self.offset, self.coeffs) == (other.offset, other.coeffs)
 
     def __mul__(self, scalar) -> "HalfPowerSeries":
-        """The series times a rational scalar."""
+        """The series times a rational scalar.  Bound by name:
+        perfbench/tracer.py counts its calls."""
         scalar = Fraction(scalar)
         return HalfPowerSeries(self.offset, tuple(scalar * c for c in self.coeffs))
 
     __rmul__ = __mul__
 
 
-class IntegerSeries:
-    """A series in x with integer coefficients, cut at a fixed degree:
-    ``coeffs[m]`` is the coefficient of x**m.  Operands of a sum or product
-    have the same length, so every kept coefficient of a product is
-    exact."""
+class SeriesMatrix(NamedTuple):
+    """One Bessel grid: det[g_{j+k+1}] (family "hankel") or det[g_{j-k}]
+    (family "toeplitz") for j, k = 0..size-1, through x**top.  Bound by
+    name: perfbench/tracer.py times `determinant`."""
 
-    __slots__ = ("coeffs",)
+    family: str
+    size: int
+    top: int
 
-    def __init__(self, coeffs: list[int]) -> None:
-        self.coeffs = coeffs
+    def determinant(self) -> tuple[Fraction, ...]:
+        """The grid's determinant through x**top, by the integer Toda chain
+        of the module docstring."""
+        hankel = ("toeplitz", "hankel").index(self.family)  # also the corner order
+        h = self.top + (1 + hankel) * (self.size - 1)
 
-    def __add__(self, other: "IntegerSeries") -> "IntegerSeries":
-        return IntegerSeries([x + y for x, y in zip(self.coeffs, other.coeffs)])
+        def exact(numerator: int, denominator: int) -> int:
+            quotient, remainder = divmod(numerator, denominator)
+            if remainder:
+                raise ArithmeticError(f"inexact division in the {self.family} chain")
+            return quotient
 
-    def __sub__(self, other: "IntegerSeries") -> "IntegerSeries":
-        return IntegerSeries([x - y for x, y in zip(self.coeffs, other.coeffs)])
+        def scale(k: int) -> int:
+            return factorial(h) * factorial(h + hankel * k * k)
 
-    def __mul__(self, other: "IntegerSeries") -> "IntegerSeries":
-        horizon = len(self.coeffs)
-        out = [0] * horizon
-        for m1, x in enumerate(self.coeffs):
-            if x:
-                for m2, y in enumerate(other.coeffs[: horizon - m1], start=m1):
-                    out[m2] += x * y
-        return IntegerSeries(out)
-
-
-class SeriesMatrix:
-    """A nonempty square grid over a commutative ring: entries that support
-    ``+``, ``-`` and ``*``, such as `IntegerSeries`, int or Fraction."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple, ...]) -> None:
-        l = len(entries)
-        if l == 0 or any(len(row) != l for row in entries):
-            raise ValueError("entries must form a nonempty square grid")
-        self.entries = entries
-
-    def determinant(self):
-        """Exact determinant by Laplace expansion along the rows, memoised
-        on the set of columns already used: the minor on rows r..l-1
-        depends only on which r columns rows 0..r-1 took.  That is
-        l*2**(l-1) - l entry products (186 at l = 6, 1016 at l = 8); the
-        permutation expansion needs l!*(l-1)."""
-        rows = self.entries
-        l = len(rows)
-
-        @lru_cache(maxsize=None)
-        def minor(used: int):
-            """Determinant of rows r..l-1 over the columns not in the bitmask
-            `used`, where r is the number of columns in it."""
-            r = used.bit_count()
-            free = [j for j in range(l) if not used >> j & 1]
-            if r == l - 1:
-                return rows[r][free[0]]
-            total = rows[r][free[0]] * minor(used | 1 << free[0])
-            for k, j in enumerate(free[1:], start=1):
-                term = rows[r][j] * minor(used | 1 << j)
-                total = total - term if k % 2 else total + term
-            return total
-
-        return minor(0)
-
-
-def bessel_determinant(orders: list[list[int]], top: int) -> tuple[Fraction, ...]:
-    """det[g_{orders[j][k]}(x)] through x**top, for the Bessel-type series
-
-        g_n(x) = sum_{m >= 0} x**m / (m! * (n + m)!),
-
-    1/(negative)! = 0.  Every entry is scaled by D = top! * (top + n)!, with
-    n the largest order, to integer coefficients, and the determinant is
-    divided by D**l once."""
-    scale = factorial(top) * factorial(top + max(map(max, orders)))
-    grid = {
-        n: IntegerSeries([scale // (factorial(m) * factorial(n + m)) if n + m >= 0 else 0
-                          for m in range(top + 1)])
-        for n in {n for row in orders for n in row}
-    }
-    det = SeriesMatrix(tuple(tuple(grid[n] for n in row) for row in orders)).determinant()
-    denominator = scale ** len(orders)
-    return tuple(Fraction(c, denominator) for c in det.coeffs)
+        below = [scale(0)] + [0] * h
+        here = [exact(scale(1), factorial(m) * factorial(m + hankel)) for m in range(h + 1)]
+        for k in range(1, self.size):
+            # d/dx is theta with the constant term dropped
+            d1 = [m * c for m, c in enumerate(here)][hankel:]
+            d2 = [m * c for m, c in enumerate(d1)][hankel:]
+            n = len(d2)
+            p = [0] * n
+            for i in range(n):
+                for j in range(n - i):
+                    p[i + j] += here[i] * d2[j] - d1[i] * d1[j]
+            up, down = exact(scale(k + 1), scale(k)), exact(scale(k), scale(k - 1))
+            quotient = []
+            for m, c in enumerate(p[1 - hankel:]):  # Toeplitz: p / x
+                c = exact(c * up, down) - sum(quotient[j] * below[m - j] for j in range(m))
+                quotient.append(exact(c, below[0]))
+            below, here = here, quotient
+        return tuple(Fraction(c, scale(self.size)) for c in here)  # top + 1 of them
 
 
 def _check_size(l: int, terms: int) -> None:
@@ -166,10 +146,22 @@ def _check_size(l: int, terms: int) -> None:
 
 def hankel_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """det[ I_{j+k+1}(2*sqrt(x)) ] for j,k = 0..l-1, expanded exactly as
-    x**(l**2/2) * det[g_{j+k+1}(x)], with `terms` exact coefficients."""
+    x**(l**2/2) * det[g_{j+k+1}(x)], with `terms` exact coefficients.
+
+    The first coefficient is (-1)**(l(l-1)/2) / d, d = prod_{i<l}
+    (l+i)!/i!.  From l = 51 on, d has more digits than str() may print
+    (sys.get_int_max_str_digits(), 4300 by default), so no report could
+    be written: such an l raises ValueError before the chain starts, and
+    the loop stops multiplying once d passes that bound."""
     _check_size(l, terms)
-    orders = [[j + k + 1 for k in range(l)] for j in range(l)]
-    return HalfPowerSeries(Fraction(l * l, 2), bessel_determinant(orders, terms - 1))
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    d, bound = 1, 10**digits
+    for i in range(l if digits else 0):
+        d *= perm(l + i, l)
+        if d >= bound:
+            raise ValueError(f"the Hankel series for l={l} cannot be printed: its first "
+                             f"coefficient's denominator has more than {digits} digits")
+    return HalfPowerSeries(Fraction(l * l, 2), SeriesMatrix("hankel", l, terms - 1).determinant())
 
 
 def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
@@ -178,12 +170,11 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     coefficient of x**n is T_l(n)/(n!)**2 with T_l(n) the number of
     permutations of {1..n} whose longest increasing subsequence has length
     at most l.  T_l(n) = n! for l >= n, so the m x m grid with m =
-    max(1, min(l, terms-1)) gives the same coefficients at a cost in m:
-    the Laplace expansion memoises every column subset, 2**m entries."""
+    max(1, min(l, terms-1)) gives the same coefficients, and the chain
+    stops after m - 1 steps."""
     _check_size(l, terms)
     size = max(1, min(l, terms - 1))
-    orders = [[j - k for k in range(size)] for j in range(size)]
-    return HalfPowerSeries(Fraction(0), bessel_determinant(orders, terms - 1))
+    return HalfPowerSeries(Fraction(0), SeriesMatrix("toeplitz", size, terms - 1).determinant())
 
 
 def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -281,15 +272,13 @@ def check_hankel_identity(l: int, terms: int = 8) -> IdentityReport:
     equals (-1)**(l(l-1)/2) * det[I_{j+k+1}(2z)] coefficientwise.  Both
     sides are x**(l**2/2) times `terms` coefficients, compared index by
     index (a mismatch at k is at exponent offset + k); sides with different
-    offsets or lengths raise, so they can never read as a match.  l is
-    capped at 8, which bounds the 2**l column subsets that the Laplace
-    expansion of the Hankel side memoises.
+    offsets or lengths raise, so they can never read as a match.  The
+    Hankel side comes first, so an l that `hankel_determinant` refuses
+    costs no character sum.
     """
-    if not 1 <= l <= 8:
-        raise ValueError(f"identity check supports l in 1..8, got {l}")
     sign = -1 if (l * (l - 1) // 2) % 2 else 1
-    lhs = unitary_average(l, l, terms)
     rhs = sign * hankel_determinant(l, terms)
+    lhs = unitary_average(l, l, terms)
     if (lhs.offset, len(lhs.coeffs)) != (rhs.offset, len(rhs.coeffs)):
         raise ArithmeticError(f"the identity sides for l={l} are misaligned")
     for k, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):

@@ -6,7 +6,10 @@ tier-1 suite (pytest does not collect this file).
 for example
 
     python tests/mutate.py bounds _root_of_decreasing tests/test_bounds.py
-    python tests/mutate.py series SeriesMatrix.determinant tests/test_series.py
+    python tests/mutate.py series SeriesMatrix.determinant tests/test_series.py -k toda
+
+TEST... is everything after FUNCTION, handed to pytest as it stands: paths,
+node ids and options such as `-k EXPR`.
 
 Each mutant changes one thing in FUNCTION of `src/zgap/MODULE.py`, a
 top-level function or a method written `Class.method`, nested functions
@@ -154,8 +157,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="module of src/zgap, without .py")
     parser.add_argument("function", help="top-level function, or Class.method, to mutate")
-    parser.add_argument("tests", nargs="+", help="pytest arguments, relative to the repo root")
+    parser.add_argument("tests", nargs=argparse.REMAINDER,
+                        help="pytest arguments, relative to the repo root")
     args = parser.parse_args(argv)
+    if not args.tests:
+        parser.error("the following arguments are required: tests")
 
     source = (ROOT / "src" / "zgap" / f"{args.module}.py").read_text(encoding="utf-8")
     found = list(mutants(source, args.function))

@@ -12,7 +12,6 @@ import numpy
 
 from zgap import bounds
 from zgap.moments import coefficient_column
-from zgap.series import SeriesMatrix
 
 
 def cue_moment_coefficient(l):
@@ -172,9 +171,9 @@ def series_derivative(p):
 
 
 class WeightedSeries:
-    """A series of rows[a][m] = [s**a t**m] through weight top, with every
-    row a <= top // 2 kept, as an entry of `series.SeriesMatrix`: sums
-    coefficient by coefficient, products by `series_product`."""
+    """A series of rows[a][m] = [s**a t**m] through weight top, as an entry
+    of `laplace_determinant`: sums coefficient by coefficient, products by
+    `series_product`."""
 
     __slots__ = ("rows", "top")
 
@@ -193,17 +192,48 @@ class WeightedSeries:
         return WeightedSeries(series_product(self.rows, other.rows, self.top), self.top)
 
 
-def bessel_grid_determinant(orders, top):
+def laplace_determinant(entries):
+    """det(entries) for a nonempty square grid over a commutative ring
+    (entries with +, - and *, such as `WeightedSeries`, int or Fraction),
+    by Laplace expansion along the rows, memoised on the set of columns
+    already used: the minor on rows r..l-1 depends only on which r columns
+    rows 0..r-1 took.  That is l*2**(l-1) - l entry products (186 at l = 6);
+    the permutation expansion needs l!*(l-1)."""
+    l = len(entries)
+    if l == 0 or any(len(row) != l for row in entries):
+        raise ValueError("entries must form a nonempty square grid")
+
+    @lru_cache(maxsize=None)
+    def minor(used):
+        """Determinant of rows r..l-1 over the columns not in the bitmask
+        `used`, where r is the number of columns in it."""
+        r = used.bit_count()
+        free = [j for j in range(l) if not used >> j & 1]
+        if r == l - 1:
+            return entries[r][free[0]]
+        total = entries[r][free[0]] * minor(used | 1 << free[0])
+        for k, j in enumerate(free[1:], start=1):
+            term = entries[r][j] * minor(used | 1 << j)
+            total = total - term if k % 2 else total + term
+        return total
+
+    return minor(0)
+
+
+def bessel_grid_determinant(orders, top, s_degree=None):
     """det[G_{orders[j][k]}] for the two-variable Bessel-type series
 
         G_n(s, t) = sum_{a, m >= 0} s**a * t**m / (a! * m! * (n + m + 2a)!),
 
-    1/(negative)! = 0, so G_n(0, t) = g_n(t) of `series.bessel_determinant`,
-    through the weight 2a + m <= top.  Row a of the result holds the
-    coefficients of s**a * t**m, m = 0..top-2a.  Every entry is scaled by
-    D = top! * (top + n)!, with n the largest order, to integer coefficients
-    (a + m <= top, so a! * m! divides top!), and the determinant is divided
-    by D**l once."""
+    1/(negative)! = 0, so G_n(0, t) = g_n(t) of `zgap.series`, through the
+    weight 2a + m <= top and a <= s_degree (default top // 2; cutting s is
+    a ring map, so s_degree = 0 gives row 0 alone, cheaply), by
+    `laplace_determinant`.  Row a of the result holds the coefficients of
+    s**a * t**m, m = 0..top-2a.  Every entry is scaled by D = top! *
+    (top + n)!, with n the largest order, to integer coefficients (a + m <=
+    top, so a! * m! divides top!), and the determinant is divided by D**l
+    once."""
+    rows = top // 2 + 1 if s_degree is None else min(top // 2, s_degree) + 1
     scale = factorial(top) * factorial(top + max(map(max, orders)))
     grid = {
         n: WeightedSeries(
@@ -213,15 +243,15 @@ def bessel_grid_determinant(orders, top):
                     if n + m + 2 * a >= 0 else 0
                     for m in range(top - 2 * a + 1)
                 ]
-                for a in range(top // 2 + 1)
+                for a in range(rows)
             ],
             top,
         )
         for n in {n for row in orders for n in row}
     }
-    det = SeriesMatrix(tuple(tuple(grid[n] for n in row) for row in orders)).determinant()
+    det = laplace_determinant(tuple(tuple(grid[n] for n in row) for row in orders))
     denominator = scale ** len(orders)
-    return tuple(tuple(Fraction(c, denominator) for c in row) for row in det.rows)
+    return tuple(tuple(Fraction(c, denominator) for c in row) for row in det.rows[:rows])
 
 
 def partition_sum_orders(l):

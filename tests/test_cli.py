@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -374,13 +375,30 @@ def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
     assert captured.err == "zgap: out of memory computing the lis report\n"
 
 
-def test_recursion_limit_is_a_one_line_error(capsys):
-    # the Laplace memo recurses once per row, so l = 600 passes the
-    # interpreter's recursion limit before it multiplies anything
-    assert main(["hankel", "--l", "600", "--terms", "1"]) == 2
+HANKEL_REFUSAL = ("zgap: the Hankel series for l={} cannot be printed: its first "
+                  "coefficient's denominator has more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("argv", [["hankel", "--l", "600", "--terms", "1"],
+                                  ["identity", "--l", "600"]])
+def test_unprintable_hankel_series_is_a_fast_one_line_error(argv, capsys):
+    # refused before the chain, and before the identity's character sum
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "zgap: recursion limit reached computing the hankel report\n"
+    assert captured.err == HANKEL_REFUSAL.format(600)
+
+
+def test_hankel_l50_prints_and_l51_is_refused(capsys):
+    # the first coefficient is -1/d, d = prod_{i<50} (50+i)!/i! of 4125 digits
+    assert main(["hankel", "--l", "50", "--terms", "1"]) == 0
+    d = math.prod(math.perm(50 + i, 50) for i in range(50))
+    assert json.loads(capsys.readouterr().out)["coefficients"] == [f"-1/{d}"]
+    assert main(["hankel", "--l", "51", "--terms", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", HANKEL_REFUSAL.format(51))
 
 
 def test_lis_report_builds_one_toeplitz_determinant(monkeypatch, capsys):

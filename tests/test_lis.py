@@ -17,7 +17,7 @@ from zgap.lis import (
 )
 from zgap.series import (
     HalfPowerSeries,
-    bessel_determinant,
+    SeriesMatrix,
     partitions_max_part,
     standard_tableaux,
 )
@@ -216,9 +216,8 @@ def test_series_count_matches_the_full_determinant_above_n():
     # for l > max_n the column reads a max_n x max_n determinant; the l x l
     # grid must agree
     for l in range(2, 9):
-        orders = [[j - k for k in range(l)] for j in range(l)]
         for max_n in range(1, l):
-            full = bessel_determinant(orders, max_n)
+            full = SeriesMatrix("toeplitz", l, max_n).determinant()
             assert count_by_series(l, max_n) == [
                 c * factorial(n) ** 2 for n, c in enumerate(full)
             ] == [factorial(n) for n in range(max_n + 1)]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
@@ -14,8 +15,10 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from oracles import (
+    WeightedSeries,
     bessel_grid_determinant,
     cue_moment_coefficient,
+    laplace_determinant,
     partition_sum_orders,
     series_derivative,
     series_product,
@@ -24,9 +27,7 @@ from zgap import series
 from zgap.cli import main
 from zgap.series import (
     HalfPowerSeries,
-    IntegerSeries,
     SeriesMatrix,
-    bessel_determinant,
     check_hankel_identity,
     hankel_determinant,
     toeplitz_determinant,
@@ -47,20 +48,23 @@ def bessel(order, terms):
 
 
 def test_bessel_series_examples():
-    # a 1x1 grid is its one entry g_n(x) = sum_m x**m / (m! (m+n)!)
-    assert bessel_determinant([[0]], 2) == (1, 1, Fraction(1, 4))
-    assert bessel_determinant([[1]], 1) == (1, HALF)
-    assert bessel_determinant([[3]], 0) == (Fraction(1, 6),)
-    # 1/(negative)! = 0, so g_{-2}(x) = x**2 * g_2(x)
-    assert bessel_determinant([[-2]], 4) == (0, 0) + bessel_determinant([[2]], 2)
+    # a 1x1 grid is its corner entry g_n(x) = sum_m x**m / (m! (m+n)!):
+    # g_0 for Toeplitz, g_1 for Hankel
+    assert SeriesMatrix("toeplitz", 1, 2).determinant() == (1, 1, Fraction(1, 4))
+    assert SeriesMatrix("hankel", 1, 1).determinant() == (1, HALF)
+    assert SeriesMatrix("hankel", 1, 0).determinant() == (1,)
     assert hankel_determinant(1, 2) == HalfPowerSeries(HALF, (1, HALF))
     assert toeplitz_determinant(1, 3) == HalfPowerSeries(0, (1, 1, Fraction(1, 4)))
+    with pytest.raises(ValueError):
+        SeriesMatrix("circulant", 1, 0).determinant()
 
 
 def test_bessel_series_general_term():
-    g = bessel_determinant([[2]], 5)
-    for m in range(6):
-        assert g[m] == Fraction(1, factorial(m) * factorial(m + 2))
+    # the oracle's grid cut at s-degree 0 is one row, g_n(t) through t**5
+    for n in (-2, 2):
+        (g,) = bessel_grid_determinant([[n]], 5, s_degree=0)
+        assert g == tuple(Fraction(1, factorial(m) * factorial(m + n)) if m + n >= 0 else 0
+                          for m in range(6))
 
 
 def test_two_variable_series_general_term():
@@ -77,12 +81,40 @@ def test_two_variable_series_general_term():
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_row_zero_of_the_two_variable_grid_is_the_one_variable_grid(l):
     # setting s = 0 is a ring map, so it commutes with the determinant: row
-    # zero of the oracle's grid is the library's one-variable grid
+    # zero of the oracle's grid is its grid cut at s-degree 0, and for the
+    # Hankel orders the library's one-variable chain
     hankel_orders = [[j + k + 1 for k in range(l)] for j in range(l)]
-    for orders in (hankel_orders, partition_sum_orders(l)):
-        for h in range(l + 1):
-            top = 2 * l + 2 * h
-            assert bessel_grid_determinant(orders, top)[0] == bessel_determinant(orders, top)
+    for h in range(l + 1):
+        top = 2 * l + 2 * h
+        for orders in (hankel_orders, partition_sum_orders(l)):
+            row_zero = bessel_grid_determinant(orders, top)[0]
+            assert bessel_grid_determinant(orders, top, s_degree=0) == (row_zero,)
+        assert bessel_grid_determinant(hankel_orders, top)[0] == (
+            SeriesMatrix("hankel", l, top).determinant())
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_toda_chain_matches_the_laplace_oracle(l):
+    # the oracle through x**29 cut at x**(terms-1) is the oracle through
+    # x**(terms-1); the Toeplitz oracle is the full l x l grid, so this also
+    # checks the library's cap at terms - 1 rows
+    grids = [
+        (hankel_determinant, lambda j, k: j + k + 1, Fraction(l * l, 2)),
+        (toeplitz_determinant, lambda j, k: j - k, 0),
+    ]
+    for determinant, order, offset in grids:
+        orders = [[order(j, k) for k in range(l)] for j in range(l)]
+        (oracle,) = bessel_grid_determinant(orders, 29, s_degree=0)
+        for terms in (1, 2, 3, 5, 30):
+            assert determinant(l, terms) == HalfPowerSeries(offset, oracle[:terms])
+
+
+def test_an_inexact_step_of_the_chain_raises(monkeypatch):
+    # a scale that is not a common denominator must raise, never round
+    monkeypatch.setattr(series, "factorial", lambda n: factorial(n) + 1)
+    for family in ("hankel", "toeplitz"):
+        with pytest.raises(ArithmeticError, match=f"inexact division in the {family} chain"):
+            SeriesMatrix(family, 3, 4).determinant()
 
 
 def test_series_validation():
@@ -127,18 +159,22 @@ def test_hankel_offset_grading(l):
     assert det.offset == Fraction(l * l, 2)
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", range(1, 31))
 def test_hankel_leading_coefficient_law(l):
-    det = hankel_determinant(l, 3)
+    det = hankel_determinant(l, 1)
     sign = -1 if (l * (l - 1) // 2) % 2 else 1
     assert sign * det.coeffs[0] == cue_moment_coefficient(l)
+
+
+# The Laplace oracle, `oracles.laplace_determinant`, is the reference for
+# the library's chain; these tests check it on its own.
 
 
 def test_determinant_row_scaling_multilinearity():
     rng = random.Random(20240901)
 
     def random_series():
-        return IntegerSeries([rng.randint(-9, 9) for _ in range(4)])
+        return WeightedSeries([[rng.randint(-9, 9) for _ in range(4)]], 3)
 
     # series through x**3
     for size in (2, 3):
@@ -147,10 +183,10 @@ def test_determinant_row_scaling_multilinearity():
             scalar = rng.choice([-3, 2, 7])
             row = rng.randrange(size)
             scaled = [list(r) for r in rows]
-            scaled[row] = [IntegerSeries([scalar * c for c in s.coeffs]) for s in rows[row]]
-            direct = SeriesMatrix(tuple(map(tuple, scaled))).determinant()
-            det = SeriesMatrix(tuple(map(tuple, rows))).determinant()
-            assert direct.coeffs == [scalar * c for c in det.coeffs]
+            scaled[row] = [WeightedSeries([[scalar * c for c in s.rows[0]]], 3) for s in rows[row]]
+            (direct,) = laplace_determinant(tuple(map(tuple, scaled))).rows
+            (det,) = laplace_determinant(tuple(map(tuple, rows))).rows
+            assert direct == [scalar * c for c in det]
 
 
 def permutation_determinant(grid):
@@ -212,11 +248,11 @@ def test_determinant_matches_permutation_expansion_when_minors_cancel():
         [[u[j] * w[k]] + [rng.randint(-9, 9) for _ in range(5)] for k in range(4)]
         for j in range(4)
     ]
-    matrix = SeriesMatrix(tuple(tuple(IntegerSeries(c) for c in row) for row in entries))
-    corner = SeriesMatrix(tuple(row[:2] for row in matrix.entries[2:])).determinant()
-    assert corner.coeffs[0] == 0  # the leading coefficient of this 2x2 minor cancelled
-    assert corner.coeffs[1] != 0
-    det = matrix.determinant().coeffs
+    matrix = tuple(tuple(WeightedSeries([c], 5) for c in row) for row in entries)
+    (corner,) = laplace_determinant(tuple(row[:2] for row in matrix[2:])).rows
+    assert corner[0] == 0  # the leading coefficient of this 2x2 minor cancelled
+    assert corner[1] != 0
+    (det,) = laplace_determinant(matrix).rows
     assert det[:3] == [0, 0, 0]  # x**0..x**2 each need two leading rows, so cancel
     assert det[3] != 0
     expected, horizon = permutation_determinant([[(0, c) for c in row] for row in entries])
@@ -225,36 +261,38 @@ def test_determinant_matches_permutation_expansion_when_minors_cancel():
 
 
 def test_laplace_determinant_on_any_ring():
-    assert SeriesMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, 2))).determinant() == 4
+    assert laplace_determinant(((2, -1, 0), (-1, 2, -1), (0, -1, 2))) == 4
     # the leading coefficients 1/(j+k+1)! as plain Fractions give the
     # leading coefficient of the series determinant
     leading = tuple(tuple(Fraction(1, factorial(j + k + 1)) for k in range(4)) for j in range(4))
-    assert SeriesMatrix(leading).determinant() == hankel_determinant(4).coeffs[0]
+    assert laplace_determinant(leading) == hankel_determinant(4).coeffs[0]
+    with pytest.raises(ValueError, match="nonempty square grid"):
+        laplace_determinant(((1, 2),))
 
 
 def test_determinant_product_count(monkeypatch):
     products = 0
-    multiply = IntegerSeries.__mul__
+    multiply = WeightedSeries.__mul__
 
     def counting(self, other):
         nonlocal products
         products += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(IntegerSeries, "__mul__", counting)
+    monkeypatch.setattr(WeightedSeries, "__mul__", counting)
     counts = []
     for l in range(1, 7):
         products = 0
-        hankel_determinant(l, 4)
+        bessel_grid_determinant([[j + k + 1 for k in range(l)] for j in range(l)], 3, s_degree=0)
         counts.append(products)
     assert counts == [l * 2 ** (l - 1) - l for l in range(1, 7)]
     assert counts[-1] == 186
 
 
-# Toda cross-check: exact series products on the determinants' coefficients,
-# sharing no code with the Laplace expansion that computed them.  Each side
-# is exact through x**11: the determinants carry 14 coefficients and the
-# second derivative costs two.
+# Toda cross-check: exact Fraction series products on the determinants'
+# coefficients, sharing no code with the integer chain that computed them.
+# Each side is exact through x**11: the determinants carry 14 coefficients
+# and the second derivative costs two.
 TODA_TOP = 11
 
 
@@ -379,15 +417,15 @@ def test_toeplitz_grid_is_capped_at_terms_minus_one(l, terms, size, monkeypatch)
     # T_l(n) = n! for l >= n, so an l x l grid above terms - 1 rows is
     # wasted work; the full grid's agreement is tested in test_lis.py
     calls = []
-    build = series.bessel_determinant
+    run = series.SeriesMatrix.determinant
 
-    def recording(orders, top):
-        calls.append((len(orders), top))
-        return build(orders, top)
+    def recording(grid):
+        calls.append(tuple(grid))
+        return run(grid)
 
-    monkeypatch.setattr(series, "bessel_determinant", recording)
+    monkeypatch.setattr(series.SeriesMatrix, "determinant", recording)
     toeplitz_determinant(l, terms)
-    assert calls == [(size, terms - 1)]
+    assert calls == [("toeplitz", size, terms - 1)]
 
 
 def test_toeplitz_l2_degree_three_coefficient():
@@ -444,21 +482,38 @@ def test_unitary_average_normalization(l):
 
 
 @pytest.mark.parametrize(
-    "l,sign", [(1, 1), (2, -1), (3, -1), (4, 1), (5, 1), (6, -1), (7, -1), (8, 1)]
+    "l,sign", [(1, 1), (2, -1), (3, -1), (4, 1), (5, 1), (6, -1), (7, -1), (8, 1),
+               (9, 1), (10, -1), (11, -1), (12, 1), (13, 1), (14, -1), (15, -1), (16, 1)]
 )
 def test_hankel_identity(l, sign):
-    # 12 terms reach partitions of up to 11 with more than l rows, which the
-    # unitary average must leave out, for every l here
+    # 12 terms reach partitions of up to 11; for l <= 10 some of them have
+    # more than l rows, which the unitary average must leave out
     report = check_hankel_identity(l, 12)
     assert report.matched
     assert report.sign == sign
     assert report.terms_compared == 12
 
 
-def test_hankel_identity_range_guard():
-    for l in (0, 9):
-        with pytest.raises(ValueError, match="l in 1..8"):
-            check_hankel_identity(l, 4)
+def test_hankel_identity_range_guard(monkeypatch):
+    with pytest.raises(ValueError, match="l must be >= 1, got 0"):
+        check_hankel_identity(0, 4)
+    # the Hankel side is refused before the character sum starts
+    monkeypatch.setattr(series, "unitary_average", None)
+    with pytest.raises(ValueError, match="l=51 cannot be printed: .* more than 4300 digits"):
+        check_hankel_identity(51, 4)
+
+
+@pytest.mark.parametrize("limit", [0, 4, 3])
+def test_hankel_series_is_refused_past_the_str_digit_limit(limit, monkeypatch):
+    # at l = 3 the first coefficient is -1/8640, a four-digit denominator:
+    # printable under a limit of 4 digits, not of 3; 0 means no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    if limit == 3:
+        with pytest.raises(ValueError, match="l=3 cannot be printed: .* more than 3 digits"):
+            hankel_determinant(3, 2)
+    else:
+        expected = HalfPowerSeries(Fraction(9, 2), (Fraction(-1, 8640), Fraction(-1, 17280)))
+        assert hankel_determinant(3, 2) == expected
 
 
 def test_hankel_identity_detects_corruption(monkeypatch):

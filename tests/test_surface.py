@@ -160,8 +160,9 @@ def test_package_exports_only_its_version():
 
 def test_only_series_names_the_integer_series_engine():
     # one exact series-determinant engine: other modules call
-    # `series.bessel_determinant` and never build a grid themselves
-    engine = re.compile(r"\b(IntegerSeries|SeriesMatrix)\b")
+    # `series.hankel_determinant` or `series.toeplitz_determinant` and never
+    # build a grid themselves
+    engine = re.compile(r"\bSeriesMatrix\b")
     outside = [
         path.name for path in MODULES
         if path.name != "series.py" and engine.search(path.read_text(encoding="utf-8"))
@@ -343,7 +344,6 @@ def test_exact_prelude_is_integer_arithmetic():
 CACHES = {
     "moments._column": "each certificate re-reads its column; every h of a column reads one build",
     "moments.joint_moment_coefficient": "perfbench's tracer reports the hits of this cache",
-    "series.SeriesMatrix.determinant.minor": "each Laplace minor is reached from every order of its columns",
 }
 
 
