@@ -96,12 +96,18 @@ singularity at s = 0 and integrates to 2d, and is
 y*log((lambda*y**d + R(y))/lambda) at y = 1/u**2, R(y) = y**d * P(1/y).
 Everything is deterministic: repeated runs at fixed tolerances produce
 bit-identical certificates.
+
+The exact prelude of a coefficient column (steps 1-2) is derived once per
+process and shared by `certify_bound` and `perturbed_x_values`; the float
+re-verification of steps 3-4 and the `data_integrity` cross-check run on
+every call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .arith import DEFAULT_QUAD_TOL
@@ -427,7 +433,7 @@ def derive_params(
 def solve_x(
     v: Sequence[float],
     lam: float,
-    ratios: Mapping[int, Fraction | float],
+    ratios: Sequence[Fraction | float] | Mapping[int, Fraction | float],
     *,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> float:
@@ -436,8 +442,9 @@ def solve_x(
         sum_{h=1}^{l} (2l-1)/(2h-1) * C(l,h) * B(h) * v_h * X**h
             = (2l-1) * lambda * B(0),
 
-    for v = (v_1 .. v_{l-1}), v_l = 1 implicit, by bisection; the left side
-    is strictly increasing from 0 when all v_h >= 0 and all B(h) > 0."""
+    for v = (v_1 .. v_{l-1}), v_l = 1 implicit and B(h) = ratios[h], by
+    bisection; the left side is strictly increasing from 0 when all
+    v_h >= 0 and all B(h) > 0."""
     _check_tolerance("tol", tol)
     v_full = tuple(float(t) for t in v) + (1.0,)
     l = len(v_full)
@@ -509,10 +516,18 @@ def _integrity_checks(n: int, coefficients: Mapping[int, Fraction]) -> CheckResu
     return CheckResult("data_integrity", not mismatches, float(mismatches))
 
 
+def _column_key(coefficients: Mapping[int, Fraction]) -> tuple[tuple[int, int], ...]:
+    """The coefficient column b[0..4] as the five (numerator, denominator)
+    pairs that `_exact_prelude` reads."""
+    return tuple(_ratio(coefficients[h]) for h in range(5))
+
+
+@lru_cache(maxsize=len(THRESHOLDS))
 def _exact_prelude(
-    coefficients: Mapping[int, Fraction],
-) -> tuple[dict[int, Fraction], tuple[Fraction, ...], Fraction, DerivedParams]:
-    """The exact part of a certificate for the coefficient column b[0..4]:
+    column: tuple[tuple[int, int], ...],
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, DerivedParams]:
+    """The exact part of a certificate for the coefficient column b[0..4],
+    given as its `_column_key`:
 
         B(h) = 4**(h-4) * b[h]/b[4]  (so B(4) = 1),
         A(h) = |(2h-1)/(2h-3)| * B(h-1)/B(h),
@@ -521,9 +536,13 @@ def _exact_prelude(
     inputs (a, b, c, d) = A(1..4), the closed-form X built from them, and
     the parameters derived from both.  Each B(h) and A(h) is one integer
     over another, A(h) = (2h-1)*b[h-1] / (4*|2h-3|*b[h]); a zero b[h],
-    h >= 1, raises ZeroDivisionError."""
-    num, den = zip(*(_ratio(coefficients[h]) for h in range(5)))
-    capB = {h: Fraction(num[h] * den[4], (den[h] * num[4]) << (8 - 2 * h)) for h in range(5)}
+    h >= 1, raises ZeroDivisionError.
+
+    Memoised, one entry per certified derivative order, so a column's
+    prelude is derived once per process; every value returned is immutable
+    (B(0..4) is a tuple indexed by h), because every caller shares it."""
+    num, den = zip(*column)
+    capB = tuple(Fraction(num[h] * den[4], (den[h] * num[4]) << (8 - 2 * h)) for h in range(5))
     inputs = tuple(
         Fraction((2 * h - 1) * num[h - 1] * den[h], 4 * abs(2 * h - 3) * den[h - 1] * num[h])
         for h in range(1, 5)
@@ -580,7 +599,7 @@ def certify_bound(
         coefficients = moments.coefficient_column(n)
     integrity = _integrity_checks(n, coefficients)
 
-    capB, (a, b, c, d), x_exact, derived = _exact_prelude(coefficients)
+    capB, (a, b, c, d), x_exact, derived = _exact_prelude(_column_key(coefficients))
     v_positive = all(t > 0 for t in derived.v_exact)
     checks = [
         integrity,
@@ -631,18 +650,21 @@ def perturbed_x_values(
 
     Each lambda is re-solved to quad_tol by `solve_lambda`, with no
     quadrature: the derived v_h are positive, so the perturbed ones are
-    too."""
+    too.  The column's exact prelude is the one `certify_bound(n)` reads,
+    derived once per process; the lambda and X solves run on every call,
+    with B(h) converted to floats once for all six."""
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
     if not (math.isfinite(rel) and 0.0 < rel < 1.0):
         raise ValueError(f"rel must be finite and in (0, 1), got {rel!r}")
     _check_tolerance("quad_tol", quad_tol)
-    capB, _, _, derived = _exact_prelude(moments.coefficient_column(n))
+    capB, _, _, derived = _exact_prelude(_column_key(moments.coefficient_column(n)))
+    ratios = tuple(float(t) for t in capB)
     base_v = tuple(float(t) for t in derived.v_exact)
     out = []
     for h in range(len(base_v)):
         for direction in (1.0 - rel, 1.0 + rel):
             v = base_v[:h] + (base_v[h] * direction,) + base_v[h + 1:]
             lam = solve_lambda(v, quad_tol=quad_tol)
-            out.append(solve_x(v, lam, capB, tol=quad_tol))
+            out.append(solve_x(v, lam, ratios, tol=quad_tol))
     return out

@@ -25,7 +25,7 @@ column, and both `bounds --n 1` and `bounds --n 2` detect it.
 `arithfactor` accepts --cutoff in [2, 10**8].  It exits 2 before the sieve
 when its error bound would not be below its value (l**4 >= cutoff * ln 2:
 l >= 17 at the default cutoff), and during it when the Euler product
-underflows a float.  `identity` accepts l in 1..8.
+underflows a float.  `identity` accepts l in 1..50.
 """
 
 from __future__ import annotations

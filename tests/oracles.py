@@ -38,7 +38,7 @@ def exact_prelude_by_fractions(coefficients):
     factorization (*) through the four taus.  A zero c or d cannot come
     from a column, whose zero entry divides by zero first."""
     b4 = Fraction(coefficients[4])
-    capB = {h: Fraction(4) ** (h - 4) * Fraction(coefficients[h]) / b4 for h in range(5)}
+    capB = tuple(Fraction(4) ** (h - 4) * Fraction(coefficients[h]) / b4 for h in range(5))
     inputs = tuple(abs(Fraction(2 * h - 1, 2 * h - 3)) * capB[h - 1] / capB[h] for h in range(1, 5))
     a, b, c, d = inputs
     if b == c or c == d:

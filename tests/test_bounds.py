@@ -63,6 +63,11 @@ def derived_params_for(n):
     return derive_params(a, b, c, d, closed_form_x(a, b, c, d))
 
 
+def prelude(column):
+    """`bounds._exact_prelude` of the coefficient column b[0..4]."""
+    return bounds._exact_prelude(bounds._column_key(column))
+
+
 def derived_floats_for(n):
     """(v, lam) as floats of the exact derived parameters for order n."""
     derived = derived_params_for(n)
@@ -625,12 +630,13 @@ def signed_columns(draw):
 def test_exact_prelude_matches_the_plain_fraction_oracle(column):
     # the integer prelude against its plain-Fraction form: equal records, or
     # the same exception (a ValueError with the same message)
-    library, error = _prelude_or_error(bounds._exact_prelude, column)
+    library, error = _prelude_or_error(prelude, column)
     assert (library, error) == _prelude_or_error(exact_prelude_by_fractions, column)
     if library is not None:
         capB, inputs, x, derived = library
         assert type(derived) is bounds.DerivedParams
-        assert all(type(t) is Fraction for t in (*capB.values(), *inputs, x, *derived.v_exact,
+        assert (type(capB), type(inputs), len(capB)) == (tuple, tuple, 5)
+        assert all(type(t) is Fraction for t in (*capB, *inputs, x, *derived.v_exact,
                                                  derived.lam_exact, *derived.sigma))
 
 
@@ -657,7 +663,7 @@ def test_derived_factor_is_hurwitz_with_s3_four_times_s4(n, minors):
 @pytest.mark.parametrize("n", [1, 2])
 def test_solve_x_agrees_with_closed_form(n):
     v, lam = derived_floats_for(n)
-    capB, _, _, _ = bounds._exact_prelude(coefficient_column(n))
+    capB, _, _, _ = prelude(coefficient_column(n))
     x = solve_x(v, lam, capB, tol=1e-8)
     assert abs(x - float(closed_form_x(*RATIO_INPUTS[n]))) < 1e-7
 
@@ -928,10 +934,10 @@ def column_with_x(n, x):
     closed-form X is exactly `x`: X is linear in a = B(0)/B(1) =
     b[0]/(4 b[1]), the only input that b[0] moves."""
     column = coefficient_column(n)
-    _, (_, b, c, d), _, _ = bounds._exact_prelude(column)
+    _, (_, b, c, d), _, _ = prelude(column)
     x0, x1 = closed_form_x(0, b, c, d), closed_form_x(1, b, c, d)
     column[0] = 4 * column[1] * (x - x0) / (x1 - x0)
-    assert bounds._exact_prelude(column)[2] == x
+    assert prelude(column)[2] == x
     return column
 
 
@@ -949,7 +955,7 @@ def test_a_zero_v_fails_v_positive_but_keeps_g_increasing():
     # v3 = (s1**2 - 2 s2)/4 with s1 = tau1 X, s2 = tau2 X is exactly 0 at
     # X = 2 tau2/tau1**2; the taus do not depend on a, and X = 1 gives
     # sigma = (tau1, tau2, ...)
-    _, (a, b, c, d), _, _ = bounds._exact_prelude(coefficient_column(2))
+    _, (a, b, c, d), _, _ = prelude(coefficient_column(2))
     tau1, tau2, _, _ = derive_params(a, b, c, d, 1).sigma
     certificate = certify_bound(2, coefficients=column_with_x(2, 2 * tau2 / tau1**2))
     checks = {c.name: c for c in certificate.checks}
@@ -979,6 +985,52 @@ def test_certificate_serialization_is_exact(capsys):
     assert {c["name"] for c in payload["checks"]} == {c.name for c in certificate.checks}
 
 
+# ------------------------------------------------------ exact prelude cache
+
+
+def count_derivations(monkeypatch):
+    """Make `bounds.derive_params` append its X to the returned list."""
+    derive = bounds.derive_params
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return derive(*args)
+
+    monkeypatch.setattr(bounds, "derive_params", counting)
+    return calls
+
+
+def test_certificate_and_sensitivity_check_derive_the_prelude_once(monkeypatch):
+    calls = count_derivations(monkeypatch)
+    certificate = certify_bound(1)
+    bounds.perturbed_x_values(1)
+    assert certify_bound(1) == certificate
+    assert calls == [certificate.x_exact]
+    assert bounds._exact_prelude.cache_info().maxsize == len(THRESHOLDS)
+
+
+def test_a_cached_prelude_does_not_leak_into_an_override(monkeypatch):
+    calls = count_derivations(monkeypatch)
+    reference = certify_bound(1)
+    certificate, checks = certify_column(cli._corrupted(coefficient_column(1)))
+    assert not checks["data_integrity"].passed
+    assert not certificate.valid
+    assert (certificate.b, certificate.c) != (reference.b, reference.c)
+    assert calls == [reference.x_exact, certificate.x_exact]
+    assert certify_bound(1) == reference
+    assert len(calls) == 2
+
+
+def test_an_override_equal_to_the_reference_column_certifies_as_the_default(monkeypatch):
+    # the cache is keyed by the column's values, so the equal override reads
+    # the reference column's prelude
+    calls = count_derivations(monkeypatch)
+    column = {h: Fraction(t.numerator, t.denominator) for h, t in coefficient_column(2).items()}
+    assert certify_bound(2, coefficients=column) == certify_bound(2)
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------ exact stationarity
 
 
@@ -1005,13 +1057,13 @@ def stationarity_residuals(capB, x, derived):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_certified_x_is_an_exact_stationary_point(n):
-    capB, _, x, derived = bounds._exact_prelude(coefficient_column(n))
+    capB, _, x, derived = prelude(coefficient_column(n))
     assert stationarity_residuals(capB, x, derived) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_moved_x_is_not_stationary(n):
-    capB, inputs, x, _ = bounds._exact_prelude(coefficient_column(n))
+    capB, inputs, x, _ = prelude(coefficient_column(n))
     moved = x * Fraction(1001, 1000)
     residuals = stationarity_residuals(capB, moved, derive_params(*inputs, moved))
     assert all(r != 0 for r in residuals)

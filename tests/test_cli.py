@@ -1,19 +1,22 @@
 """CLI front end: reports, exit codes, determinism."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zgap import bounds, moments, series
+from zgap import bounds, cli, moments, series
 from zgap.cli import _plain, build_parser, main
 
 
@@ -322,19 +325,76 @@ def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys)
     assert capsys.readouterr().err.startswith("zgap: ")
 
 
-@pytest.mark.parametrize("output", ["{tmp}/missing/x.json", "{tmp}"])
+@pytest.mark.parametrize(
+    "output, reason",
+    [pytest.param(output, reason, id=output) for output, reason in
+     (("{tmp}/missing/x.json", os.strerror(errno.ENOENT)), ("{tmp}", "it is a directory"))],
+)
 def test_unwritable_output_is_rejected_before_any_partition_sum(
-    output, tmp_path, monkeypatch, capsys
+    output, reason, tmp_path, monkeypatch, capsys
 ):
     def refuse(h, l):
         raise AssertionError("partition sum computed for an unwritable --output")
 
     monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
-    assert main(["bounds", "--output", output.format(tmp=tmp_path)]) == 2
+    path = output.format(tmp=tmp_path)
+    assert main(["bounds", "--output", path]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("zgap: cannot write ")
-    assert len(captured.err.splitlines()) == 1
+    assert (captured.out, captured.err) == ("", f"zgap: cannot write {path}: {reason}\n")
+
+
+def test_an_existing_output_without_write_permission_is_refused(tmp_path, monkeypatch, capsys):
+    # root may write any file, so the missing permission is os.access's answer
+    path = tmp_path / "report.json"
+    path.write_text("keep\n")
+    monkeypatch.setattr(os, "access", lambda _, mode: mode != os.W_OK)
+    assert main(["arithfactor", "--cutoff", "100", "--output", str(path)]) == 2
+    assert capsys.readouterr().err == f"zgap: cannot write {path}: permission denied\n"
+    assert path.read_text() == "keep\n"
+
+
+def refuse_scratch_files(monkeypatch):
+    """Make every `tempfile.TemporaryFile` call fail as in a directory that
+    refuses new files."""
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+
+
+@pytest.mark.parametrize("device", [False, True])
+def test_an_existing_output_is_written_without_a_scratch_file(device, tmp_path, monkeypatch):
+    # a file that exists, a regular one or a device, is written in place, so
+    # a directory that refuses new files does not matter
+    path = os.devnull if device else str(tmp_path / "report.json")
+    if not device:
+        (tmp_path / "report.json").write_text("old\n")
+    refuse_scratch_files(monkeypatch)
+    assert main(["arithfactor", "--cutoff", "100", "--output", path]) == 0
+    if not device:
+        assert json.loads((tmp_path / "report.json").read_text())["prime_cutoff"] == 100
+
+
+def test_a_new_output_is_probed_in_its_own_directory(tmp_path, monkeypatch, capsys):
+    # a relative path's directory is the working directory, not the
+    # default scratch directory
+    probed = []
+    make = tempfile.TemporaryFile
+
+    def recording(*args, dir=None, **kwargs):
+        probed.append(dir)
+        return make(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    monkeypatch.chdir(tmp_path)
+    assert main(["arithfactor", "--cutoff", "100", "--output", "report.json"]) == 0
+    assert probed == [os.getcwd()]
+    refuse_scratch_files(monkeypatch)
+    assert main(["arithfactor", "--cutoff", "100", "--output", "other.json"]) == 2
+    assert capsys.readouterr().err == (
+        f"zgap: cannot write other.json: {os.strerror(errno.EACCES)}\n"
+    )
+    assert not (tmp_path / "other.json").exists()
 
 
 def test_failed_run_leaves_existing_output_untouched(tmp_path, capsys):
@@ -397,6 +457,13 @@ def test_hankel_l50_prints_and_l51_is_refused(capsys):
     d = math.prod(math.perm(50 + i, 50) for i in range(50))
     assert json.loads(capsys.readouterr().out)["coefficients"] == [f"-1/{d}"]
     assert main(["hankel", "--l", "51", "--terms", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", HANKEL_REFUSAL.format(51))
+
+
+def test_identity_accepts_l_up_to_50_as_the_help_text_says(capsys):
+    assert "`identity` accepts l in 1..50." in " ".join(cli.__doc__.split())
+    assert main(["identity", "--l", "51", "--terms", "1"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", HANKEL_REFUSAL.format(51))
 
@@ -473,7 +540,7 @@ def test_rejected_exact_command_is_one_line_without_bounds(args):
 # argparse prints it at 80 columns.  The defaults shown there come from
 # `zgap.arith`, and the top-level text is the `zgap.cli` docstring.
 HELP_DIGESTS = {
-    "": "b04c77814c7a286492324d57a52b69f0de089ad6e40e1d42a8d5bca0cb7e9f49",
+    "": "8a3b545e959b2eebc2a9f8ce9b17f8ebeb17afb0d457f1c8cd0e889819147819",
     "bounds": "51e5ef56b263373ed205327c3f0e2d6a7181ff57c6b780d3d92a2600d9bd164b",
     "moments": "b793ed7a62773a0e83475ecdc9f1e11c6d5993db4dc75eb9084ba05e3f220bf7",
     "lis": "ec9e7d0ef3f39454809013bc11280e15153931247338d39bf1353447fad55cc7",

@@ -246,15 +246,15 @@ def test_reference_table_out_of_range():
 def ratios(b):
     """B(0..4) and A(1..4) of the coefficient column b, as the certificate's
     exact prelude forms them."""
-    capB, inputs, _, _ = bounds._exact_prelude(b)
+    capB, inputs, _, _ = bounds._exact_prelude(bounds._column_key(b))
     return capB, dict(enumerate(inputs, start=1))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ratio_normalization_and_positivity(n):
     capB, _ = ratios(coefficient_column(n))
-    assert sorted(capB) == [0, 1, 2, 3, 4]
-    assert all(value > 0 for value in capB.values())
+    assert len(capB) == 5
+    assert all(value > 0 for value in capB)
     assert capB[4] == 1
 
 
