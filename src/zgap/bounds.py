@@ -22,21 +22,21 @@ Pipeline (all at l = 4):
    tau's rational in A..D.  Everything up to here is exact rational
    arithmetic; lambda = s4**2 in particular is kept exact.
 
-3. re-verify the derived parameters by two independent numerical routes:
-   the log-form lambda equation
+3. re-verify the derived parameters by quadrature of the log-form equation
 
        integral_0^inf log(1 + g(u)/((2l-1)*lambda)) du/u**2 = l*pi,
 
    where g(u) = (2l-1) * sum_h C(l,h) v_h u**(2h) must be increasing on the
-   positive axis (every exact v_h >= 0 proves it), and the equivalent
-   rational-integrand form whose value must be pi.  The log form's residual
-   is strictly decreasing in lambda, so it is checked by a three-quadrature
-   sign bracket, not solved: positive at lambda - delta and negative at
-   lambda + delta puts its root within delta of the exact lambda.  Sign
+   positive axis (every exact v_h >= 0 proves it).  Its residual falls
+   strictly with lambda, so it is checked by a three-quadrature sign
+   bracket, not solved: positive at lambda - delta and negative at
+   lambda + delta puts its root within delta of the exact lambda.  The
+   rational-integrand form, whose value must be pi, is no second equation:
+   by parts its deviation is that residual / l, so `pi_integral` is a second
+   quadrature of the centre value of `lambda_consistency`.  Sign
    conventions: (*) is used verbatim for extraction; the rational integrand
    carries all-plus signs in its denominator (the two polynomials are
-   related by t**2 <-> -u**2), and the quadrature oracle below confirms
-   that reading.
+   related by t**2 <-> -u**2), as the quadrature oracle below confirms.
 
 4. re-solve for X by bisection on the defining polynomial equation and
    compare with the closed form, check the bound sqrt(X) against the

@@ -16,6 +16,7 @@ from oracles import (
     laplace_column,
     partitions_by_recursion,
     partition_sum,
+    series_product,
 )
 from zgap import bounds, cli, moments
 from zgap.arith import multinomial
@@ -24,6 +25,7 @@ from zgap.moments import (
     coefficient_column,
     joint_moment_coefficient,
 )
+from zgap.series import hankel_determinant
 
 
 def test_partition_sum_base_case_by_direct_summation():
@@ -95,6 +97,20 @@ def test_general_column_at_a_zero_is_the_cue_moment():
     values = [moments._column((0, 0), l)[0] for l in range(1, 5)]
     assert values == [1, Fraction(1, 12), Fraction(1, 8640), Fraction(1, 870912000)]
     assert values == [cue_moment_coefficient(l) for l in range(1, 5)]
+
+
+def test_hankel_series_gives_the_1_0_column():
+    # c((1)^h (0)^(l-h)) = (-1)^(l(l-1)/2 + h) (2h)! [x^(2h)] e^(-x/2) H_l(x),
+    # H_l the Bessel Hankel series past its offset: the Toda chain and the
+    # Kostka-Cauchy column share no code
+    for l in range(1, 10):
+        hankel = list(hankel_determinant(l, 2 * l + 1).coeffs)
+        decay = [Fraction((-1) ** k, 2**k * math.factorial(k)) for k in range(2 * l + 1)]
+        (product_row,) = series_product([hankel], [decay], 2 * l)
+        assert moments._column((1, 0), l) == tuple(
+            (-1) ** (l * (l - 1) // 2 + h) * math.factorial(2 * h) * product_row[2 * h]
+            for h in range(l + 1)
+        ), l
 
 
 def tableau_counts(shape, entries):
