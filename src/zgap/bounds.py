@@ -110,7 +110,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .arith import DEFAULT_QUAD_TOL
+from .arith import DEFAULT_QUAD_TOL, check_tolerance
 from . import moments
 
 PANEL_TOL = 1e-12
@@ -263,14 +263,6 @@ def _factor_residual(v: Sequence[float], lam: float) -> float:
     return 6.0 * v2 - (s2 * s2 + 2.0 * s4 - 2.0 * s1 * s3)
 
 
-def _check_tolerance(name: str, tol: float) -> None:
-    """Reject a tolerance that would end a bisection or a quadrature before
-    it starts: nan compares false with everything, and inf or a value <= 0
-    is no tolerance at all."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
-
-
 def _bisect(above: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
     """Midpoint of the bracket [lo, hi] after halving it, keeping the half
     where `above(mid)` puts the root, until it is no wider than tol or no
@@ -311,7 +303,7 @@ def solve_lambda(v: Sequence[float], *, quad_tol: float = DEFAULT_QUAD_TOL) -> f
     """The root of the l = 4 lambda equation for v = (v1, v2, v3), v4 = 1
     implicit, every v_h > 0: `_root_of_decreasing` on the sign of
     `_factor_residual`, to a bracket no wider than quad_tol."""
-    _check_tolerance("quad_tol", quad_tol)
+    check_tolerance("quad_tol", quad_tol)
     if len(v) != 3:
         raise ValueError(f"solve_lambda needs v = (v1, v2, v3), got {len(v)} entries")
     return _root_of_decreasing(lambda lam: _factor_residual(v, lam), quad_tol)
@@ -445,7 +437,7 @@ def solve_x(
     for v = (v_1 .. v_{l-1}), v_l = 1 implicit and B(h) = ratios[h], by
     bisection; the left side is strictly increasing from 0 when all
     v_h >= 0 and all B(h) > 0."""
-    _check_tolerance("tol", tol)
+    check_tolerance("tol", tol)
     v_full = tuple(float(t) for t in v) + (1.0,)
     l = len(v_full)
     if not all(t >= 0.0 for t in v_full):
@@ -594,7 +586,7 @@ def certify_bound(
     """
     if n not in THRESHOLDS:
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
-    _check_tolerance("quad_tol", quad_tol)
+    check_tolerance("quad_tol", quad_tol)
     if coefficients is None:
         coefficients = moments.coefficient_column(n)
     integrity = _integrity_checks(n, coefficients)
@@ -657,7 +649,7 @@ def perturbed_x_values(
         raise ValueError(f"certification supports n in {{1, 2}}, got {n}")
     if not (math.isfinite(rel) and 0.0 < rel < 1.0):
         raise ValueError(f"rel must be finite and in (0, 1), got {rel!r}")
-    _check_tolerance("quad_tol", quad_tol)
+    check_tolerance("quad_tol", quad_tol)
     capB, _, _, derived = _exact_prelude(_column_key(moments.coefficient_column(n)))
     ratios = tuple(float(t) for t in capB)
     base_v = tuple(float(t) for t in derived.v_exact)

@@ -36,11 +36,12 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS
+from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS, check_tolerance
 
 # What only some commands or formats use (`bounds`, `moments`, `lis`,
 # `series`, `json`, `csv`, `tempfile`) is imported where it is used, so that
-# a process loads no more than its command runs.
+# a process loads no more than its command runs; `bounds` checks --tol with
+# `check_tolerance` first, so a bad tolerance loads none of those modules.
 #
 # The report functions return library values as they are, and `_render`
 # writes every one through `_plain`, the one artifact format.  The module
@@ -55,6 +56,7 @@ def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
 
 
 def _bounds_report(args: argparse.Namespace):
+    check_tolerance("quad_tol", args.tol)
     from . import bounds, moments
 
     coefficients = _corrupted(moments.coefficient_column(args.n)) if args.corrupt else None

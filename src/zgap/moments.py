@@ -16,7 +16,9 @@ Contents:
   omitted primes.  It is contextual: no bound computation depends on it.
 
 All coefficient computations are exact; only ``arithmetic_factor`` is
-floating point.
+floating point.  The partitions that `_column` sums over come from
+`zgap.arith`, which `zgap.series` shares, so a `bounds`, `moments` or
+`arithfactor` process loads neither `zgap.series` nor `zgap.lis`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import NamedTuple
 
 # multinomial is no longer called here; it stays bound in this module
 # because perfbench/tracer.py counts its calls where moments binds it.
-from .arith import DEFAULT_PRIME_CUTOFF, multinomial  # noqa: F401
-from .series import partitions_max_part
+from .arith import DEFAULT_PRIME_CUTOFF, multinomial, partitions_max_part  # noqa: F401
 
 
 def _kostka(shape: tuple[int, ...], content: tuple[int, ...], memo: dict) -> int:
@@ -185,7 +187,7 @@ def _primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 def _below_ln2(x: Fraction) -> bool:

@@ -48,8 +48,9 @@ offset a multiple of 1/2 and `terms` exact coefficients: Toeplitz from
 x**0, Hankel from x**(l**2/2).  Reading x as z**2 turns the Toeplitz
 result into the even series of det[I_{j-k}(2z)]; the unitary-average
 comparisons below use exactly that identification (z-degree = 2 *
-x-degree).  `unitary_average` is the one character sum (partitions, hook
-lengths): `zgap.lis` reads q = 0, `check_hankel_identity` q = l.
+x-degree).  `unitary_average` is the one character sum (hook lengths here,
+partitions from `zgap.arith`, which `zgap.moments` sums over too):
+`zgap.lis` reads q = 0, `check_hankel_identity` q = l.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ import sys
 from fractions import Fraction
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from math import perm
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .arith import DEFAULT_TERMS
+from .arith import DEFAULT_TERMS, partitions_max_part
 
 
 class HalfPowerSeries:
@@ -175,29 +176,6 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     _check_size(l, terms)
     size = max(1, min(l, terms - 1))
     return HalfPowerSeries(Fraction(0), SeriesMatrix("toeplitz", size, terms - 1).determinant())
-
-
-def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with every part <= max_part, parts weakly decreasing,
-    generated in lexicographically decreasing order: fill the rest of n
-    greedily with the largest parts allowed, then drop the trailing 1s and
-    lower the last part left.  No recursion, so there is no limit on the
-    number of parts."""
-    if n < 0 or (n > 0 and max_part < 1):
-        return
-    parts: list[int] = []
-    rest = n
-    while True:
-        while rest:
-            parts.append(min(rest, parts[-1] if parts else max_part))
-            rest -= parts[-1]
-        yield tuple(parts)
-        while parts and parts[-1] == 1:
-            rest += parts.pop()
-        if not parts:
-            return
-        parts[-1] -= 1
-        rest += 1
 
 
 def standard_tableaux(shape: Sequence[int]) -> int:

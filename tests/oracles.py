@@ -61,7 +61,7 @@ def exact_prelude_by_fractions(coefficients):
 def partitions_by_recursion(n, max_part):
     """Partitions of n with every part <= max_part in lexicographically
     decreasing order, by recursion on the first part: the order oracle for
-    `series.partitions_max_part`.  One level per part, so it stops at the
+    `arith.partitions_max_part`.  One level per part, so it stops at the
     interpreter's recursion limit."""
     if n == 0:
         yield ()

@@ -495,6 +495,37 @@ def test_rejected_exact_command_is_one_line_without_bounds(args):
     assert result.stderr.startswith("zgap: ") and len(result.stderr.splitlines()) == 1
 
 
+def test_rejected_tolerance_is_one_line_without_the_library():
+    probe = (
+        "import sys\n"
+        "from zgap.cli import main\n"
+        "status = [main(['bounds', '--tol', tol]) for tol in ('nan', 'inf', '0', '-1')]\n"
+        "print(status, sorted(m for m in ('zgap.bounds', 'zgap.moments', 'zgap.series')\n"
+        "                     if m in sys.modules))\n"
+    )
+    result = run_probe(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[2, 2, 2, 2] []\n"
+    assert result.stderr == "".join(
+        f"zgap: quad_tol must be finite and positive, got {tol}\n"
+        for tol in ("nan", "inf", "0.0", "-1.0")
+    )
+
+
+def test_certify_commands_never_load_series_or_lis():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from zgap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = [main(['bounds', '--n', '1']), main(['bounds', '--n', '2']),\n"
+        "              main(['moments', '--l', '4']), main(['arithfactor', '--l', '2'])]\n"
+        "print(status, sorted(m for m in ('zgap.lis', 'zgap.series') if m in sys.modules))\n"
+    )
+    result = run_probe(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0] []\n"
+
+
 # every command's defaults, as the parser fills them in
 PARSER_DEFAULTS = {
     "bounds": {"n": 1, "tol": 1e-8, "corrupt": False},

@@ -15,12 +15,8 @@ from zgap.lis import (
     count_by_series,
     count_by_tableaux,
 )
-from zgap.series import (
-    HalfPowerSeries,
-    SeriesMatrix,
-    partitions_max_part,
-    standard_tableaux,
-)
+from zgap.arith import partitions_max_part
+from zgap.series import HalfPowerSeries, SeriesMatrix, standard_tableaux
 
 
 def test_enumeration_examples():

@@ -325,6 +325,14 @@ def test_arithmetic_factor_l2_against_closed_form():
     assert abs(estimate.value - 6 / math.pi**2) <= estimate.error_bound + 2e-4
 
 
+def test_sieve_matches_trial_division():
+    # every n up to 400 meets the sieve's ends as primes and as composites:
+    # n itself, n - 1, and the squares of primes at the last root it sieves
+    primes = [p for p in range(2, 401) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in range(2, 401):
+        assert moments._primes_up_to(n) == [p for p in primes if p <= n]
+
+
 def test_arithmetic_factor_monotone_in_cutoff():
     previous = None
     for cutoff in (100, 1_000, 10_000):
