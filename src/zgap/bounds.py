@@ -9,9 +9,6 @@ Pipeline (all at l = 4):
 
        X = (A*B*(C-D) + C*(B**2 + C*D - 2*B*D)) / (16*(B-C)*(C-D)).
 
-   The prelude of steps 1-2 is integer arithmetic on the numerators and
-   denominators, with one `Fraction` (one gcd) per output.
-
 2. derive the weight-polynomial parameters (v1, v2, v3) and lambda by
    matching coefficients in the quartic factorization
 
@@ -339,30 +336,17 @@ def rational_form_deviation(
     return 2.0 * integrate_half_line(integrand, quad_tol) - math.pi
 
 
-def _ratio(t: Fraction | int) -> tuple[int, int]:
-    """(numerator, denominator) of the rational t, denominator > 0."""
-    if not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-    return t.numerator, t.denominator
-
-
 def closed_form_x(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """Closed-form optimizer value
 
         X = (a*b*(c-d) + c*(b**2 + c*d - 2*b*d)) / (16*(b-c)*(c-d)),
 
-    exact: one integer numerator over one integer denominator, both
-    multiplied through by a_d*b_d**2*c_d**2*d_d for t = t_n/t_d.  Degenerate
-    denominators are rejected by exact comparison."""
-    (an, ad), (bn, bd), (cn, cd), (dn, dd) = map(_ratio, (a, b, c, d))
-    b_minus_c = bn * cd - cn * bd  # (b - c)*b_d*c_d
-    c_minus_d = cn * dd - dn * cd  # (c - d)*c_d*d_d
-    if b_minus_c == 0 or c_minus_d == 0:
+    in exact rational arithmetic; b = c or c = d, a zero denominator, is
+    rejected by exact comparison."""
+    a, b, c, d = map(Fraction, (a, b, c, d))
+    if b == c or c == d:
         raise ValueError("degenerate ratio data: need b != c and c != d")
-    numerator = an * bn * bd * cd * c_minus_d + ad * cn * (
-        bn * bn * cd * dd + cn * dn * bd * bd - 2 * bn * dn * bd * cd
-    )
-    return Fraction(numerator, 16 * ad * bd * b_minus_c * c_minus_d)
+    return (a * b * (c - d) + c * (b * b + c * d - 2 * b * d)) / (16 * (b - c) * (c - d))
 
 
 class DerivedParams(NamedTuple):
@@ -386,39 +370,32 @@ def derive_params(
         v1 = (s3**2 - 2*s2*s4)/4,  lambda = s4**2,
 
     with s1 = tau1*x, s2 = tau2*x, s3 = tau1*x**2/c and s4 = s3/4, where
-    tau1 = 4*(c-d)/(d*(b-c)) and tau2 = (b-d)/(d*(b-c)).  The arithmetic
-    is on integers.  For t = t_n/t_d, K = d_n*(b_n*c_d - c_n*b_d) gives
-    tau1 = T1/K and tau2 = T2/K; over Q = K*x_d**2*c_n, s1 = T1*W/Q,
-    s2 = T2*W/Q and s3 = U/Q, with W = x_n*x_d*c_n and U = T1*x_n**2*c_d;
-    each v and lambda is one integer over an integer multiple of Q**2.
+    tau1 = 4*(c-d)/(d*(b-c)) and tau2 = (b-d)/(d*(b-c)).
 
     These closed forms are validated, not trusted: tests expand both sides
     of (*) exactly, and the certificate re-verifies lambda and X by
     independent quadrature and root finding.
     """
-    (bn, bd), (cn, cd), (dn, dd), (xn, xd) = map(_ratio, (b, c, d, x))
-    b_minus_c = bn * cd - cn * bd  # (b - c)*b_d*c_d
-    c_minus_d = cn * dd - dn * cd  # (c - d)*c_d*d_d
-    if b_minus_c == 0 or c_minus_d == 0:
+    b, c, d, x = map(Fraction, (b, c, d, x))
+    if b == c or c == d:
         raise ValueError("degenerate ratio data: need b != c and c != d")
-    if cn == 0 or dn == 0:
+    if c == 0 or d == 0:
         raise ValueError("degenerate ratio data: need c != 0 and d != 0")
-    if xn <= 0:
-        raise ValueError(f"x must be positive, got {Fraction(xn, xd)}")
-    t1 = 4 * bd * c_minus_d
-    t2 = cd * (bn * dd - dn * bd)
-    q = dn * b_minus_c * xd * xd * cn
-    w = xn * xd * cn
-    s1, s2, u = t1 * w, t2 * w, t1 * xn * xn * cd  # s1..s3 times q
-    qq = q * q
+    if x <= 0:
+        raise ValueError(f"x must be positive, got {x}")
+    tau1 = 4 * (c - d) / (d * (b - c))
+    tau2 = (b - d) / (d * (b - c))
+    s1, s2 = tau1 * x, tau2 * x
+    s3 = tau1 * x * x / c
+    s4 = s3 / 4
     return DerivedParams(
         v_exact=(
-            Fraction(u * (2 * u - s2), 8 * qq),
-            Fraction(2 * s2 * s2 + u * q - 4 * s1 * u, 12 * qq),
-            Fraction(s1 * s1 - 2 * s2 * q, 4 * qq),
+            (s3 * s3 - 2 * s2 * s4) / 4,
+            (s2 * s2 + 2 * s4 - 2 * s1 * s3) / 6,
+            (s1 * s1 - 2 * s2) / 4,
         ),
-        lam_exact=Fraction(u * u, 16 * qq),
-        sigma=(Fraction(s1, q), Fraction(s2, q), Fraction(u, q), Fraction(u, 4 * q)),
+        lam_exact=s4 * s4,
+        sigma=(s1, s2, s3, s4),
     )
 
 
@@ -508,6 +485,13 @@ def _integrity_checks(n: int, coefficients: Mapping[int, Fraction]) -> CheckResu
     return CheckResult("data_integrity", not mismatches, float(mismatches))
 
 
+def _ratio(t: Fraction | int) -> tuple[int, int]:
+    """(numerator, denominator) of the rational t, denominator > 0."""
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
 def _column_key(coefficients: Mapping[int, Fraction]) -> tuple[tuple[int, int], ...]:
     """The coefficient column b[0..4] as the five (numerator, denominator)
     pairs that `_exact_prelude` reads."""
@@ -521,24 +505,20 @@ def _exact_prelude(
     """The exact part of a certificate for the coefficient column b[0..4],
     given as its `_column_key`:
 
-        B(h) = 4**(h-4) * b[h]/b[4]  (so B(4) = 1),
-        A(h) = |(2h-1)/(2h-3)| * B(h-1)/B(h),
+        B(h) = b[h] / (b[4] * 2**(8-2h))  (so B(4) = 1),
+        A(h) = (2h-1)/(4*|2h-3|) * b[h-1]/b[h]  (= |(2h-1)/(2h-3)| * B(h-1)/B(h)),
 
     in which the arithmetic factor multiplying every b cancels; then the
     inputs (a, b, c, d) = A(1..4), the closed-form X built from them, and
-    the parameters derived from both.  Each B(h) and A(h) is one integer
-    over another, A(h) = (2h-1)*b[h-1] / (4*|2h-3|*b[h]); a zero b[h],
-    h >= 1, raises ZeroDivisionError.
+    the parameters derived from both.  A zero b[h], h >= 1, raises
+    ZeroDivisionError.
 
     Memoised, one entry per certified derivative order, so a column's
     prelude is derived once per process; every value returned is immutable
     (B(0..4) is a tuple indexed by h), because every caller shares it."""
-    num, den = zip(*column)
-    capB = tuple(Fraction(num[h] * den[4], (den[h] * num[4]) << (8 - 2 * h)) for h in range(5))
-    inputs = tuple(
-        Fraction((2 * h - 1) * num[h - 1] * den[h], 4 * abs(2 * h - 3) * den[h - 1] * num[h])
-        for h in range(1, 5)
-    )
+    b = [Fraction(*ratio) for ratio in column]
+    capB = tuple(b[h] / (b[4] * (1 << (8 - 2 * h))) for h in range(5))
+    inputs = tuple(Fraction(2 * h - 1, 4 * abs(2 * h - 3)) * b[h - 1] / b[h] for h in range(1, 5))
     x_exact = closed_form_x(*inputs)
     return capB, inputs, x_exact, derive_params(*inputs, x_exact)
 

@@ -135,7 +135,6 @@ def _column(pair: tuple[int, int], l: int) -> tuple[Fraction, ...]:
     return tuple(column)
 
 
-@lru_cache(maxsize=None)
 def joint_moment_coefficient(h: int, l: int) -> Fraction:
     """Entry h of `_column((2, 1), l)`: the exact leading coefficient of the
     joint moment with h derivatives of order 2 and l - h of order 1."""

@@ -31,33 +31,6 @@ def hall_ratio(h, n):
     return abs(Fraction(2 * h - 1, 2 * h - 3)) * b[h - 1] / (4 * b[h])
 
 
-def exact_prelude_by_fractions(coefficients):
-    """`bounds._exact_prelude` one `Fraction` operation at a time, with
-    no integer forms: B(h) = 4**(h-4) * b[h]/b[4], A(h) = |(2h-1)/(2h-3)| *
-    B(h-1)/B(h), the closed-form X, and the parameters of the
-    factorization (*) through the four taus.  A zero c or d cannot come
-    from a column, whose zero entry divides by zero first."""
-    b4 = Fraction(coefficients[4])
-    capB = tuple(Fraction(4) ** (h - 4) * Fraction(coefficients[h]) / b4 for h in range(5))
-    inputs = tuple(abs(Fraction(2 * h - 1, 2 * h - 3)) * capB[h - 1] / capB[h] for h in range(1, 5))
-    a, b, c, d = inputs
-    if b == c or c == d:
-        raise ValueError("degenerate ratio data: need b != c and c != d")
-    x = (a * b * (c - d) + c * (b * b + c * d - 2 * b * d)) / (16 * (b - c) * (c - d))
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    tau1 = (4 * c - 4 * d) / (d * (b - c))
-    tau2 = (b - d) / (d * (b - c))
-    tau3 = (4 * c - 4 * d) / (c * d * (b - c))
-    tau4 = (c - d) / (c * d * (b - c))
-    s1, s2, s3, s4 = tau1 * x, tau2 * x, tau3 * x * x, tau4 * x * x
-    v3 = (s1 * s1 - 2 * s2) / 4
-    v2 = (s2 * s2 + 2 * s4 - 2 * s1 * s3) / 6
-    v1 = (s3 * s3 - 2 * s2 * s4) / 4
-    derived = bounds.DerivedParams(v_exact=(v1, v2, v3), lam_exact=s4 * s4, sigma=(s1, s2, s3, s4))
-    return capB, inputs, x, derived
-
-
 def partitions_by_recursion(n, max_part):
     """Partitions of n with every part <= max_part in lexicographically
     decreasing order, by recursion on the first part: the order oracle for

@@ -7,12 +7,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from oracles import (
-    exact_prelude_by_fractions,
     half_line_log_residual,
     half_line_moments,
     hall_ratio,
@@ -586,17 +585,6 @@ def test_derive_params_rejects_degenerate():
             derive_params(*tie, one)
 
 
-def _prelude_or_error(prelude, column):
-    """(prelude(column), None), or (None, what it raised): the type, and
-    the message of a ValueError."""
-    try:
-        return prelude(column), None
-    except ValueError as error:
-        return None, (ValueError, str(error))
-    except ZeroDivisionError:
-        return None, (ZeroDivisionError, None)
-
-
 MAGNITUDES = st.one_of(
     st.integers(1, 3),
     st.builds(Fraction, st.integers(1, 2**120), st.integers(1, 2**120)),
@@ -627,17 +615,36 @@ def signed_columns(draw):
 @example({h: Fraction(1) for h in range(5)})
 @example(coefficient_column(1))
 @example(coefficient_column(2))
-def test_exact_prelude_matches_the_plain_fraction_oracle(column):
-    # the integer prelude against its plain-Fraction form: equal records, or
-    # the same exception (a ValueError with the same message)
-    library, error = _prelude_or_error(prelude, column)
-    assert (library, error) == _prelude_or_error(exact_prelude_by_fractions, column)
-    if library is not None:
-        capB, inputs, x, derived = library
-        assert type(derived) is bounds.DerivedParams
-        assert (type(capB), type(inputs), len(capB)) == (tuple, tuple, 5)
-        assert all(type(t) is Fraction for t in (*capB, *inputs, x, *derived.v_exact,
-                                                 derived.lam_exact, *derived.sigma))
+def test_exact_prelude_of_signed_columns(b):
+    # what the prelude must satisfy, not its formulas again: a zero b[h]
+    # divides by zero, the ties that `signed_columns` draws are refused, and
+    # otherwise B is the column scaled to B(4) = 1 by powers of 4, each A(h)
+    # steps from B(h) to B(h-1), and the derived parameters satisfy (*)
+    if any(b[h] == 0 for h in range(1, 5)):
+        with pytest.raises(ZeroDivisionError):
+            prelude(b)
+        return
+    if 9 * b[1] * b[3] == 5 * b[2] * b[2] or 25 * b[2] * b[4] == 21 * b[3] * b[3]:
+        with pytest.raises(ValueError, match="need b != c and c != d"):
+            prelude(b)
+        return
+    try:
+        capB, inputs, x, derived = prelude(b)
+    except ValueError as error:
+        assert str(error).startswith("x must be positive, got ")
+        assert Fraction(str(error).rpartition(" ")[2]) <= 0
+        return
+    assert capB[4] == 1
+    assert all(capB[h] * 4 ** (4 - h) * b[4] == b[h] for h in range(5))
+    assert all(inputs[h - 1] * abs(2 * h - 3) * capB[h] == abs(2 * h - 1) * capB[h - 1]
+               for h in range(1, 5))
+    assert x > 0
+    assert all(r == 0 for r in factorization_residuals(derived))
+    assert type(derived) is bounds.DerivedParams
+    assert (type(capB), type(inputs), type(derived.v_exact), type(derived.sigma)) == (tuple,) * 4
+    assert (len(capB), len(inputs)) == (5, 4)
+    assert all(type(t) is Fraction for t in (*capB, *inputs, x, *derived.v_exact,
+                                             derived.lam_exact, *derived.sigma))
 
 
 def test_lambda_exact_equals_sigma4_squared():
@@ -855,11 +862,11 @@ def test_certificate_rejects_unknown_order():
 
 @pytest.mark.parametrize("quad_tol", [math.nan, math.inf, 0.0, -1e-8])
 def test_certificate_rejects_bad_tolerance_before_any_work(quad_tol, monkeypatch):
-    def refuse(h, l):
+    def refuse(pair, l):
         raise AssertionError("partition sum computed for a rejected tolerance")
 
-    monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
-    with pytest.raises(ValueError, match="quad_tol"):
+    monkeypatch.setattr(moments, "_column", refuse)
+    with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
         certify_bound(1, quad_tol=quad_tol)
 
 
@@ -1058,6 +1065,28 @@ def stationarity_residuals(capB, x, derived):
 @pytest.mark.parametrize("n", [1, 2])
 def test_certified_x_is_an_exact_stationary_point(n):
     capB, _, x, derived = prelude(coefficient_column(n))
+    assert stationarity_residuals(capB, x, derived) == [0, 0, 0]
+
+
+@st.composite
+def scaled_reference_columns(draw):
+    """Reference column 1 or 2 with each entry scaled by its own rational
+    in [0.9, 1.1]."""
+    column = coefficient_column(draw(st.sampled_from([1, 2])))
+    return {h: t * Fraction(1000 + draw(st.integers(-100, 100)), 1000) for h, t in column.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_reference_columns())
+def test_closed_form_x_is_stationary_on_every_admissible_column(column):
+    # admissible: a monotone weight (every v_h > 0) with a Hurwitz factor F
+    # (every s_i > 0 and Delta3 > 0), where `half_line_moments` holds.
+    # Hypothesis counts only admissible draws toward its 100 examples, and
+    # about two thirds of the draws are admissible
+    capB, _, x, derived = prelude(column)
+    s1, s2, s3, s4 = derived.sigma
+    assume(all(t > 0 for t in (*derived.v_exact, *derived.sigma)))
+    assume(s1 * s2 * s3 - s3 * s3 - s1 * s1 * s4 > 0)
     assert stationarity_residuals(capB, x, derived) == [0, 0, 0]
 
 

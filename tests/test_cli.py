@@ -276,12 +276,12 @@ def test_arithfactor_error_bound_is_rejected_before_the_sieve(l, monkeypatch, ca
 
 
 def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys):
-    def refuse(h, l):
+    def refuse(pair, l):
         raise AssertionError("partition sum computed for a rejected tolerance")
 
-    monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
+    monkeypatch.setattr(moments, "_column", refuse)
     assert main(["bounds", "--tol", "0"]) == 2
-    assert capsys.readouterr().err.startswith("zgap: ")
+    assert capsys.readouterr().err == "zgap: quad_tol must be finite and positive, got 0.0\n"
 
 
 @pytest.mark.parametrize(
@@ -292,10 +292,10 @@ def test_bad_tolerance_is_rejected_before_any_partition_sum(monkeypatch, capsys)
 def test_unwritable_output_is_rejected_before_any_partition_sum(
     output, reason, tmp_path, monkeypatch, capsys
 ):
-    def refuse(h, l):
+    def refuse(pair, l):
         raise AssertionError("partition sum computed for an unwritable --output")
 
-    monkeypatch.setattr(moments, "joint_moment_coefficient", refuse)
+    monkeypatch.setattr(moments, "_column", refuse)
     path = output.format(tmp=tmp_path)
     assert main(["bounds", "--output", path]) == 2
     captured = capsys.readouterr()

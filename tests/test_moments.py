@@ -196,7 +196,6 @@ def builds():
     """The column builds of `moments` from cold caches: the misses of
     `moments._column`, read when called."""
     moments._column.cache_clear()
-    moments.joint_moment_coefficient.cache_clear()
     return lambda: moments._column.cache_info().misses
 
 

@@ -310,7 +310,7 @@ def test_log_form_uses_no_float_power():
     assert set(_not_correctly_rounded(function)) == {"math.log1p", "math.log", "math.pi"}
 
 
-# the exact prelude of a certificate: integers and one `Fraction` per output
+# the exact prelude of a certificate: integers and `Fraction` arithmetic only
 EXACT_PRELUDE = ("_ratio", "_column_key", "closed_form_x", "derive_params", "_exact_prelude")
 
 
@@ -328,7 +328,7 @@ def _inexact(node: ast.AST):
             yield "**"
 
 
-def test_exact_prelude_is_integer_arithmetic():
+def test_exact_prelude_is_exact_arithmetic():
     # a float anywhere in the prelude would round a certificate's exact
     # values, and `**` on a Fraction is where one slips in (a negative or
     # fractional exponent); powers of 4 are shifts or integer products
@@ -345,7 +345,6 @@ CACHES = {
     "bounds._exact_prelude": "perturbed_x_values(n) and every later certify_bound(n) re-read "
                              "the prelude of column n",
     "moments._column": "each certificate re-reads its column; every h of a column reads one build",
-    "moments.joint_moment_coefficient": "perfbench's tracer reports the hits of this cache",
 }
 
 
