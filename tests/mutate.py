@@ -27,19 +27,24 @@ which must pass, and once per mutant, every test to the end.  Every run
 draws the same Hypothesis examples (`--hypothesis-seed` SEED, with no
 example database carried from one run to the next), so a verdict depends
 only on the code and the tests, and `tests/mutants.txt` changes only when
-they do.  A mutant is killed when some test fails it, when its run takes
-TIMEOUT times as long as the unmutated run, or a minute if that is longer
-(some mutants loop), or when it outgrows the MEMORY limit of a run (some
-grow a list without end).  One that every test passes survives: either the
-tests miss it or it is equivalent to the original.
+they do.  The copy's `tests/conftest.py` also turns off Hypothesis's
+shrink phase: a failing draw still fails its test, at once, instead of
+spending the run's time on shrinking it.  A mutant is killed when some
+test fails it, when its run takes TIMEOUT times as long as the unmutated
+run, or a minute if that is longer (some mutants loop), or when it
+outgrows the MEMORY limit of a run (some grow a list without end).  One
+that every test passes survives: either the tests miss it or it is
+equivalent to the original.
 
-One line per mutant goes to stdout.  A killed line ends with the id of
-every test that fails that mutant, as pytest's summary names it: together
-the lines are a kill matrix, and a test that no line names alone kills no
-mutant of FUNCTION that another test does not.  A timeout names no test,
-nor does a run that pytest itself cannot finish (exit status 3, as when a
-mutant's list fills the MEMORY limit and pytest has none left to report).
-The exit status is 0 when every mutant is killed and 1 when one survives.
+One line per mutant goes to stdout, keyed by FUNCTION and the mutated
+line's offset from its `def` line, so an edit elsewhere in the module
+leaves the key as it is.  A killed line ends with the id of every test
+that fails that mutant, as pytest's summary names it: together the lines
+are a kill matrix, and a test that no line names alone kills no mutant of
+FUNCTION that another test does not.  A timeout names no test, nor does a
+run that pytest itself cannot finish (exit status 3, as when a mutant's
+list fills the MEMORY limit and pytest has none left to report).  The exit
+status is 0 when every mutant is killed and 1 when one survives.
 `tests/mutants.txt` keeps the SURVIVED lines of the recorded runs, each
 with the reason it survives, and `tests/test_mutants.py` checks that record
 against the source.
@@ -64,6 +69,12 @@ COPIED = ("src", "tests", "perfbench")
 TIMEOUT = 10  # a mutant's run may take this many times the unmutated run
 MEMORY = 1 << 30  # bytes of address space per test run
 SEED = 0  # Hypothesis seed of every test run
+NO_SHRINK = """
+from hypothesis import Phase, settings
+
+settings.register_profile("mutate", phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("mutate")
+"""  # appended to the copy's tests/conftest.py
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -104,7 +115,8 @@ def target_of(tree: ast.Module, function: str) -> tuple[ast.AST, ast.FunctionDef
 
 def mutants(source: str, function: str):
     """(line, original, mutated, module source) for every mutant of
-    `function` in the module `source`."""
+    `function` in the module `source`, its line counted from the `def`
+    line, which is 0."""
     top, target = target_of(ast.parse(source), function)
     lines = source.splitlines(keepends=True)
     start = min([d.lineno for d in top.decorator_list] + [top.lineno]) - 1
@@ -115,7 +127,7 @@ def mutants(source: str, function: str):
             setattr(node, field, value)  # in place, and put back before the walk goes on
             mutated, text = ast.unparse(node), before + ast.unparse(top) + "\n" + after
             setattr(node, field, kept)
-            yield node.lineno, original, mutated, text
+            yield node.lineno - target.lineno, original, mutated, text
 
 
 def _limit_memory() -> None:
@@ -170,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in COPIED:
             shutil.copytree(ROOT / name, workdir / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        with open(workdir / "tests" / "conftest.py", "a", encoding="utf-8") as conftest:
+            conftest.write(NO_SHRINK)
         module = workdir / "src" / "zgap" / f"{args.module}.py"
         start = time.perf_counter()
         clean = run_tests(workdir, args.tests, None)
@@ -191,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
                        else "SURVIVED")
             survivors += verdict == "SURVIVED"
             killers = f"  by  {'  '.join(ids)}" if ids else ""
-            print(f"{verdict:8}  {args.module}.py:{line}  {original}  ->  {mutated}{killers}",
-                  flush=True)
+            print(f"{verdict:8}  {args.module}.{args.function}+{line}  {original}  ->  "
+                  f"{mutated}{killers}", flush=True)
         print(f"{len(found)} mutants of {args.module}.{args.function}, {survivors} survived")
     return 1 if survivors else 0
 

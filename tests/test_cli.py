@@ -58,56 +58,6 @@ def raise_reference_h2(monkeypatch):
     monkeypatch.setattr(moments, "coefficient_column", raised)
 
 
-def test_bounds_command_json(capsys):
-    status, out = run_cli(["bounds", "--n", "1", "--format", "json"], capsys)
-    assert status == 0
-    payload = json.loads(out)
-    assert payload["valid"] is True
-    assert float(payload["bound"]) > 1.98
-    assert {c["name"] for c in payload["checks"]} >= {"lambda_consistency", "pi_integral"}
-
-
-def test_bounds_command_corrupted_fails(capsys):
-    status, out = run_cli(["bounds", "--n", "1", "--corrupt"], capsys)
-    assert status == 1
-    payload = json.loads(out)
-    assert payload["valid"] is False
-
-
-def test_moments_command(capsys):
-    status, out = run_cli(["moments", "--l", "4", "--pair", "2,1"], capsys)
-    assert status == 0
-    payload = json.loads(out)
-    assert payload["all_match"] is True
-    assert all(r["match"] for r in payload["records"])
-
-
-def test_moments_command_corrupted_table(capsys, monkeypatch):
-    raise_reference_h2(monkeypatch)
-    status, out = run_cli(["moments", "--l", "4", "--pair", "2,1"], capsys)
-    assert status == 1
-    payload = json.loads(out)
-    assert payload["all_match"] is False
-
-
-# the (3, 2) pair has a reference column at l = 4 only, and is computed there
-def test_moments_reference_only_pair(capsys):
-    status, out = run_cli(["moments", "--l", "4", "--pair", "3,2"], capsys)
-    assert status == 0
-    payload = json.loads(out)
-    assert payload["all_match"] is True
-    assert [r["h"] for r in payload["records"]] == [0, 1, 2, 3, 4]
-    assert all(r["partition_sum"] == r["reference"] and r["match"] for r in payload["records"])
-
-
-def test_identity_command(capsys):
-    status, out = run_cli(["identity", "--l", "3"], capsys)
-    assert status == 0
-    payload = json.loads(out)
-    assert payload["matched"] is True
-    assert payload["sign"] == -1
-
-
 def test_identity_command_mismatch_exits_1(capsys, monkeypatch):
     det = series.hankel_determinant(2, 6)
     corrupted = series.HalfPowerSeries(
@@ -363,12 +313,6 @@ def test_failed_run_leaves_existing_output_untouched(tmp_path, capsys):
     assert path.read_text() == "keep\n"
 
 
-def test_loose_tolerance_is_not_a_valid_certificate(capsys):
-    status, out = run_cli(["bounds", "--n", "1", "--tol", "1"], capsys)
-    assert status == 1
-    assert json.loads(out)["valid"] is False
-
-
 def test_quadrature_failure_is_a_one_line_error(monkeypatch, capsys):
     # the cli imports `bounds` inside its report function; patched by name,
     # the failure rises from the real certificate's first quadrature
@@ -556,24 +500,15 @@ def test_plain_writes_every_value_in_one_format():
     assert type(plain["n"]) is int
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["lis --l 3 --max-n 7 --format json", "bounds --n 1 --format json"],
-    ids=["lis", "bounds"],
-)
-def test_output_file_determinism(command, tmp_path, capsys):
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path in paths:
-        assert main([*command.split(), "--output", str(path)]) == 0
-    assert capsys.readouterr().out == ""
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 def test_cross_process_determinism(tmp_path):
-    # a fresh interpreter writes, through --output, the bytes pinned below
+    # a fresh interpreter writes, through --output, the bytes pinned below,
+    # and prints nothing
     path = tmp_path / "x.json"
-    subprocess.run([sys.executable, "-m", "zgap.cli", "hankel", "--l", "3", "--output", str(path)],
-                   check=True)
+    result = subprocess.run(
+        [sys.executable, "-m", "zgap.cli", "hankel", "--l", "3", "--output", str(path)],
+        capture_output=True, check=True,
+    )
+    assert result.stdout == b""
     assert path.read_bytes() == golden_path("hankel --l 3 --format json").read_bytes()
 
 
@@ -696,28 +631,3 @@ def test_exact_report_is_byte_identical(command, capsys, monkeypatch):
 
 def test_golden_files_are_the_keys():
     assert {p.name for p in GOLDEN_DIR.iterdir()} == {golden_path(c).name for c in GOLDEN}
-
-
-BOUNDS_CHECKS = ["data_integrity", "v_positive", "g_increasing", "lambda_consistency",
-                 "pi_integral", "x_consistency", "bound_above_threshold", "bound"]
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("n", [1, 2])
-def test_bounds_report_pins_check_names_and_flags(n, fmt, capsys):
-    """The checks, their verdicts and the exit status in every format.  The
-    bytes, float residuals included, are pinned under tests/golden/; a file
-    there may move only with a CHANGES.md entry that says why."""
-    status, out = run_cli(["bounds", "--n", str(n), "--format", fmt], capsys)
-    assert status == 0
-    if fmt == "json":
-        payload = json.loads(out)
-        rows = [(c["name"], c["passed"]) for c in payload["checks"]]
-        rows.append(("bound", payload["valid"]))
-    else:
-        header, *lines = out.splitlines()
-        sep = "," if fmt == "csv" else "  "
-        assert header.split(sep) == ["check", "passed", "residual"]
-        cells = [line.split(sep) for line in lines]
-        rows = [(name, passed == "True") for name, passed, _ in cells]
-    assert rows == [(name, True) for name in BOUNDS_CHECKS]

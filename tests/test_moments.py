@@ -14,6 +14,7 @@ from oracles import (
     cue_moment_coefficient,
     hall_ratio,
     laplace_column,
+    laplace_determinant,
     partitions_by_recursion,
     partition_sum,
     series_product,
@@ -143,25 +144,6 @@ def test_kostka_numbers_count_semistandard_tableaux():
     assert checked > 500
 
 
-def determinant_by_elimination(matrix):
-    """The determinant of a square grid of Fractions by Gaussian
-    elimination with row swaps."""
-    rows = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, len(rows)):
-            factor = rows[r][col] / rows[col][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
 def shifted_parts(l):
     """m = kappa + (l-1, ..., 0) for a partition kappa with at most l parts:
     l distinct nonnegative integers, decreasing."""
@@ -188,7 +170,7 @@ def test_parity_blocks_give_the_moment_determinant(pair):
         cauchy = math.prod(x + y + 1 for xs, ys in ((even, even2), (odd, odd2))
                            for x in xs for y in ys)
         expected = Fraction(signed * signed2, 2 ** (sum(m) + sum(m2)) * cauchy)
-    assert determinant_by_elimination(moment) == expected
+    assert laplace_determinant(moment) == expected
 
 
 @pytest.fixture
