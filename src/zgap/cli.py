@@ -48,6 +48,11 @@ from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS, check_
 # docstring is the top-level --help text, whose bytes are pinned.
 
 
+# The option that lengthens the printed integers of a report; `bounds` and
+# `arithfactor` print none that an option lengthens.
+_SIZE_OPTION = {"moments": "--l", "lis": "--max-n", "hankel": "--terms", "identity": "--terms"}
+
+
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
     """The `bounds --corrupt` test hook: `column` with the numerator of its
     h = 2 entry raised by one."""
@@ -290,7 +295,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is not None:
             _check_output(args.output)
         payload, header, body, ok = args.report(args)
-        text = _render(args.format, payload, header, body)
+        try:
+            text = _render(args.format, payload, header, body)
+        except ValueError:  # only str() of an int past sys.get_int_max_str_digits()
+            raise ValueError(
+                f"the {args.command} report holds an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits, which Python will not print; "
+                f"lower {_SIZE_OPTION[args.command]}"
+            ) from None
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

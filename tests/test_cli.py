@@ -338,6 +338,23 @@ def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
     assert captured.err == "zgap: out of memory computing the lis report\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_an_integer_too_long_to_print_is_a_one_line_error(fmt, capsys):
+    # 1/(n! (n+1)!) passes 640 digits before n = 200; str() refuses it while
+    # the report is written, and the message names the option to lower
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status = main(["hankel", "--l", "1", "--terms", "200", "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert status == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "zgap: the hankel report holds an integer of more "
+                                            "than 640 digits, which Python will not print; "
+                                            "lower --terms\n")
+
+
 HANKEL_REFUSAL = ("zgap: the Hankel series for l={} cannot be printed: its first "
                   "coefficient's denominator has more than 4300 digits\n")
 
