@@ -485,17 +485,10 @@ def _integrity_checks(n: int, coefficients: Mapping[int, Fraction]) -> CheckResu
     return CheckResult("data_integrity", not mismatches, float(mismatches))
 
 
-def _ratio(t: Fraction | int) -> tuple[int, int]:
-    """(numerator, denominator) of the rational t, denominator > 0."""
-    if not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-    return t.numerator, t.denominator
-
-
 def _column_key(coefficients: Mapping[int, Fraction]) -> tuple[tuple[int, int], ...]:
-    """The coefficient column b[0..4] as the five (numerator, denominator)
-    pairs that `_exact_prelude` reads."""
-    return tuple(_ratio(coefficients[h]) for h in range(5))
+    """The coefficient column b[0..4], each entry a Fraction or an int, as
+    the five (numerator, denominator) pairs that `_exact_prelude` reads."""
+    return tuple((coefficients[h].numerator, coefficients[h].denominator) for h in range(5))
 
 
 @lru_cache(maxsize=len(THRESHOLDS))

@@ -30,10 +30,10 @@ underflows a float.  `identity` accepts l in 1..50.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NoReturn
 
 from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS, check_tolerance
@@ -42,6 +42,9 @@ from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS, check_
 # `series`, `json`, `csv`, `tempfile`) is imported where it is used, so that
 # a process loads no more than its command runs; `bounds` checks --tol with
 # `check_tolerance` first, so a bad tolerance loads none of those modules.
+# `argparse` is imported by `build_parser` alone (and by `_pair` to report a
+# bad pair): `_parse` reads a well-formed command line from `_COMMANDS`, and
+# only --help and usage errors, whose text argparse writes, build the parser.
 #
 # The report functions return library values as they are, and `_render`
 # writes every one through `_plain`, the one artifact format.  The module
@@ -53,6 +56,29 @@ from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS, check_
 _SIZE_OPTION = {"moments": "--l", "lis": "--max-n", "hankel": "--terms", "identity": "--terms"}
 
 
+def _unprintable(command: str) -> ValueError:
+    """The refusal of a `command` report that holds an integer of more
+    digits than str() writes, sys.get_int_max_str_digits()."""
+    return ValueError(
+        f"the {command} report holds an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, which Python will not print; "
+        f"lower {_SIZE_OPTION[command]}"
+    )
+
+
+def _check_printable(command: str, factors) -> None:
+    """Refuse, before the work, a `command` report that prints the product
+    of `factors` when that product has more digits than str() writes,
+    sys.get_int_max_str_digits() (0: no limit).  The product is built only
+    up to 10**digits."""
+    digits = sys.get_int_max_str_digits()
+    product, bound = 1, 10**digits
+    for factor in factors if digits else ():
+        product *= factor
+        if product >= bound:
+            raise _unprintable(command)
+
+
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
     """The `bounds --corrupt` test hook: `column` with the numerator of its
     h = 2 entry raised by one."""
@@ -60,7 +86,7 @@ def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
     return {**column, 2: Fraction(bad.numerator + 1, bad.denominator)}
 
 
-def _bounds_report(args: argparse.Namespace):
+def _bounds_report(args: SimpleNamespace):
     check_tolerance("quad_tol", args.tol)
     from . import bounds, moments
 
@@ -86,7 +112,7 @@ def _bounds_report(args: argparse.Namespace):
     return payload, ["check", "passed", "residual"], body, cert.valid
 
 
-def _moments_report(args: argparse.Namespace):
+def _moments_report(args: SimpleNamespace):
     """The partition sums of the (2, 1) pair, with the reference column
     alongside when l = 4, or the (3, 2) column (l = 4 only) beside its
     reference; each h with a reference entry gets a match flag."""
@@ -121,9 +147,11 @@ def _moments_report(args: argparse.Namespace):
     return {"records": entries, "all_match": ok}, header, body, ok
 
 
-def _lis_report(args: argparse.Namespace):
+def _lis_report(args: SimpleNamespace):
     from . import lis
 
+    # T_l(n) = n! for n <= l, a count the table prints
+    _check_printable("lis", range(2, min(args.l, args.max_n) + 1))
     counts = lis.count_by_tableaux(args.l, args.max_n)
     by_series = lis.count_by_series(args.l, args.max_n)
     by_enum = lis.count_by_enumeration(args.l, min(args.max_n, lis.ENUMERATION_LIMIT))
@@ -140,9 +168,11 @@ def _lis_report(args: argparse.Namespace):
     return {"table": entries, "all_agree": ok}, header, body, ok
 
 
-def _hankel_report(args: argparse.Namespace):
+def _hankel_report(args: SimpleNamespace):
     from . import series
 
+    if args.l == 1:  # coefficient n is 1/(n! (n+1)!), so the last has the longest denominator
+        _check_printable("hankel", (n * (n + 1) for n in range(1, args.terms)))
     det = series.hankel_determinant(args.l, args.terms)
     payload = {"l": args.l, "terms": args.terms,
                "offset": det.offset, "coefficients": det.coeffs}
@@ -150,7 +180,7 @@ def _hankel_report(args: argparse.Namespace):
     return payload, ["exponent", "coefficient"], body, True
 
 
-def _identity_report(args: argparse.Namespace):
+def _identity_report(args: SimpleNamespace):
     from . import series
 
     report = series.check_hankel_identity(args.l, args.terms)
@@ -158,7 +188,7 @@ def _identity_report(args: argparse.Namespace):
     return payload, ["field", "value"], sorted(payload.items()), report.matched
 
 
-def _arithfactor_report(args: argparse.Namespace):
+def _arithfactor_report(args: SimpleNamespace):
     from . import moments
 
     payload = moments.arithmetic_factor(args.l, args.cutoff)._asdict()
@@ -226,6 +256,8 @@ def _pair(text: str) -> tuple[int, int]:
     try:
         n1, n2 = (int(t) for t in text.split(","))
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected two comma-separated integers, got {text!r}"
         ) from None
@@ -239,58 +271,118 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_HIDDEN = "==SUPPRESS=="  # the help of an option that --help does not list
+_TERMS_HELP = "series terms (default: %(default)s)"
+
+# The grammar, declared once: each command's report function, its summary
+# and its options, each option as the keyword arguments of `add_argument`,
+# which `build_parser` hands to argparse and `_parse` reads itself.
+_COMMANDS = {
+    "bounds": (_bounds_report, "certify a zero-gap lower bound", {
+        "--n": {"type": int, "choices": (1, 2), "default": 1},
+        "--tol": {"type": float, "default": DEFAULT_QUAD_TOL,
+                  "help": "quadrature tolerance (default: %(default)s)"},
+        "--corrupt": {"action": "store_true", "default": False, "help": _HIDDEN},
+    }),
+    "moments": (_moments_report, "joint-moment coefficients and match flags", {
+        "--l": {"type": int, "default": 4},
+        "--pair": {"type": _pair, "default": "2,1", "help": "derivative orders, e.g. 2,1"},
+    }),
+    "lis": (_lis_report, "restricted permutation counts", {
+        "--l": {"type": int, "default": 3},
+        "--max-n": {"type": int, "default": 9, "dest": "max_n"},
+    }),
+    "hankel": (_hankel_report, "Hankel determinant series", {
+        "--l": {"type": int, "default": 4},
+        "--terms": {"type": int, "default": DEFAULT_TERMS, "help": _TERMS_HELP},
+    }),
+    "identity": (_identity_report, "unitary-average identity check", {
+        "--l": {"type": int, "default": 3},
+        "--terms": {"type": int, "default": 8, "help": _TERMS_HELP},
+    }),
+    "arithfactor": (_arithfactor_report, "Euler-product factor estimate", {
+        "--l": {"type": int, "default": 2},
+        "--cutoff": {"type": int, "default": DEFAULT_PRIME_CUTOFF,
+                     "help": "largest prime in the product (default: %(default)s)"},
+    }),
+}
+# every command's output options, after its own
+_OUTPUT = {
+    "--format": {"choices": ("json", "csv", "text"), "default": "json"},
+    "--output": {"default": None, "help": "write to file instead of stdout"},
+}
+
+
+def build_parser():
+    """The argparse parser of `_COMMANDS`: the source of the --help texts and
+    of every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="zgap", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, report, summary: str) -> argparse.ArgumentParser:
+    parser.error = _usage_error
+    for name, (report, summary, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(report=report)
-        return p
-
-    p = command("bounds", _bounds_report, "certify a zero-gap lower bound")
-    p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tol", type=float, default=DEFAULT_QUAD_TOL,
-                   help="quadrature tolerance (default: %(default)s)")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-
-    p = command("moments", _moments_report, "joint-moment coefficients and match flags")
-    p.add_argument("--l", type=int, default=4)
-    p.add_argument("--pair", type=_pair, default="2,1", help="derivative orders, e.g. 2,1")
-
-    p = command("lis", _lis_report, "restricted permutation counts")
-    p.add_argument("--l", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=9, dest="max_n")
-
-    terms_help = "series terms (default: %(default)s)"
-    p = command("hankel", _hankel_report, "Hankel determinant series")
-    p.add_argument("--l", type=int, default=4)
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS, help=terms_help)
-
-    p = command("identity", _identity_report, "unitary-average identity check")
-    p.add_argument("--l", type=int, default=3)
-    p.add_argument("--terms", type=int, default=8, help=terms_help)
-
-    p = command("arithfactor", _arithfactor_report, "Euler-product factor estimate")
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_PRIME_CUTOFF,
-                   help="largest prime in the product (default: %(default)s)")
-
-    parser.error = _usage_error
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
+        for option, kwargs in {**options, **_OUTPUT}.items():
+            if kwargs.get("help") == _HIDDEN:  # argparse knows SUPPRESS by identity
+                kwargs = {**kwargs, "help": argparse.SUPPRESS}
+            p.add_argument(option, **kwargs)
         p.error = _usage_error
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed command line, as `build_parser` parses
+    it: a command, then options each written in full, `--corrupt` alone and
+    every other one followed by a value that does not start with "-" and
+    that its type and choices accept; an option not given takes its
+    default, a string default passed through its type.  None for anything
+    else (help, an abbreviation, `--name=value`, a negative value, an
+    unknown or missing argument, a value its type refuses), which argparse
+    then reads, so its help and its messages are the only ones."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    report, _, own = _COMMANDS[argv[0]]
+    options = {**own, **_OUTPUT}
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        spec = options.get(word)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[word] = True
+            continue
+        text = next(words, "-")  # a missing value reads as an option
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # whatever a type raises, argparse reports it
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[word] = value
+    args = SimpleNamespace(command=argv[0], report=report)
+    for option, spec in options.items():
+        default = spec["default"]
+        if isinstance(default, str) and "type" in spec:
+            default = spec["type"](default)
+        setattr(args, spec.get("dest", option[2:]), given.get(option, default))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Its report function maps the parsed arguments to
     (payload, header, body, ok): the JSON payload, the CSV/text rows, and
     whether every check in the report passed."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv)
+    if args is None:  # argparse's Namespace has the same attributes
+        args = build_parser().parse_args(argv)
     try:
         if args.output is not None:
             _check_output(args.output)
@@ -298,11 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             text = _render(args.format, payload, header, body)
         except ValueError:  # only str() of an int past sys.get_int_max_str_digits()
-            raise ValueError(
-                f"the {args.command} report holds an integer of more than "
-                f"{sys.get_int_max_str_digits()} digits, which Python will not print; "
-                f"lower {_SIZE_OPTION[args.command]}"
-            ) from None
+            raise _unprintable(args.command) from None
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

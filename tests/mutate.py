@@ -44,7 +44,9 @@ are a kill matrix, and a test that no line names alone kills no mutant of
 FUNCTION that another test does not.  A timeout names no test, nor does a
 run that pytest itself cannot finish (exit status 3, as when a mutant's
 list fills the MEMORY limit and pytest has none left to report).  The exit
-status is 0 when every mutant is killed and 1 when one survives.
+status is 0 when every mutant is killed and 1 when one survives; SIGTERM
+or SIGINT stops the tool with status 128 + the signal's number, and the
+copy is removed.
 `tests/mutants.txt` keeps the SURVIVED lines of the recorded runs, each
 with the reason it survives, and `tests/test_mutants.py` checks that record
 against the source.
@@ -58,6 +60,7 @@ import ast
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -165,7 +168,15 @@ def failing_ids(stdout: str, known: set[str]) -> list[str]:
     return out
 
 
+def _stop(signum: int, frame) -> None:
+    """SIGTERM and SIGINT end the tool as an exit does, so that the copy in
+    TMPDIR is removed and the running pytest is killed."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _stop)
+    signal.signal(signal.SIGINT, _stop)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="module of src/zgap, without .py")
     parser.add_argument("function", help="top-level function, or Class.method, to mutate")

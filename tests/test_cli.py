@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zgap import bounds, cli, moments, series
 from zgap.cli import _plain, build_parser, main
@@ -338,21 +338,84 @@ def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
     assert captured.err == "zgap: out of memory computing the lis report\n"
 
 
+class Reached(Exception):
+    """Raised in place of the work of a report that was not refused."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """The `lis` and `hankel` reports raise Reached where their work starts."""
+    def reached(*args):
+        raise Reached
+
+    for name in ("count_by_tableaux", "count_by_series", "count_by_enumeration"):
+        monkeypatch.setattr(f"zgap.lis.{name}", reached)
+    monkeypatch.setattr(series, "hankel_determinant", reached)
+
+
+@pytest.fixture
+def digit_limit():
+    """Set sys.set_int_max_str_digits for one test, restored after it."""
+    default = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(default)
+
+
+def unprintable(command, option, digits=4300):
+    return (f"zgap: the {command} report holds an integer of more than {digits} digits, "
+            f"which Python will not print; lower {option}\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_an_integer_too_long_to_print_is_a_one_line_error(fmt, capsys):
-    # 1/(n! (n+1)!) passes 640 digits before n = 200; str() refuses it while
-    # the report is written, and the message names the option to lower
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        status = main(["hankel", "--l", "1", "--terms", "200", "--format", fmt])
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert status == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "zgap: the hankel report holds an integer of more "
-                                            "than 640 digits, which Python will not print; "
-                                            "lower --terms\n")
+def test_an_integer_too_long_to_print_is_a_one_line_error(fmt, digit_limit, capsys):
+    # at l = 2 a denominator passes 640 digits before x**200; str() refuses
+    # it while the report is written, and the message names the option to lower
+    digit_limit(640)
+    assert main(["hankel", "--l", "2", "--terms", "200", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", unprintable("hankel", "--terms", 640))
+
+
+@pytest.mark.parametrize("argv, option", [(["lis", "--l", "2000", "--max-n", "1600"], "--max-n"),
+                                          (["hankel", "--l", "1", "--terms", "1000"], "--terms")])
+def test_an_unprintable_size_is_refused_before_the_work(argv, option, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", unprintable(argv[0], option))
+
+
+# (digit limit, lis edge m, hankel edge t): the least m with m! >= 10**limit,
+# since T_l(n) = n! for n <= l, and the least t with (t-1)! t! >= 10**limit,
+# the last denominator of the l = 1 series.  At 652 the products below the
+# edges are within a factor of 2 of the bound, and at 697 the ones at the
+# edges are, so a product off by a factor of 2 moves an edge.
+@pytest.mark.parametrize("limit, m, t", [(652, 316, 180), (697, 333, 189)])
+def test_the_refused_sizes_are_exactly_the_unprintable_ones(limit, m, t, no_work, digit_limit,
+                                                           capsys):
+    assert math.factorial(m - 1) < 10**limit <= math.factorial(m)
+    assert math.factorial(t - 2) * math.factorial(t - 1) < 10**limit
+    assert math.factorial(t - 1) * math.factorial(t) >= 10**limit
+    cases = [(["lis", "--l", "2000", "--max-n", str(k)], k == m) for k in (m - 1, m)]
+    cases += [(["lis", "--l", str(k), "--max-n", "2000"], k == m) for k in (m - 1, m)]
+    cases += [(["hankel", "--l", "1", "--terms", str(k)], k == t) for k in (t - 1, t)]
+    digit_limit(limit)
+    for argv, refused in cases:
+        if refused:
+            assert main(argv) == 2, argv
+        else:
+            with pytest.raises(Reached):
+                main(argv)
+        option = "--max-n" if argv[0] == "lis" else "--terms"
+        assert capsys.readouterr().err == (unprintable(argv[0], option, limit)
+                                           if refused else ""), argv
+
+
+@pytest.mark.parametrize("argv", [["lis", "--l", "2000", "--max-n", "1600"],
+                                  ["hankel", "--l", "1", "--terms", "1000"]])
+def test_no_size_is_refused_without_a_digit_limit(argv, no_work, digit_limit):
+    digit_limit(0)
+    with pytest.raises(Reached):
+        main(argv)
 
 
 HANKEL_REFUSAL = ("zgap: the Hankel series for l={} cannot be printed: its first "
@@ -411,10 +474,11 @@ def run_probe(code):
 
 # Modules that no command needs at import: the zgap modules load with the
 # commands that run them, `json` and `csv` with the formats that write
-# them, no zgap module builds its records with `dataclasses`, and nothing in
-# zgap uses `numpy`.
-NOT_AT_IMPORT = ["csv", "dataclasses", "inspect", "json", "numpy", "zgap.bounds", "zgap.lis",
-                 "zgap.moments", "zgap.series"]
+# them, `argparse` (and the `gettext` and `locale` it loads) with --help or
+# a usage error, no zgap module builds its records with `dataclasses`, and
+# nothing in zgap uses `numpy`.
+NOT_AT_IMPORT = ["argparse", "csv", "dataclasses", "gettext", "inspect", "json", "locale",
+                 "numpy", "zgap.bounds", "zgap.lis", "zgap.moments", "zgap.series"]
 
 
 def test_import_loads_only_what_every_command_needs():
@@ -425,6 +489,32 @@ def test_import_loads_only_what_every_command_needs():
     result = run_probe(probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# the benchmark's command lines (perfbench/run.py)
+BENCHMARK_ARGV = ["bounds --n 1", "bounds --n 2", "moments --l 4", "arithfactor --l 2",
+                  "bounds --n 1 --tol 0", "bounds --n 1 --tol nan", "hankel --l 6 --terms 12",
+                  "identity --l 4 --terms 12", "lis --l 4 --max-n 14"]
+
+
+def test_only_help_loads_argparse():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from zgap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    for command in {BENCHMARK_ARGV!r}:\n"
+        "        main(command.split())\n"
+        "    print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules),\n"
+        "          file=sys.__stdout__)\n"
+        "    try:\n"
+        "        main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    result = run_probe(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\nTrue\n"
 
 
 def test_exact_series_commands_never_load_bounds_or_moments():
@@ -505,6 +595,54 @@ def test_parse_config_defaults_and_flag():
         assert (args["format"], args["output"]) == ("json", None)
     args = build_parser().parse_args(["bounds", "--n", "2", "--tol", "1e-9"])
     assert args.tol == 1e-9
+
+
+_NAMES = sorted({name for *_, options in cli._COMMANDS.values() for name in options}
+                | set(cli._OUTPUT))
+# values that an option accepts (an int option's when unlisted) and ones that
+# some option refuses
+_GOOD = {"--n": ["1", "2"], "--tol": ["1e-9", "0.5", "0"], "--pair": ["2,1", "3,2"],
+         "--format": ["json", "csv", "text"], "--output": ["report.json"]}
+_BAD = st.sampled_from(["-1", "-2", "-h", "", "abc", "inf", "4,3", "a,b", "xml", "3"])
+
+
+@st.composite
+def grammar_argv(draw):
+    """A command line from the grammar's words: a command, `-h` or an unknown
+    word, then some of the command's options, each given in full with a
+    value.  Half of them stop there, with values the options accept; in
+    the other half a value may be out of choices, negative, `-h`, empty or
+    not a number, and one stray word may come in: an option alone, a prefix of
+    one, its `--name=value` form, `-h` or a bare value."""
+    head = draw(st.sampled_from([*cli._COMMANDS, "-h", "bogus"]))
+    own = [*cli._COMMANDS[head][2], *cli._OUTPUT] if head in cli._COMMANDS else _NAMES
+    clean = draw(st.booleans())
+    argv = [head]
+    for option in draw(st.lists(st.sampled_from(own), max_size=3)):
+        good = st.sampled_from(_GOOD.get(option, ["0", "1", "4", "12"]))
+        value = good if clean else good | _BAD
+        argv += [option] if option == "--corrupt" else [option, draw(value)]
+    if not clean:
+        name = st.sampled_from(_NAMES)
+        stray = draw(st.none() | st.one_of(
+            name,
+            st.tuples(name, st.integers(2, 5)).map(lambda t: t[0][:t[1]]),
+            st.tuples(name, _BAD).map("=".join),
+            st.sampled_from(["-h", "--help"]),
+            _BAD,
+        ))
+        if stray is not None:
+            argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(grammar_argv())
+@example(["bounds", "--output"])  # a missing value is not an empty one
+def test_a_command_line_the_fast_path_reads_parses_the_same_by_argparse(argv):
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def test_plain_writes_every_value_in_one_format():
@@ -644,6 +782,19 @@ def test_exact_report_is_byte_identical(command, capsys, monkeypatch):
                                 f"tests/golden/{path.name}", "stdout")
     assert out == expected, "".join(diff)
     assert status == GOLDEN[command]
+
+
+def test_every_golden_command_line_but_help_takes_the_fast_path():
+    for command in GOLDEN:
+        argv = command.split()
+        if "--help" in argv:
+            assert cli._parse(argv) is None
+            continue
+        if argv[0] == "moments" and "--corrupt" in argv:
+            argv.remove("--corrupt")
+        args = cli._parse(argv)
+        assert args is not None, command
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def test_golden_files_are_the_keys():

@@ -311,7 +311,7 @@ def test_log_form_uses_no_float_power():
 
 
 # the exact prelude of a certificate: integers and `Fraction` arithmetic only
-EXACT_PRELUDE = ("_ratio", "_column_key", "closed_form_x", "derive_params", "_exact_prelude")
+EXACT_PRELUDE = ("_column_key", "closed_form_x", "derive_params", "_exact_prelude")
 
 
 def _inexact(node: ast.AST):
