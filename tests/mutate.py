@@ -34,19 +34,26 @@ test fails it, when its run takes TIMEOUT times as long as the unmutated
 run, or a minute if that is longer (some mutants loop), or when it
 outgrows the MEMORY limit of a run (some grow a list without end).  One
 that every test passes survives: either the tests miss it or it is
-equivalent to the original.
+equivalent to the original.  Inside that budget each test has TIMEOUT
+times the unmutated run's slowest test, or TEST_FLOOR seconds if that is
+longer: a test that runs past its time fails, and once the budget less
+GRACE seconds for pytest's report is spent, the run stops after the test
+at hand.  Each test runs with RESERVE bytes of the MEMORY limit held
+back; a test that fills the rest fails with a fresh MemoryError, once the
+reserve and the frames that hold the memory are dropped, so that pytest
+has memory left to report it and the tests after it run as before.
 
 One line per mutant goes to stdout, keyed by FUNCTION and the mutated
 line's offset from its `def` line, so an edit elsewhere in the module
 leaves the key as it is.  A killed line ends with the id of every test
 that fails that mutant, as pytest's summary names it: together the lines
 are a kill matrix, and a test that no line names alone kills no mutant of
-FUNCTION that another test does not.  A timeout names no test, nor does a
-run that pytest itself cannot finish (exit status 3, as when a mutant's
-list fills the MEMORY limit and pytest has none left to report).  The exit
-status is 0 when every mutant is killed and 1 when one survives; SIGTERM
-or SIGINT stops the tool with status 128 + the signal's number, and the
-copy is removed.
+FUNCTION that another test does not.  The line of a mutant that loops or
+fills the memory names the tests that it stopped; only a run that pytest
+does not finish inside the budget is a `timeout` line, which names no
+test.  The exit status is 0 when every mutant is killed and 1 when one
+survives; SIGTERM or SIGINT stops the tool with status 128 + the signal's
+number, and the copy is removed.
 `tests/mutants.txt` keeps the SURVIVED lines of the recorded runs, each
 with the reason it survives, and `tests/test_mutants.py` checks that record
 against the source.
@@ -58,6 +65,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import resource
 import shutil
 import signal
@@ -71,13 +79,67 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench")
 TIMEOUT = 10  # a mutant's run may take this many times the unmutated run
 MEMORY = 1 << 30  # bytes of address space per test run
+RESERVE = 64 << 20  # bytes of MEMORY kept back from each test for its report
 SEED = 0  # Hypothesis seed of every test run
-NO_SHRINK = """
+TEST_FLOOR = 10.0  # seconds a test may always take under a mutant
+GRACE = 5.0  # seconds of the budget kept for pytest's report
+DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) ", re.MULTILINE)
+CONFTEST = """
+import mmap
+import os
+import signal
+import sys
+import time
+
+import pytest
 from hypothesis import Phase, settings
 
 settings.register_profile("mutate", phases=[p for p in Phase if p is not Phase.shrink])
 settings.load_profile("mutate")
-"""  # appended to the copy's tests/conftest.py
+
+
+class Runaway(BaseException):
+    # not an Exception, so that neither the code under test nor Hypothesis
+    # takes it for a failure of its own and runs on
+    pass
+
+
+def _runaway(signum, frame):
+    raise Runaway
+
+
+@pytest.hookimpl(wrapper=True, trylast=True)
+def pytest_runtest_call(item):
+    deadline = float(os.environ.get("MUTATE_DEADLINE", "inf"))
+    if deadline < float("inf"):
+        signal.signal(signal.SIGALRM, _runaway)
+        # then once a second, for Hypothesis's replay of a failing example
+        signal.setitimer(signal.ITIMER_REAL, max(0.001, min(
+            float(os.environ["MUTATE_TEST_S"]), deadline - time.time())), 1.0)
+    # address space that the test cannot take, freed for pytest's report
+    # when the test fills the rest; closed, not left to the frame, which a
+    # failing test's traceback keeps
+    reserve = mmap.mmap(-1, %d)
+    try:
+        return (yield)
+    except MemoryError:
+        reserve.close()
+        stop = MemoryError
+    except Runaway:
+        stop = Runaway
+        if time.time() >= deadline:
+            item.session.shouldstop = "the run is out of time"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        reserve.close()
+    # raised anew, with the exception that pytest keeps for post-mortem
+    # debugging dropped, so that nothing holds the test's frames, nor the
+    # memory that they may hold, once this wrapper is done: it is the
+    # innermost, so the wrappers around it run with that memory free
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        sys.__dict__.pop(name, None)
+    raise stop
+""" % RESERVE  # appended to the copy's tests/conftest.py
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -137,15 +199,17 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
-def run_tests(workdir: Path, tests: list[str],
-              timeout: float | None) -> subprocess.CompletedProcess | None:
+def run_tests(workdir: Path, tests: list[str], timeout: float | None = None,
+              per_test: float | None = None) -> subprocess.CompletedProcess | None:
     """pytest's run in the copy, every test to the end, its summary naming
-    each passed, failed and erroring test; None when it ran past `timeout`
-    seconds."""
+    each passed, failed and erroring test and its slowest test's time; None
+    when it ran past `timeout` seconds, in which each test has `per_test`."""
     shutil.rmtree(workdir / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    if timeout is not None:
+        env.update(MUTATE_DEADLINE=str(time.time() + timeout - GRACE), MUTATE_TEST_S=str(per_test))
     command = [sys.executable, "-m", "pytest", "-q", "-rpfE", "-p", "no:cacheprovider",
-               f"--hypothesis-seed={SEED}", *tests]
+               "--durations=1", "--durations-min=0", f"--hypothesis-seed={SEED}", *tests]
     try:
         return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True,
                               timeout=timeout, check=False, preexec_fn=_limit_memory)
@@ -194,20 +258,21 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / name, workdir / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         with open(workdir / "tests" / "conftest.py", "a", encoding="utf-8") as conftest:
-            conftest.write(NO_SHRINK)
+            conftest.write(CONFTEST)
         module = workdir / "src" / "zgap" / f"{args.module}.py"
         start = time.perf_counter()
-        clean = run_tests(workdir, args.tests, None)
+        clean = run_tests(workdir, args.tests)
         timeout = max(60.0, TIMEOUT * (time.perf_counter() - start))
         if clean.returncode != 0:
             print("mutate: the tests do not pass on the unmutated code", file=sys.stderr)
             return 2
+        per_test = max(TEST_FLOOR, TIMEOUT * float(DURATION.search(clean.stdout)[1]))
         known = {line[len("PASSED "):] for line in clean.stdout.splitlines()
                  if line.startswith("PASSED ")}
         survivors = 0
         for line, original, mutated, text in found:
             module.write_text(text, encoding="utf-8")
-            result = run_tests(workdir, args.tests, timeout)
+            result = run_tests(workdir, args.tests, timeout, per_test)
             if result is not None and result.returncode == 5:
                 print("mutate: pytest collected no tests", file=sys.stderr)
                 return 2

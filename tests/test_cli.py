@@ -18,6 +18,7 @@ raised (ARGS without the word --corrupt), as
 so that every moved digit shows as a file diff.
 """
 
+import ast
 import contextlib
 import difflib
 import errno
@@ -37,6 +38,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from zgap import bounds, cli, moments, series
 from zgap.cli import _plain, build_parser, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run  # noqa: E402  (the benchmark's command lines)
 
 
 def run_cli(args, capsys):
@@ -465,13 +469,6 @@ def test_lis_report_builds_one_toeplitz_determinant(monkeypatch, capsys):
     assert calls == [(4, 15)]
 
 
-def run_probe(code):
-    """Run `code` in a fresh interpreter; it prints what it finds."""
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=False
-    )
-
-
 # Modules that no command needs at import: the zgap modules load with the
 # commands that run them, `json` and `csv` with the formats that write
 # them, `argparse` (and the `gettext` and `locale` it loads) with --help or
@@ -479,102 +476,66 @@ def run_probe(code):
 # nothing in zgap uses `numpy`.
 NOT_AT_IMPORT = ["argparse", "csv", "dataclasses", "gettext", "inspect", "json", "locale",
                  "numpy", "zgap.bounds", "zgap.lis", "zgap.moments", "zgap.series"]
+ARGPARSE = ["argparse", "gettext", "locale"]
+BENCHMARK = [op for ops in run.CLI_WORKLOADS.values() for op in ops]  # (label, command line)
+TOLERANCES = ["nan", "inf", "0", "-1"]
+
+# Each probe's command lines run in one fresh interpreter, which then
+# names the modules of the row's list that they loaded; none may be.
+# Each row: the command lines, their exit statuses, the modules, and the
+# stderr they write together where it is pinned.
+PROBES = {
+    "import": ([], [], NOT_AT_IMPORT, None),
+    # the benchmark's command lines; only --help loads argparse
+    "benchmark": ([command for _, command in BENCHMARK],
+                  [2 if label == "reject" else 0 for label, _ in BENCHMARK], ARGPARSE, None),
+    "exact-series": (["hankel --l 2", "identity --l 2", "lis --l 2 --max-n 3"], [0, 0, 0],
+                     ["zgap.bounds", "zgap.moments"], None),
+    "rejected-hankel": (["hankel --l 0"], [2], ["zgap.bounds"], "zgap: l must be >= 1, got 0\n"),
+    "rejected-lis": (["lis --max-n -1"], [2], ["zgap.bounds"],
+                     "zgap: max_n must be >= 0, got -1\n"),
+    # a bad --tol is refused before the library loads
+    "rejected-tolerance": ([f"bounds --tol {tol}" for tol in TOLERANCES], [2] * 4,
+                           ["zgap.bounds", "zgap.moments", "zgap.series"],
+                           "".join(f"zgap: quad_tol must be finite and positive, got {float(tol)}\n"
+                                   for tol in TOLERANCES)),
+    "certify": (["bounds --n 1", "bounds --n 2", "moments --l 4", "arithfactor --l 2"],
+                [0] * 4, ["zgap.lis", "zgap.series"], None),
+}
 
 
-def test_import_loads_only_what_every_command_needs():
-    probe = (
-        "import sys; before = set(sys.modules); import zgap.cli; "
-        f"print(sorted(set(sys.modules) - before & set({NOT_AT_IMPORT!r})))"
-    )
-    result = run_probe(probe)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
-
-
-# the benchmark's command lines (perfbench/run.py)
-BENCHMARK_ARGV = ["bounds --n 1", "bounds --n 2", "moments --l 4", "arithfactor --l 2",
-                  "bounds --n 1 --tol 0", "bounds --n 1 --tol nan", "hankel --l 6 --terms 12",
-                  "identity --l 4 --terms 12", "lis --l 4 --max-n 14"]
-
-
-def test_only_help_loads_argparse():
-    probe = (
+def probe(commands, modules):
+    """(the exit status of each command line, the `modules` loaded after
+    them, their stderr, whether `--help` then loads argparse), from one
+    fresh interpreter; the last shows that the probe sees a load."""
+    code = (
         "import contextlib, io, sys\n"
         "from zgap.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    for command in {BENCHMARK_ARGV!r}:\n"
-        "        main(command.split())\n"
-        "    print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules),\n"
-        "          file=sys.__stdout__)\n"
+        "def status(command):\n"
         "    try:\n"
-        "        main(['--help'])\n"
-        "    except SystemExit:\n"
-        "        pass\n"
-        "print('argparse' in sys.modules)\n"
+        "        return main(command.split())\n"
+        "    except SystemExit as exit:\n"
+        "        return exit.code\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        f"    statuses = [status(command) for command in {commands!r}]\n"
+        f"    loaded = sorted(m for m in {modules!r} if m in sys.modules)\n"
+        "    stderr = err.getvalue()\n"
+        "    status('--help')\n"
+        "print((statuses, loaded, stderr, 'argparse' in sys.modules))\n"
     )
-    result = run_probe(probe)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=False)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\nTrue\n"
+    return ast.literal_eval(result.stdout)
 
 
-def test_exact_series_commands_never_load_bounds_or_moments():
-    probe = (
-        "import contextlib, io, sys\n"
-        "from zgap.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = [main(['hankel', '--l', '2']), main(['identity', '--l', '2']),\n"
-        "              main(['lis', '--l', '2', '--max-n', '3'])]\n"
-        "print(status, sorted(m for m in ('zgap.bounds', 'zgap.moments') if m in sys.modules))\n"
-    )
-    result = run_probe(probe)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0] []\n"
-
-
-@pytest.mark.parametrize("args", [["hankel", "--l", "0"], ["lis", "--max-n", "-1"]])
-def test_rejected_exact_command_is_one_line_without_bounds(args):
-    probe = (
-        "import sys\n"
-        "from zgap.cli import main\n"
-        f"status = main({args!r})\n"
-        "print('zgap.bounds' in sys.modules)\n"
-        "raise SystemExit(status)\n"
-    )
-    result = run_probe(probe)
-    assert result.returncode == 2
-    assert result.stdout == "False\n"
-    assert result.stderr.startswith("zgap: ") and len(result.stderr.splitlines()) == 1
-
-
-def test_rejected_tolerance_is_one_line_without_the_library():
-    probe = (
-        "import sys\n"
-        "from zgap.cli import main\n"
-        "status = [main(['bounds', '--tol', tol]) for tol in ('nan', 'inf', '0', '-1')]\n"
-        "print(status, sorted(m for m in ('zgap.bounds', 'zgap.moments', 'zgap.series')\n"
-        "                     if m in sys.modules))\n"
-    )
-    result = run_probe(probe)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[2, 2, 2, 2] []\n"
-    assert result.stderr == "".join(
-        f"zgap: quad_tol must be finite and positive, got {tol}\n"
-        for tol in ("nan", "inf", "0.0", "-1.0")
-    )
-
-
-def test_certify_commands_never_load_series_or_lis():
-    probe = (
-        "import contextlib, io, sys\n"
-        "from zgap.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = [main(['bounds', '--n', '1']), main(['bounds', '--n', '2']),\n"
-        "              main(['moments', '--l', '4']), main(['arithfactor', '--l', '2'])]\n"
-        "print(status, sorted(m for m in ('zgap.lis', 'zgap.series') if m in sys.modules))\n"
-    )
-    result = run_probe(probe)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0, 0] []\n"
+@pytest.mark.parametrize("commands, statuses, modules, stderr", PROBES.values(), ids=PROBES)
+def test_commands_load_only_the_modules_they_run(commands, statuses, modules, stderr):
+    ran, loaded, err, help_loads_argparse = probe(commands, modules)
+    assert (ran, loaded, help_loads_argparse) == (statuses, [], True)
+    if stderr is not None:
+        assert err == stderr
 
 
 # every command's defaults, as the parser fills them in

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from oracles import (
     compositions,
-    cue_moment_coefficient,
     laplace_column,
     laplace_determinant,
     partitions_by_recursion,
@@ -71,13 +70,6 @@ def test_general_column_matches_the_laplace_oracle(l):
     assert moments._column((2, 1), l) == tuple(
         partition_sum(laplace_column(l), h, l) for h in range(l + 1)
     )
-
-
-def test_general_column_at_a_zero_is_the_cue_moment():
-    # a = 0 leaves kappa = 0 and m = (l-1, ..., 0): G(l+1)**2 / G(2l+1)
-    values = [moments._column((0, 0), l)[0] for l in range(1, 5)]
-    assert values == [1, Fraction(1, 12), Fraction(1, 8640), Fraction(1, 870912000)]
-    assert values == [cue_moment_coefficient(l) for l in range(1, 5)]
 
 
 def test_hankel_series_gives_the_1_0_column():
@@ -196,33 +188,12 @@ def test_reference_table_out_of_range():
         coefficient_column(3)
 
 
-def test_arithmetic_factor_telescopes_for_l1():
-    estimate = arithmetic_factor(1, prime_cutoff=10_000)
-    assert abs(estimate.value - 1.0) <= max(estimate.error_bound, 1e-9)
-    assert abs(estimate.value - 1.0) < 1e-9
-
-
 def test_sieve_matches_trial_division():
     # every n up to 400 meets the sieve's ends as primes and as composites:
     # n itself, n - 1, and the squares of primes at the last root it sieves
     primes = [p for p in range(2, 401) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     for n in range(2, 401):
         assert moments._primes_up_to(n) == [p for p in primes if p <= n]
-
-
-def test_arithmetic_factor_monotone_in_cutoff():
-    previous = None
-    for cutoff in (100, 1_000, 10_000):
-        estimate = arithmetic_factor(2, prime_cutoff=cutoff)
-        if previous is not None:
-            assert estimate.value < previous
-        previous = estimate.value
-
-
-def test_arithmetic_factor_self_consistency():
-    coarse = arithmetic_factor(4, prime_cutoff=1_000)
-    fine = arithmetic_factor(4, prime_cutoff=10_000)
-    assert abs(coarse.value - fine.value) <= coarse.error_bound + fine.error_bound
 
 
 def test_arithmetic_factor_l16_is_the_last_value_with_a_correct_digit():

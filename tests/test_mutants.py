@@ -5,8 +5,10 @@ node id, options such as `-k EXPR` skipped), it makes as many
 mutants as recorded, and each SURVIVED line is one of its mutants, keyed
 by the function and the line's offset from its `def`, as many as the runs
 of that function record together: a mutant that survives two runs, as over
-a whole file and over one of its tests, is listed twice."""
+a whole file and over one of its tests, is listed twice.  And every
+function and method of `src/zgap` has a recorded run."""
 
+import ast
 import re
 import shlex
 from collections import Counter, defaultdict
@@ -33,15 +35,28 @@ def test_named_files_skip_options_and_test_names():
 
 
 RUN = re.compile(r"#   python tests/mutate\.py (\w+) ([\w.]+) (.+)  # (\d+) mutants, (\d+) survived$")
+LINES = RECORD.read_text(encoding="utf-8").splitlines()
+RUNS = [match.groups() for match in map(RUN.match, LINES) if match]
+
+
+def test_every_function_and_method_has_a_recorded_run():
+    """Each top-level function and each method of a top-level class in
+    `src/zgap`, nested functions run with their owner."""
+    defined = set()
+    for path in (mutate.ROOT / "src" / "zgap").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            for child in node.body if owner else [node]:
+                if isinstance(child, ast.FunctionDef):
+                    defined.add((path.stem, owner + child.name))
+    assert sorted(defined - {(module, function) for module, function, *_ in RUNS}) == []
 
 
 def test_recorded_runs_match_the_source():
-    lines = RECORD.read_text(encoding="utf-8").splitlines()
-    runs = [match.groups() for match in map(RUN.match, lines) if match]
-    assert len(runs) == sum(line.startswith("#   python") for line in lines)
-    unmatched = Counter(line[len("SURVIVED  "):] for line in lines if line.startswith("SURVIVED  "))
+    assert len(RUNS) == sum(line.startswith("#   python") for line in LINES)
+    unmatched = Counter(line[len("SURVIVED  "):] for line in LINES if line.startswith("SURVIVED  "))
     counts = defaultdict(list)  # (mutants, survivors) of each run, by function
-    for module, function, tests, count, survived in runs:
+    for module, function, tests, count, survived in RUNS:
         files = named_files(tests)
         assert files and all((mutate.ROOT / path).is_file() for path in files), tests
         counts[module, function].append((int(count), int(survived)))
