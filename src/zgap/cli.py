@@ -32,16 +32,19 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .arith import DEFAULT_PRIME_CUTOFF, DEFAULT_QUAD_TOL, DEFAULT_TERMS, check_tolerance
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # What only some commands or formats use (`bounds`, `moments`, `lis`,
-# `series`, `json`, `csv`, `tempfile`) is imported where it is used, so that
-# a process loads no more than its command runs; `bounds` checks --tol with
-# `check_tolerance` first, so a bad tolerance loads none of those modules.
+# `series`, `fractions`, `csv`, `tempfile`) is imported where it is used, so
+# that a process loads no more than its command runs; `bounds` checks --tol
+# with `check_tolerance` first, so a bad tolerance loads none of those
+# modules.  `_json` writes the JSON format itself, so no command loads `json`.
 # `argparse` is imported by `build_parser` alone (and by `_pair` to report a
 # bad pair): `_parse` reads a well-formed command line from `_COMMANDS`, and
 # only --help and usage errors, whose text argparse writes, build the parser.
@@ -82,6 +85,8 @@ def _check_printable(command: str, factors) -> None:
 def _corrupted(column: dict[int, Fraction]) -> dict[int, Fraction]:
     """The `bounds --corrupt` test hook: `column` with the numerator of its
     h = 2 entry raised by one."""
+    from fractions import Fraction
+
     bad = column[2]
     return {**column, 2: Fraction(bad.numerator + 1, bad.denominator)}
 
@@ -200,24 +205,59 @@ def _plain(value):
     "numerator/denominator" string in lowest terms, a float as its shortest
     round-trip repr, a tuple or list as a list and a dict as a dict of plain
     values, and an int, bool or str as it is."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
+    from fractions import Fraction  # once per report, not once per value
+
+    def plain(value):
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, float):
+            return repr(value)
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value
+
+    return plain(value)
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for what `_plain`
+    returns: dicts with str keys, lists, str, int, bool and None, nested,
+    with `indent` the line break and indentation of the enclosing level.  A
+    str of printable ASCII without '"' or '\\' needs no escape; any other
+    goes through json.dumps, the one use of `json`.  Any other value or key
+    raises TypeError, and str() of an int past
+    sys.get_int_max_str_digits() the ValueError that json raises too."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json
+
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("keys must be str")
+        items = [f"{_json(key)}: {_json(v, inner)}" for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(fmt: str, payload: dict, header: list, body: list) -> str:
     """The report as JSON (`payload`), or as CSV or text rows (`header`,
     `body`), every value written by `_plain`."""
     if fmt == "json":
-        import json
-
-        return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+        return _json(_plain(payload)) + "\n"
     rows = _plain([header, *body])
     if fmt == "csv":
         import csv

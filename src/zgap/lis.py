@@ -19,7 +19,6 @@ from one computation:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 
 from . import series
@@ -40,27 +39,36 @@ def _check_column(l: int, max_n: int) -> None:
 def count_by_enumeration(l: int, max_n: int) -> list[int]:
     """T_l(0..max_n) by patience sorting every permutation at once.
 
-    Deal the values left to right.  After k values the state is the sorted
-    tuple of the ranks of the pile tops among those k values, weighted by
-    the number of permutations of k that reach it; T_l(k) is the weight of
-    the states with at most l piles.  The next value takes each relative
-    rank r in 0..k once: the ranks >= r shift up by one, and r replaces the
-    first top >= r or opens a new pile.  There are at most 2**(k-1) states,
-    against k! permutations."""
+    Deal the values left to right.  After k values the state is a bitmask
+    whose bit j is set when the value of rank j among those k is a pile
+    top, weighted by the number of permutations of k that reach it.  The
+    next value takes each relative rank r in 0..k once: the bits below r
+    stay, the bits at or above r move up by one, bit r is set, and the
+    lowest set bit above r is cleared, the top that r replaces; with none
+    above, r opens a new pile.  A pile never goes away, so a state with l
+    piles that would open another, and everything dealt from it after,
+    has more than l: dropping it leaves T_l(k) the weight of the states
+    kept, exactly.  There are at most 2**(k-1) states, against k!
+    permutations."""
     _check_column(l, max_n)
     if max_n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration capped at max_n <= {ENUMERATION_LIMIT}, got {max_n}")
-    states = {(): 1}
+    states = {0: 1}
     column = [1]
     for k in range(max_n):
-        dealt: dict[tuple[int, ...], int] = {}
+        dealt: dict[int, int] = {}
         for tops, weight in states.items():
+            full = tops.bit_count() == l
             for r in range(k + 1):
-                i = bisect_left(tops, r)
-                key = tops[:i] + (r,) + tuple(t + 1 for t in tops[i + 1 :])
+                above = tops >> r << (r + 1)
+                if above:
+                    above &= above - 1
+                elif full:
+                    continue
+                key = (tops & ((1 << r) - 1)) | (1 << r) | above
                 dealt[key] = dealt.get(key, 0) + weight
         states = dealt
-        column.append(sum(weight for tops, weight in states.items() if len(tops) <= l))
+        column.append(sum(states.values()))
     return column
 
 

@@ -27,7 +27,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import NamedTuple
 
@@ -179,14 +179,17 @@ class ArithmeticFactorEstimate(NamedTuple):
 
 
 def _primes_up_to(n: int) -> list[int]:
-    """The primes p <= n, for n >= 2 (`arithmetic_factor` checks that)."""
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return list(compress(range(n + 1), sieve))
+    """The primes p <= n, for n >= 2 (`arithmetic_factor` checks that): 2,
+    then the odd primes from a sieve of the odd numbers alone, in which
+    index i stands for 2i + 1, so an odd p strikes p*p, p*p + 2p, ... at
+    every p-th index from p*p // 2."""
+    sieve = bytearray(b"\x01") * ((n + 1) // 2)
+    sieve[0] = 0
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if sieve[p // 2]:
+            start = p * p // 2
+            sieve[start::p] = bytes((len(sieve) - 1 - start) // p + 1)
+    return [2, *compress(count(1, 2), sieve)]
 
 
 def _below_ln2(x: Fraction) -> bool:
@@ -234,16 +237,18 @@ def arithmetic_factor(
             f"the error bound for l={l} at prime_cutoff={prime_cutoff} is not below"
             f" the value, since l**4 >= prime_cutoff * ln 2"
         )
-    # highest power first, for Horner; C(90, 45)**2 < 2e52 fits a float
-    coeffs = [math.comb(l - 1, k) ** 2 for k in reversed(range(l))]
+    # highest power first, for Horner; C(90, 45)**2 < 2e52 fits a float,
+    # converted once here as `poly * inv_p + c` would convert it each time
+    coeffs = [float(math.comb(l - 1, k) ** 2) for k in reversed(range(l))]
+    power, smallest = (l - 1) ** 2, sys.float_info.min
     value = 1.0
     for p in _primes_up_to(prime_cutoff):
         inv_p = 1.0 / p
         poly = 0.0
         for c in coeffs:
             poly = poly * inv_p + c
-        value *= (1.0 - inv_p) ** ((l - 1) ** 2) * poly
-        if value < sys.float_info.min:
+        value *= (1.0 - inv_p) ** power * poly
+        if value < smallest:
             raise ValueError(f"the Euler product for l={l} underflows a float at p={p}")
     return ArithmeticFactorEstimate(
         l=l,

@@ -470,13 +470,18 @@ def test_lis_report_builds_one_toeplitz_determinant(monkeypatch, capsys):
 
 
 # Modules that no command needs at import: the zgap modules load with the
-# commands that run them, `json` and `csv` with the formats that write
-# them, `argparse` (and the `gettext` and `locale` it loads) with --help or
-# a usage error, no zgap module builds its records with `dataclasses`, and
+# commands that run them, `fractions` (and the `decimal` and `numbers` it
+# loads) with the ones that build or print a rational, `csv` with the format
+# that writes it, `json` with none (cli writes JSON itself and hands
+# json.dumps only a str outside printable ASCII, which no report holds),
+# `argparse` (and the `gettext` and `locale` it loads) with --help or a
+# usage error, no zgap module builds its records with `dataclasses`, and
 # nothing in zgap uses `numpy`.
-NOT_AT_IMPORT = ["argparse", "csv", "dataclasses", "gettext", "inspect", "json", "locale",
-                 "numpy", "zgap.bounds", "zgap.lis", "zgap.moments", "zgap.series"]
+NOT_AT_IMPORT = ["argparse", "csv", "dataclasses", "decimal", "fractions", "gettext", "inspect",
+                 "json", "locale", "numbers", "numpy", "zgap.bounds", "zgap.lis", "zgap.moments",
+                 "zgap.series"]
 ARGPARSE = ["argparse", "gettext", "locale"]
+RATIONALS = ["decimal", "fractions", "numbers"]
 BENCHMARK = [op for ops in run.CLI_WORKLOADS.values() for op in ops]  # (label, command line)
 TOLERANCES = ["nan", "inf", "0", "-1"]
 
@@ -488,7 +493,8 @@ PROBES = {
     "import": ([], [], NOT_AT_IMPORT, None),
     # the benchmark's command lines; only --help loads argparse
     "benchmark": ([command for _, command in BENCHMARK],
-                  [2 if label == "reject" else 0 for label, _ in BENCHMARK], ARGPARSE, None),
+                  [2 if label == "reject" else 0 for label, _ in BENCHMARK],
+                  [*ARGPARSE, "json"], None),
     "exact-series": (["hankel --l 2", "identity --l 2", "lis --l 2 --max-n 3"], [0, 0, 0],
                      ["zgap.bounds", "zgap.moments"], None),
     "rejected-hankel": (["hankel --l 0"], [2], ["zgap.bounds"], "zgap: l must be >= 1, got 0\n"),
@@ -496,7 +502,7 @@ PROBES = {
                      "zgap: max_n must be >= 0, got -1\n"),
     # a bad --tol is refused before the library loads
     "rejected-tolerance": ([f"bounds --tol {tol}" for tol in TOLERANCES], [2] * 4,
-                           ["zgap.bounds", "zgap.moments", "zgap.series"],
+                           ["zgap.bounds", "zgap.moments", "zgap.series", *RATIONALS],
                            "".join(f"zgap: quad_tol must be finite and positive, got {float(tol)}\n"
                                    for tol in TOLERANCES)),
     "certify": (["bounds --n 1", "bounds --n 2", "moments --l 4", "arithfactor --l 2"],
@@ -614,6 +620,32 @@ def test_plain_writes_every_value_in_one_format():
                      "n": 2, "ok": True}
     assert plain["ok"] is True and plain["rows"][0][1] is False
     assert type(plain["n"]) is int
+
+
+# text that JSON escapes or passes as it is: control characters, '"', '\\',
+# DEL, non-ASCII and non-BMP characters among any others
+_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t e\xe9\u2028\U0001f600') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60) | _TEXT,
+    lambda values: st.lists(values, max_size=4) | st.dictionaries(_TEXT, values, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+@example({"": [], "a": {}, "b": [[], {}, None, True, False, -1, ""], "\\": "a\\n", '"': "\x7f"})
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# what json refuses, and what `_plain` never returns: a float, a tuple or a
+# key other than a str
+@pytest.mark.parametrize("value", [Fraction(1, 2), b"x", {"a": [{1, 2}]}, object(), 1.5, (1,),
+                                   {1: "x"}, [{"a": None, None: 1}]])
+def test_the_json_writer_refuses_any_other_type(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_cross_process_determinism(tmp_path):

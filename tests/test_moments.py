@@ -189,11 +189,31 @@ def test_reference_table_out_of_range():
 
 
 def test_sieve_matches_trial_division():
-    # every n up to 400 meets the sieve's ends as primes and as composites:
-    # n itself, n - 1, and the squares of primes at the last root it sieves
-    primes = [p for p in range(2, 401) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    for n in range(2, 401):
+    # every n up to 2000 meets the sieve's ends as primes and as composites,
+    # odd and even: n itself, n - 1, and the squares of primes at the last
+    # root it sieves
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in range(2, 2001):
         assert moments._primes_up_to(n) == [p for p in primes if p <= n]
+    assert len(moments._primes_up_to(10**5)) == 9592  # pi(10**5)
+
+
+# (l, cutoff, value, error_bound) as float.hex, as the Euler product was
+# computed before its loop was tightened: the loop must keep every float
+# operation and its order, so these stay bit for bit
+ARITHMETIC_FACTOR_HEX = [
+    (1, 100_000, "0x1.0000000000000p+0", "0x1.4f8bc681cdfb6p-17"),
+    (3, 100_000, "0x1.940bcb0ff3f89p-5", "0x1.4f448a49c2dbbp-15"),
+    (8, 100_000, "0x1.b445bba066305p-97", "0x1.23da0f75b9ea8p-101"),
+    (16, 100_000, "0x1.648ec2ca3b972p-561", "0x1.4a1d22885d85ep-561"),
+    (5, 1000, "0x1.1082453da0d7bp-25", "0x1.d9359e5ef731cp-26"),
+]
+
+
+@pytest.mark.parametrize("l, cutoff, value, error_bound", ARITHMETIC_FACTOR_HEX)
+def test_arithmetic_factor_is_pinned_bit_for_bit(l, cutoff, value, error_bound):
+    estimate = arithmetic_factor(l, cutoff)
+    assert (estimate.value.hex(), estimate.error_bound.hex()) == (value, error_bound)
 
 
 def test_arithmetic_factor_l16_is_the_last_value_with_a_correct_digit():
