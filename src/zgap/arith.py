@@ -1,5 +1,5 @@
 """The layer below every other module: the package's shared defaults, the
-tolerance check, the multinomial coefficient and the partition generator.
+tolerance check, the multinomial coefficient and Pieri's rule.
 
 Every `zgap` command loads this module, so what lives here costs no
 command an extra import:
@@ -8,8 +8,8 @@ command an extra import:
 * `check_tolerance`, which `zgap.bounds` runs at its entry points and the
   CLI runs before it imports `zgap.bounds`, so a bad `--tol` is refused
   before the library loads;
-* `partitions_max_part`, which both `zgap.moments` and `zgap.series` sum
-  over, so a `moments` or `bounds` process does not load `zgap.series`.
+* `add_strip`, which both `zgap.moments` and `zgap.series` count with, so
+  a `moments` or `bounds` process does not load `zgap.series`.
 `multinomial` stays here, and stays bound in `zgap.moments`, because the
 benchmark tracer counts its calls where that module binds it.  Exact
 values everywhere in the package are `fractions.Fraction` instances;
@@ -22,7 +22,6 @@ from concurrent workers without coordination.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 # Default quadrature tolerance of `zgap.bounds` and of `zgap bounds --tol`.
 DEFAULT_QUAD_TOL = 1e-8
@@ -57,24 +56,30 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
     return out
 
 
-def partitions_max_part(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with every part <= max_part, parts weakly decreasing,
-    generated in lexicographically decreasing order: fill the rest of n
-    greedily with the largest parts allowed, then drop the trailing 1s and
-    lower the last part left.  No recursion, so there is no limit on the
-    number of parts."""
-    if n < 0 or (n > 0 and max_part < 1):
-        return
-    parts: list[int] = []
-    rest = n
-    while True:
-        while rest:
-            parts.append(min(rest, parts[-1] if parts else max_part))
-            rest -= parts[-1]
-        yield tuple(parts)
-        while parts and parts[-1] == 1:
-            rest += parts.pop()
-        if not parts:
-            return
-        parts[-1] -= 1
-        rest += 1
+def add_strip(shapes: dict, cells: int, rows: int) -> dict:
+    """Pieri's rule on counts: {partition: count}, each partition an
+    unpadded tuple of positive parts, to the partitions of at most `rows`
+    >= 1 parts reached by adding a horizontal strip of `cells` cells, the
+    counts of a shape reached more than once summed.  Row i > 0, and a new
+    row below the last if there is room, may grow by row i - 1's length
+    less its own; the first row takes the cells left.  Strips of a_1, ...,
+    a_r cells from () reach kappa K(kappa, a) times, the Kostka number, so
+    unit strips count its standard tableaux."""
+    grown: dict = {}
+    for shape, count in shapes.items():
+        padded = [*shape, 0][:rows]
+        placing, placed = [(padded, cells)], []  # (rows so far, cells left)
+        for i, (above, part) in enumerate(zip(padded, padded[1:]), 1):
+            if above > part:
+                for new, rest in placing.copy():
+                    for a in range(1, min(above - part, rest) + 1):
+                        longer = new.copy()
+                        longer[i] += a
+                        (placed if a == rest else placing).append((longer, rest - a))
+        for new, rest in placing + placed:  # no two share a list: edit in place
+            new[0] += rest
+            if not new[-1]:
+                new.pop()
+            key = tuple(new)
+            grown[key] = grown.get(key, 0) + count
+    return grown

@@ -10,8 +10,8 @@ from one computation:
   permutation, counted by one transfer over the pile tops instead of
   listing the n! permutations one by one (max_n <= 9),
 * ``count_by_tableaux(l, max_n)`` — squared standard-tableau counts over
-  partitions with first part at most l (Robinson-Schensted), read off the
-  U(l) average ``series.unitary_average(l, 0)`` (Gessel's identity),
+  Young's lattice up to l rows (Robinson-Schensted), read off the U(l)
+  average ``series.unitary_average(l, 0)`` (Gessel's identity),
 * ``count_by_series(l, max_n)`` — the coefficients of one Toeplitz
   determinant generating function from `zgap.series`, whose grid is at
   most max_n x max_n whatever l is.

@@ -4,8 +4,8 @@ analogue of Hardy's Z-function over the unitary group.
 Contents:
 
 * ``joint_moment_coefficient(h, l)`` — entry h of the (2, 1) column that
-  `_column` computes for any derivative pair: about 1.5 ms at l = 4, 15 ms
-  at l = 6 and 50 ms at l = 7, and 5 ms for the (3, 2) column at l = 4,
+  `_column` computes for any derivative pair: about 0.8 ms at l = 4, 9 ms
+  at l = 6 and 31 ms at l = 7, and 2.5 ms for the (3, 2) column at l = 4,
   in-process on a 2-vCPU Linux machine,
 * ``coefficient_column(n)`` — reference constants for l = 4 and
   derivative pairs (2, 1) and (3, 2), exact literals; the certificates'
@@ -16,9 +16,9 @@ Contents:
   omitted primes.  It is contextual: no bound computation depends on it.
 
 All coefficient computations are exact; only ``arithmetic_factor`` is
-floating point.  The partitions that `_column` sums over come from
-`zgap.arith`, which `zgap.series` shares, so a `bounds`, `moments` or
-`arithfactor` process loads neither `zgap.series` nor `zgap.lis`.
+floating point.  The Kostka numbers of `_column` come from `zgap.arith`,
+which `zgap.series` shares, so a `bounds`, `moments` or `arithfactor`
+process loads neither `zgap.series` nor `zgap.lis`.
 """
 
 from __future__ import annotations
@@ -31,32 +31,8 @@ from itertools import compress, count
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
 from typing import NamedTuple
 
-# multinomial is no longer called here; it stays bound in this module
-# because perfbench/tracer.py counts its calls where moments binds it.
-from .arith import DEFAULT_PRIME_CUTOFF, multinomial, partitions_max_part  # noqa: F401
-
-
-def _kostka(shape: tuple[int, ...], content: tuple[int, ...], memo: dict) -> int:
-    """The Kostka number K(shape, content): the semistandard tableaux of
-    `shape` (zero-padded) with content[i] entries equal to i + 1.  The
-    entries equal to len(content) fill a horizontal strip, and removing it
-    leaves an inner shape nu with shape[j+1] <= nu[j] <= shape[j] and
-    |shape| - |nu| = content[-1].  `memo` keeps every value found."""
-    if not content:
-        return int(not any(shape))
-    key = shape, content
-    if key not in memo:
-        # (rows of nu so far, cells still to remove); rows j+1.. can give
-        # up at most shape[j+1] cells, which bounds nu[j] from above
-        partial = [((), content[-1])]
-        for part, below in zip(shape, shape[1:] + (0,)):
-            partial = [
-                (nu + (v,), rest - part + v)
-                for nu, rest in partial
-                for v in range(max(below, part - rest), min(part, part + below - rest) + 1)
-            ]
-        memo[key] = sum(_kostka(nu, content[:-1], memo) for nu, _ in partial)
-    return memo[key]
+# multinomial stays bound here, uncalled: perfbench/tracer.py counts it here
+from .arith import DEFAULT_PRIME_CUTOFF, add_strip, multinomial  # noqa: F401
 
 
 def _parity_split(m: list[int]) -> tuple[int, list[int], list[int]]:
@@ -88,7 +64,8 @@ def _column(pair: tuple[int, int], l: int) -> tuple[Fraction, ...]:
     of y**n over [-1/2, 1/2]: 1/(2**n (n+1)) for even n, 0 for odd n.  (The
     dual Cauchy identity gives the finite-N moment as a sum of squares over
     an l x N box of partitions, the HCIZ expansion each square's top degree,
-    and Andreief's identity the determinant.)
+    and Andreief's identity the determinant.)  Strips of a_1, a_2, ... cells
+    reach kappa K(kappa, a) times in any order: the n1 strips serve every h.
 
     As M vanishes at odd n, putting the even parts of m and m' ahead of the
     odd ones (`_parity_split`) makes the matrix block diagonal: its
@@ -104,23 +81,24 @@ def _column(pair: tuple[int, int], l: int) -> tuple[Fraction, ...]:
     factors of a Cauchy denominator are odd, at most 2*top + 1, and distinct
     within a row, so it divides (1 * 3 * ... * (2*top + 1))**l."""
     n1, n2 = pair
-    memo: dict = {}
     column = []
+    firsts = {(): 1}  # K(kappa, (n1,)*h) for every kappa
     for h in range(l + 1):
-        content = (n1,) * h + (n2,) * (l - h)
-        size = sum(content)
+        if h:
+            firsts = add_strip(firsts, n1, l)
+        kostka = firsts  # K is symmetric in the content's order
+        for _ in range(l - h):
+            kostka = add_strip(kostka, n2, l)
+        size = n1 * h + n2 * (l - h)
         top = size + l - 1
         factorials = math.prod(factorial(top - j) for j in range(l))
         odd_powers = math.prod(range(1, 2 * top + 2, 2)) ** l
         members = []  # (integer weight, even parts, odd parts) of each kappa
-        for conjugate in partitions_max_part(size, l):
-            kappa = tuple(sum(1 for part in conjugate if part > j) for j in range(l))
-            count = _kostka(kappa, content, memo)
-            if count:
-                m = [part + l - 1 - j for j, part in enumerate(kappa)]
-                signed, even, odd = _parity_split(m)
-                weight = count * signed * (factorials // math.prod(map(factorial, m)))
-                members.append((weight, even, odd))
+        for kappa, count in kostka.items():
+            m = [part + l - 1 - j for j, part in enumerate(kappa + (0,) * (l - len(kappa)))]
+            signed, even, odd = _parity_split(m)
+            weight = count * signed * (factorials // math.prod(map(factorial, m)))
+            members.append((weight, even, odd))
         total = 0
         for i, (u, even, odd) in enumerate(members):
             for j in range(i, len(members)):

@@ -48,9 +48,10 @@ offset a multiple of 1/2 and `terms` exact coefficients: Toeplitz from
 x**0, Hankel from x**(l**2/2).  Reading x as z**2 turns the Toeplitz
 result into the even series of det[I_{j-k}(2z)]; the unitary-average
 comparisons below use exactly that identification (z-degree = 2 *
-x-degree).  `unitary_average` is the one character sum (hook lengths here,
-partitions from `zgap.arith`, which `zgap.moments` sums over too):
-`zgap.lis` reads q = 0, `check_hankel_identity` q = l.
+x-degree).  `unitary_average` is the one character sum (standard-tableau
+counts from Young's lattice by `zgap.arith.add_strip`, which builds the
+Kostka numbers of `zgap.moments` too): `zgap.lis` reads q = 0,
+`check_hankel_identity` q = l.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import factorial  # bound by name: perfbench/tracer.py counts calls here
-from math import perm
-from typing import NamedTuple, Sequence
+from math import perm, prod
+from typing import NamedTuple
 
-from .arith import DEFAULT_TERMS, partitions_max_part
+from .arith import DEFAULT_TERMS, add_strip
 
 
 class HalfPowerSeries:
@@ -178,25 +179,6 @@ def toeplitz_determinant(l: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     return HalfPowerSeries(Fraction(0), SeriesMatrix("toeplitz", size, terms - 1).determinant())
 
 
-def standard_tableaux(shape: Sequence[int]) -> int:
-    """Number of standard Young tableaux of the given shape, by the hook
-    length formula: weight! / prod(hook lengths).  Always an exact integer.
-    The shape must be a partition: positive, weakly decreasing parts.  Cell
-    (i, j) has hook row_i + height_j - i - j - 1; going up from the bottom
-    row, the columns that row i adds to the heights have height i + 1."""
-    parts = tuple(shape)
-    if any(p <= 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
-        raise ValueError(f"a shape needs positive, weakly decreasing parts, got {parts}")
-    heights: list[int] = []
-    for i in range(len(parts), 0, -1):
-        heights += [i] * (parts[i - 1] - len(heights))
-    hook_product = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            hook_product *= row + heights[j] - i - j - 1
-    return factorial(sum(parts)) // hook_product
-
-
 def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfPowerSeries:
     """Haar average over the unitary group U(l) of
     (det U)**det_power * exp(z * Tr(U + U^dagger)), as a series on the
@@ -208,27 +190,31 @@ def unitary_average(l: int, det_power: int, terms: int = DEFAULT_TERMS) -> HalfP
             z**(2|lam| + l*q) * f(lam) * f(lam + (q^l)) / (|lam|! * (|lam| + l*q)!)
 
     with q = det_power, f the standard-tableau count, and lam + (q^l) the
-    shape obtained by padding lam to l rows and adding q to each row.  The
-    sum runs over the conjugate shapes mu = lam' instead, the partitions
-    with parts <= l: f is invariant under conjugation, and the conjugate of
-    lam + (q^l) is (l,)*q + mu.  The z-exponent 2k + l*q becomes x-exponent
-    k + l*q/2, so the result has offset l*q/2 and integer steps.
+    shape obtained by padding lam to l rows and adding q to each row.  One
+    step of Young's lattice (`add_strip` with one cell) gives f on k cells
+    from f on k - 1, and the Frobenius formula, with r = lam + (l-1, ..., 0)
+    padded, gives f(lam + (q^l)) = (k + l*q)! * prod_{i<j} (r_i - r_j) /
+    prod_i (r_i + q)!, so q = 0 reuses f.  The z-exponent 2k + l*q becomes
+    x-exponent k + l*q/2, so the result has offset l*q/2 and integer steps.
     """
     _check_size(l, terms)
     if det_power < 0:
         raise ValueError(f"det_power must be >= 0, got {det_power}")
     q = det_power
-    # f(mu) once per partition: at q = 0 the two shapes are the same
-    coeffs = [
-        Fraction(
-            sum(
-                (f := standard_tableaux(mu)) * (standard_tableaux((l,) * q + mu) if q else f)
-                for mu in partitions_max_part(k, l)
-            ),
-            factorial(k) * factorial(k + l * q),
-        )
-        for k in range(terms)
-    ]
+    tableaux = {(): 1}  # f(lam) for every lam of k cells with at most l rows
+    coeffs = []
+    for k in range(terms):
+        if k:
+            tableaux = add_strip(tableaux, 1, l)
+        total, whole = 0, factorial(k + l * q)  # whole = |lam + (q^l)|!
+        for lam, f in tableaux.items():
+            shifted = f  # f(lam + (q^l))
+            if q:
+                r = [part + l - 1 - i for i, part in enumerate(lam + (0,) * (l - len(lam)))]
+                vandermonde = prod(x - y for i, x in enumerate(r) for y in r[i + 1:])
+                shifted = whole * vandermonde // prod(factorial(x + q) for x in r)
+            total += f * shifted
+        coeffs.append(Fraction(total, factorial(k) * whole))
     return HalfPowerSeries(Fraction(l * q, 2), tuple(coeffs))
 
 

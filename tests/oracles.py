@@ -33,8 +33,9 @@ def hall_ratio(h, n):
 
 def partitions_by_recursion(n, max_part):
     """Partitions of n with every part <= max_part in lexicographically
-    decreasing order, by recursion on the first part: the order oracle for
-    `arith.partitions_max_part`.  One level per part, so it stops at the
+    decreasing order, by recursion on the first part.  Its conjugates are
+    the shapes with at most max_part rows that unit strips of
+    `arith.add_strip` reach.  One level per part, so it stops at the
     interpreter's recursion limit."""
     if n == 0:
         yield ()
@@ -46,9 +47,9 @@ def partitions_by_recursion(n, max_part):
 
 def hook_product_by_leg_scan(shape):
     """The product of the hook lengths of `shape`, each cell's leg found by
-    scanning every row below it: the reference for the column-height rule
-    of `series.standard_tableaux`.  About k**2/2 steps for a k-cell
-    column."""
+    scanning every row below it: by the hook length formula, n! over it is
+    the standard-tableau count that unit strips of `arith.add_strip`
+    give."""
     product = 1
     for i, row in enumerate(shape):
         for j in range(row):

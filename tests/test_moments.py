@@ -18,7 +18,7 @@ from oracles import (
     series_product,
 )
 from zgap import bounds, cli, moments
-from zgap.arith import multinomial
+from zgap.arith import add_strip, multinomial
 from zgap.moments import (
     arithmetic_factor,
     coefficient_column,
@@ -103,16 +103,21 @@ def tableau_counts(shape, entries):
 
 
 def test_kostka_numbers_count_semistandard_tableaux():
-    memo = {}
+    # strips of content[0], content[1], ... cells from () reach each shape
+    # once per semistandard tableau of that content (Pieri's rule)
     checked = 0
     for size in range(1, 7):
         for entries in range(1, 5):
-            for shape in partitions_by_recursion(size, size):
-                counts = tableau_counts(shape, entries)
-                padded = shape + (0,) * max(0, entries - len(shape))
-                for content in compositions(size, entries):
-                    assert moments._kostka(padded, content, memo) == counts.get(content, 0)
-                    checked += counts.get(content, 0) > 0
+            counts = {shape: tableau_counts(shape, entries)
+                      for shape in partitions_by_recursion(size, size)}
+            for content in compositions(size, entries):
+                kostka = {(): 1}
+                for cells in content:
+                    kostka = add_strip(kostka, cells, entries)
+                assert kostka.keys() <= counts.keys()
+                for shape, by_content in counts.items():
+                    assert kostka.get(shape, 0) == by_content.get(content, 0)
+                    checked += by_content.get(content, 0) > 0
     assert checked > 500
 
 

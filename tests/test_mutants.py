@@ -5,8 +5,9 @@ node id, options such as `-k EXPR` skipped), it makes as many
 mutants as recorded, and each SURVIVED line is one of its mutants, keyed
 by the function and the line's offset from its `def`, as many as the runs
 of that function record together: a mutant that survives two runs, as over
-a whole file and over one of its tests, is listed twice.  And every
-function and method of `src/zgap` has a recorded run."""
+a whole file and over one of its tests, is listed twice.  Every function
+and method of `src/zgap` has a recorded run, and each `module.function`
+that the record's prose names, as its hand-mutant paragraphs do, exists."""
 
 import ast
 import re
@@ -39,17 +40,39 @@ LINES = RECORD.read_text(encoding="utf-8").splitlines()
 RUNS = [match.groups() for match in map(RUN.match, LINES) if match]
 
 
-def test_every_function_and_method_has_a_recorded_run():
-    """Each top-level function and each method of a top-level class in
-    `src/zgap`, nested functions run with their owner."""
-    defined = set()
+def definitions():
+    """(module, name) of each top-level function and of each method, as
+    `Class.method`, of a top-level class in `src/zgap`; and of each such
+    class."""
+    functions, classes = set(), set()
     for path in (mutate.ROOT / "src" / "zgap").glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            if owner:
+                classes.add((path.stem, node.name))
             for child in node.body if owner else [node]:
                 if isinstance(child, ast.FunctionDef):
-                    defined.add((path.stem, owner + child.name))
-    assert sorted(defined - {(module, function) for module, function, *_ in RUNS}) == []
+                    functions.add((path.stem, owner + child.name))
+    return functions, classes
+
+
+FUNCTIONS, CLASSES = definitions()
+
+
+def test_every_function_and_method_has_a_recorded_run():
+    """Nested functions run with their owner."""
+    recorded = {(module, function) for module, function, *_ in RUNS}
+    assert sorted(FUNCTIONS - recorded) == []
+
+
+MODULES = "|".join(sorted({module for module, _ in FUNCTIONS}))
+NAMED = re.compile(rf"\b({MODULES})\.(?!py\b)(\w+(?:\.\w+)?)")
+
+
+def test_the_record_names_only_code_that_exists():
+    prose = [line for line in LINES if not RUN.match(line) and not line.startswith("SURVIVED  ")]
+    named = {match.groups() for line in prose for match in NAMED.finditer(line)}
+    assert named and sorted(named - FUNCTIONS - CLASSES) == []
 
 
 def test_recorded_runs_match_the_source():
