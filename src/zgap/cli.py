@@ -326,7 +326,7 @@ _COMMANDS = {
     }),
     "moments": (_moments_report, "joint-moment coefficients and match flags", {
         "--l": {"type": int, "default": 4},
-        "--pair": {"type": _pair, "default": "2,1", "help": "derivative orders, e.g. 2,1"},
+        "--pair": {"type": _pair, "default": (2, 1), "help": "derivative orders, e.g. 2,1"},
     }),
     "lis": (_lis_report, "restricted permutation counts", {
         "--l": {"type": int, "default": 3},
@@ -378,11 +378,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a well-formed command line, as `build_parser` parses
     it: a command, then options each written in full, `--corrupt` alone and
     every other one followed by a value that does not start with "-" and
-    that its type and choices accept; an option not given takes its
-    default, a string default passed through its type.  None for anything
-    else (help, an abbreviation, `--name=value`, a negative value, an
-    unknown or missing argument, a value its type refuses), which argparse
-    then reads, so its help and its messages are the only ones."""
+    that its type and choices accept; an option not given takes its default.
+    None for anything else (help, an abbreviation, `--name=value`, a negative
+    value, an unknown or missing argument, a value its type refuses), which
+    argparse then reads, so its help and its messages are the only ones."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     report, _, own = _COMMANDS[argv[0]]
@@ -408,10 +407,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         given[word] = value
     args = SimpleNamespace(command=argv[0], report=report)
     for option, spec in options.items():
-        default = spec["default"]
-        if isinstance(default, str) and "type" in spec:
-            default = spec["type"](default)
-        setattr(args, spec.get("dest", option[2:]), given.get(option, default))
+        setattr(args, spec.get("dest", option[2:]), given.get(option, spec["default"]))
     return args
 
 

@@ -65,26 +65,12 @@ from typing import NamedTuple
 from .arith import DEFAULT_TERMS, add_strip
 
 
-class HalfPowerSeries:
+class HalfPowerSeries(NamedTuple):
     """x**offset * (c_0 + c_1*x + ... + c_{K-1}*x**(K-1)), K >= 1, offset a
-    multiple of 1/2: a plain record, the determinants' and averages' result."""
+    multiple of 1/2: the determinants' and averages' result."""
 
-    __slots__ = ("offset", "coeffs")
-
-    def __init__(self, offset: Fraction | int, coeffs: tuple) -> None:
-        offset = Fraction(offset)
-        if (2 * offset).denominator != 1:
-            raise ValueError(f"offset must be a multiple of 1/2, got {offset}")
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least one retained coefficient")
-        self.offset: Fraction = offset
-        self.coeffs: tuple[Fraction, ...] = coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HalfPowerSeries):
-            return NotImplemented
-        return (self.offset, self.coeffs) == (other.offset, other.coeffs)
+    offset: Fraction
+    coeffs: tuple[Fraction, ...]
 
     def __mul__(self, scalar) -> "HalfPowerSeries":
         """The series times a rational scalar.  Bound by name:

@@ -2,6 +2,7 @@
 
 import time
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
@@ -177,7 +178,7 @@ def test_series_count_far_above_n_is_fast():
 def test_every_series_route_rejects_a_non_integral_count(route, source, monkeypatch):
     # the last argument of either source is its number of terms
     monkeypatch.setattr(
-        series, source, lambda l, *args: HalfPowerSeries(0, (1, 1, "1/3")[: args[-1]])
+        series, source, lambda l, *args: HalfPowerSeries(0, (1, 1, Fraction(1, 3))[: args[-1]])
     )
     assert route(3, 1) == [1, 1]
     with pytest.raises(ArithmeticError, match="l=3, n=2 is non-integral: 4/3"):

@@ -10,9 +10,10 @@ inside the name's own definition, docstrings, comments, the package's
 that the package only re-exports, is dead weight.  No public name is an
 alias: no module binds one to a name it imports, and the `factorial` that
 `moments`, `lis` and `series` bind is `math.factorial`.  The layering: only
-`series` names the integer series engine.  Records are plain classes: no
-module imports `dataclasses`, whose import and generated methods cost a
-`zgap` process more start-up than most commands spend working.  No
+`series` names the integer series engine.  Every class is a
+`typing.NamedTuple` record or an exception, and no module imports
+`dataclasses`, whose import and generated methods cost a `zgap` process
+more start-up than most commands spend working.  No
 module uses complex arithmetic or `math.sin`/`math.cos`, the lambda and X
 solvers, the prime sieve and the ln 2 test use no `**`, `pow` or libm
 routine besides `math.sqrt`, the exact prelude of a certificate uses no
@@ -20,14 +21,18 @@ float, `math` name or `**`, and every `lru_cache` is listed with the
 traffic that re-reads it.  Imports between the modules run one way: there
 is no cycle, whether an import sits at module level or inside a function.
 Only `cli` formats values: no module defines `to_json_dict` or
-`rational_str`, and no module but `cli` calls `repr`.
+`rational_str`, and no module but `cli` calls `repr`.  The Python floor
+in `pyproject.toml` admits no interpreter without the
+`sys.get_int_max_str_digits` that `series` and `cli` call.
 """
 
 import ast
+import importlib
 import math
 import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "zgap").glob("*.py") if p.name != "__init__.py")
@@ -224,6 +229,20 @@ def test_only_cli_formats_values():
     assert not formatters, f"value formatting outside cli: {formatters}"
 
 
+def test_every_class_is_a_named_tuple_or_an_exception():
+    # a record validates nothing its producers already build exactly, and
+    # compares, prints and unpacks as a tuple
+    others = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name, cls in vars(importlib.import_module(f"zgap.{path.stem}")).items()
+        if isinstance(cls, type) and cls.__module__ == f"zgap.{path.stem}"
+        and getattr(cls, "__orig_bases__", None) != (NamedTuple,)
+        and not issubclass(cls, Exception)
+    ]
+    assert not others, f"classes that are neither a NamedTuple nor an exception: {others}"
+
+
 def test_no_module_imports_dataclasses():
     importers = [
         path.name for path in sorted((ROOT / "src" / "zgap").glob("*.py"))
@@ -369,3 +388,13 @@ def test_every_cache_has_a_stated_reader():
         for name in _cached_functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     }
     assert sorted(cached) == sorted(CACHES)
+
+
+def test_python_floor_has_the_str_digit_limit():
+    # `series` and `cli` call sys.get_int_max_str_digits(), which Python
+    # 3.10 gained in 3.10.7, so the one `>=` floor must admit no release
+    # before it
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=([\d.]+)"$', text, re.MULTILINE)
+    assert floor, "requires-python is not a single >= floor"
+    assert tuple(map(int, floor.group(1).split("."))) >= (3, 10, 7)
